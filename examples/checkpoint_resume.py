@@ -10,10 +10,10 @@ counts, demonstrating that a checkpoint is a faithful fork of the
 simulation.
 
 This example restores in-process for brevity; the CLI does the same
-across processes (and even across scheduler backends)::
+across processes::
 
     python -m repro.cli checkpoint --ckpt mb.ckpt --at-ps 10000000000
-    python -m repro.cli resume --ckpt mb.ckpt --scheduler wheel
+    python -m repro.cli resume --ckpt mb.ckpt
 
 Run:  python examples/checkpoint_resume.py
 """

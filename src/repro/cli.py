@@ -16,12 +16,11 @@ Two observability subcommands instrument an experiment's event buses
     python -m repro.cli events-stats --source catalog
     python -m repro.cli events-trace --out events.jsonl --limit 5
 
-Long runs checkpoint mid-flight and resume in a fresh process (even on
-the other scheduler backend — event order is identical)::
+Long runs checkpoint mid-flight and resume in a fresh process::
 
     python -m repro.cli checkpoint --ckpt mb.ckpt --at-ps 10000000000
     python -m repro.cli resume --ckpt mb.ckpt --info
-    python -m repro.cli resume --ckpt mb.ckpt --scheduler wheel
+    python -m repro.cli resume --ckpt mb.ckpt
 
 Benchmark sweeps are resumable too: ``bench --resume progress.json``
 skips benchmarks an interrupted sweep already recorded.
@@ -927,14 +926,14 @@ def _header_rows(header: Dict) -> List[str]:
     rows = [
         f"label={header.get('label') or '(none)'} "
         f"version={header['version']} python={header.get('python')}",
-        f"scheduler={header['scheduler']} now={header['now_ps']}ps "
+        f"now={header['now_ps']}ps "
         f"executed={header['events_executed']} pending={header['pending_events']}",
     ]
     stores = header.get("stores", [])
     rows.append(f"{len(stores)} state store(s):")
     for store in stores:
         rows.append(
-            f"  {store['name']:<28} kind={store['kind']:<9} "
+            f"  {store['name']:<28} "
             f"size={store['size']:>6} populated={store['populated']}"
         )
     return rows
@@ -962,7 +961,7 @@ def run_checkpoint(ckpt: str, at_ps: int, duration_ps: int) -> int:
     return 0
 
 
-def run_resume(ckpt: str, info: bool = False, scheduler: str = "") -> int:
+def run_resume(ckpt: str, info: bool = False) -> int:
     """Resume a checkpointed microburst run (or --info: describe the file)."""
     from repro.sim.checkpoint import inspect_checkpoint, load_checkpoint
 
@@ -974,7 +973,7 @@ def run_resume(ckpt: str, info: bool = False, scheduler: str = "") -> int:
         finish_event_driven,
     )
 
-    sim, setup, header = load_checkpoint(ckpt, scheduler or None)
+    _sim, setup, header = load_checkpoint(ckpt)
     if not isinstance(setup, MicroburstSetup):
         print(
             f"error: {ckpt} holds {type(setup).__name__}, not a "
@@ -984,8 +983,7 @@ def run_resume(ckpt: str, info: bool = False, scheduler: str = "") -> int:
         return 2
     result = finish_event_driven(setup)
     _print(
-        f"§2: microburst detection (resumed from {header['now_ps']}ps "
-        f"on {sim.scheduler})",
+        f"§2: microburst detection (resumed from {header['now_ps']}ps)",
         [result.summary_row()],
     )
     return 0
@@ -1236,12 +1234,6 @@ def main(argv: List[str] = None) -> int:
         action="store_true",
         help="resume: print the checkpoint header and exit",
     )
-    parser.add_argument(
-        "--scheduler",
-        choices=("", "heap", "wheel"),
-        default="",
-        help="resume: re-backend the restored kernel (order is identical)",
-    )
     args = parser.parse_args(argv)
     if args.experiment == "list":
         for name, fn in sorted(EXPERIMENTS.items()):
@@ -1307,7 +1299,7 @@ def main(argv: List[str] = None) -> int:
     if args.experiment == "checkpoint":
         return run_checkpoint(args.ckpt, args.at_ps, args.duration_ps)
     if args.experiment == "resume":
-        return run_resume(args.ckpt, info=args.info, scheduler=args.scheduler)
+        return run_resume(args.ckpt, info=args.info)
     if args.experiment == "events-stats":
         run_events_stats(args.source)
         return 0

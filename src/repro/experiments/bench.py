@@ -47,7 +47,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.parallel import run_points
-from repro.sim.kernel import SCHEDULER_ENV, Simulator
+from repro.sim.kernel import Simulator
 
 #: Events dispatched per kernel round (matches the pytest benchmark).
 KERNEL_EVENTS = 20_000
@@ -431,7 +431,7 @@ def _snapshot(
         "schema": 1,
         "label": label,
         "python": sys.version.split()[0],
-        "scheduler": os.environ.get(SCHEDULER_ENV) or "heap",
+        "scheduler": "heap",
         "benchmarks": benchmarks,
     }
     if host_speed is not None:
@@ -455,7 +455,7 @@ def _load_progress(progress_path: Optional[str], label: str, rounds: int) -> Dic
         return {}
     if data.get("label") != label:
         return {}
-    if data.get("scheduler") != (os.environ.get(SCHEDULER_ENV) or "heap"):
+    if data.get("scheduler") != "heap":
         return {}
     return {
         name: entry

@@ -9,7 +9,7 @@ on baseline architectures — one of the paper's motivating gaps.
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.state.store import StateStore, make_store
 
@@ -34,15 +34,14 @@ class Counter:
         size: int,
         kind: CounterKind = CounterKind.PACKETS_AND_BYTES,
         name: str = "counter",
-        backend: Optional[str] = None,
     ) -> None:
         if size <= 0:
             raise ValueError(f"counter size must be positive, got {size}")
         self.size = size
         self.kind = kind
         self.name = name
-        self._packets = make_store(size, 0, backend, name=f"{name}.packets")
-        self._bytes = make_store(size, 0, backend, name=f"{name}.bytes")
+        self._packets = make_store(size, 0, name=f"{name}.packets")
+        self._bytes = make_store(size, 0, name=f"{name}.bytes")
 
     def count(self, index: int, nbytes: int = 0) -> None:
         """Data-plane increment of counter ``index``."""

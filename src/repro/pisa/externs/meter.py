@@ -10,7 +10,7 @@ emulation bench compares it against this fixed-function version.
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, Optional
+from typing import List
 
 from repro.sim.units import SECONDS
 from repro.state.store import StateStore, make_store
@@ -41,7 +41,6 @@ class Meter:
         cbs_bytes: int,
         ebs_bytes: int = 0,
         name: str = "meter",
-        backend: Optional[str] = None,
     ) -> None:
         if size <= 0:
             raise ValueError(f"meter size must be positive, got {size}")
@@ -56,11 +55,9 @@ class Meter:
         self.cbs_bytes = cbs_bytes
         self.ebs_bytes = ebs_bytes
         self.name = name
-        self._committed = make_store(
-            size, float(cbs_bytes), backend, name=f"{name}.committed"
-        )
-        self._excess = make_store(size, float(ebs_bytes), backend, name=f"{name}.excess")
-        self._last_update_ps = make_store(size, 0, backend, name=f"{name}.last_update")
+        self._committed = make_store(size, float(cbs_bytes), name=f"{name}.committed")
+        self._excess = make_store(size, float(ebs_bytes), name=f"{name}.excess")
+        self._last_update_ps = make_store(size, 0, name=f"{name}.last_update")
 
     def execute(self, index: int, nbytes: int, now_ps: int) -> MeterColor:
         """Meter a packet of ``nbytes`` at simulated time ``now_ps``."""

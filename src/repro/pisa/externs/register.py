@@ -28,9 +28,8 @@ class Register:
     programming error and raises IndexError rather than silently
     aliasing.
 
-    Cells live in a :class:`repro.state.store.StateStore`; ``backend``
-    picks the representation (``dense`` by default, which keeps hot-path
-    indexing at raw-list cost).
+    Cells live in a :class:`repro.state.store.StateStore`, which keeps
+    hot-path indexing at raw-list cost.
     """
 
     def __init__(
@@ -38,7 +37,6 @@ class Register:
         size: int,
         width_bits: int = 32,
         name: str = "reg",
-        backend: Optional[str] = None,
     ) -> None:
         if size <= 0:
             raise ValueError(f"register size must be positive, got {size}")
@@ -48,7 +46,7 @@ class Register:
         self.width_bits = width_bits
         self.name = name
         self._mask = (1 << width_bits) - 1
-        self._cells = make_store(size, 0, backend, name=name)
+        self._cells = make_store(size, 0, name=name)
         self.read_count = 0
         self.write_count = 0
 
@@ -107,11 +105,7 @@ class Register:
         return self._cells[index]
 
     def snapshot(self) -> List[int]:
-        """All cells as a dense list (for tests and reports; not an access).
-
-        Delegates to the store: the dense and dict backends return a
-        fresh list, the shadowed backend a frozen shared one.
-        """
+        """All cells as a fresh dense list (for tests and reports; not an access)."""
         return self._cells.snapshot()
 
     def nonzero_count(self) -> int:
@@ -159,9 +153,8 @@ class SharedRegister(Register):
         size: int,
         width_bits: int = 32,
         name: str = "shared_reg",
-        backend: Optional[str] = None,
     ) -> None:
-        super().__init__(size, width_bits, name, backend=backend)
+        super().__init__(size, width_bits, name)
         self._thread: Optional[str] = None
         self.accesses_by_thread: Dict[str, int] = {}
 

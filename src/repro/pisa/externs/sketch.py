@@ -9,7 +9,7 @@ plane resets it autonomously (paper §1, §3).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.packet.hashing import crc32, fold_hash
 from repro.state.store import StateStore, make_store
@@ -28,7 +28,6 @@ class CountMinSketch:
         width: int,
         depth: int,
         name: str = "cms",
-        backend: Optional[str] = None,
     ) -> None:
         if width <= 0:
             raise ValueError(f"sketch width must be positive, got {width}")
@@ -40,7 +39,7 @@ class CountMinSketch:
         # One flat store of depth*width counters; row r occupies
         # [r*width, (r+1)*width).  A flat layout means one manifest entry
         # and one contiguous snapshot per sketch.
-        self._cells = make_store(width * depth, 0, backend, name=name)
+        self._cells = make_store(width * depth, 0, name=name)
         self.update_count = 0
 
     def _indices(self, key: bytes) -> List[int]:
@@ -127,7 +126,6 @@ class BloomFilter:
         bits: int,
         hashes: int = 3,
         name: str = "bloom",
-        backend: Optional[str] = None,
     ) -> None:
         if bits <= 0:
             raise ValueError(f"filter size must be positive, got {bits}")
@@ -136,8 +134,7 @@ class BloomFilter:
         self.bits = bits
         self.hashes = hashes
         self.name = name
-        # Bits stored as 0/1 ints: sparse backends evict zero cells.
-        self._bitset = make_store(bits, 0, backend, name=name)
+        self._bitset = make_store(bits, 0, name=name)
         self.insert_count = 0
 
     def _indices(self, key: bytes) -> List[int]:

@@ -9,7 +9,7 @@ sum / mean / max over it.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.state.store import StateStore, make_store
 
@@ -22,14 +22,12 @@ class ShiftRegister:
     all slots is then a moving-window total of the accumulated signal.
     """
 
-    def __init__(
-        self, slots: int, name: str = "shift_reg", backend: Optional[str] = None
-    ) -> None:
+    def __init__(self, slots: int, name: str = "shift_reg") -> None:
         if slots <= 0:
             raise ValueError(f"slot count must be positive, got {slots}")
         self.slots = slots
         self.name = name
-        self._values = make_store(slots, 0, backend, name=name)
+        self._values = make_store(slots, 0, name=name)
         self.shift_count = 0
 
     def accumulate(self, amount: int) -> None:
@@ -86,7 +84,6 @@ class SlidingWindow:
         size: int,
         slots: int,
         name: str = "windows",
-        backend: Optional[str] = None,
     ) -> None:
         if size <= 0:
             raise ValueError(f"window array size must be positive, got {size}")
@@ -94,7 +91,7 @@ class SlidingWindow:
         self.slots = slots
         self.name = name
         self._windows = [
-            ShiftRegister(slots, f"{name}[{i}]", backend=backend) for i in range(size)
+            ShiftRegister(slots, f"{name}[{i}]") for i in range(size)
         ]
 
     def accumulate(self, index: int, amount: int) -> None:

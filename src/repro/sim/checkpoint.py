@@ -2,9 +2,8 @@
 
 A checkpoint captures everything a deterministic resume needs:
 
-* the scheduler queue contents (both the ``heap`` and ``wheel``
-  backends export the same portable, (time, priority, seqno)-sorted
-  event list — see ``Simulator._export_state``),
+* the scheduler queue contents as a portable, (time, priority,
+  seqno)-sorted event list — see ``Simulator._export_state``,
 * the kernel clock, seqno counter, and executed-event count, so the
   resumed total order continues exactly where it stopped,
 * the experiment object graph handed in as ``state`` — switches,
@@ -17,7 +16,7 @@ A checkpoint captures everything a deterministic resume needs:
 
 On-disk format (version 1): two consecutive pickle frames in one file.
 Frame one is a small JSON-able **header** dict — magic, version,
-scheduler backend, clock, event counts, store manifest — so
+clock, event counts, store manifest — so
 :func:`inspect_checkpoint` can describe a file without unpickling the
 full object graph.  Frame two is the **payload**:
 ``{"sim": Simulator, "state": <user object>}``.
@@ -37,7 +36,7 @@ from __future__ import annotations
 import io
 import pickle
 import sys
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.sim.kernel import Simulator
 
@@ -77,7 +76,6 @@ def _write_checkpoint(
         "version": CHECKPOINT_VERSION,
         "label": label,
         "python": sys.version.split()[0],
-        "scheduler": sim.scheduler,
         "now_ps": sim.now_ps,
         "events_executed": sim.events_executed,
         "pending_events": sim.pending_events,
@@ -140,44 +138,27 @@ def inspect_checkpoint(path: str) -> Dict[str, Any]:
         return _read_header(fh)
 
 
-def load_checkpoint(
-    path: str, scheduler: Optional[str] = None
-) -> Tuple[Simulator, Any, Dict[str, Any]]:
-    """Load a checkpoint; returns ``(sim, state, header)``.
-
-    ``scheduler`` optionally re-backends the restored kernel via
-    :meth:`Simulator.set_scheduler` — event order is identical across
-    backends, so a heap checkpoint resumes byte-identically on the
-    wheel and vice versa.
-    """
-    with open(path, "rb") as fh:
-        header = _read_header(fh)
-        try:
-            payload = pickle.load(fh)
-        except Exception as exc:
-            raise CheckpointError(f"corrupt checkpoint payload: {exc}") from exc
-    return _check_payload(payload, header, scheduler)
-
-
-def _check_payload(
-    payload: Any, header: Dict[str, Any], scheduler: Optional[str]
-) -> Tuple[Simulator, Any, Dict[str, Any]]:
-    sim = payload.get("sim") if isinstance(payload, dict) else None
-    if not isinstance(sim, Simulator):
-        raise CheckpointError("checkpoint payload holds no Simulator")
-    if scheduler is not None:
-        sim.set_scheduler(scheduler)
-    return sim, payload.get("state"), header
-
-
-def loads_checkpoint(
-    data: bytes, scheduler: Optional[str] = None
-) -> Tuple[Simulator, Any, Dict[str, Any]]:
-    """Load a checkpoint from bytes; returns ``(sim, state, header)``."""
-    fh = io.BytesIO(data)
+def _read(fh) -> Tuple[Simulator, Any, Dict[str, Any]]:
+    """Read both frames from a binary file object."""
     header = _read_header(fh)
     try:
         payload = pickle.load(fh)
     except Exception as exc:
+        # Includes a payload naming a class this tree no longer has
+        # (pickle raises AttributeError/ImportError for those).
         raise CheckpointError(f"corrupt checkpoint payload: {exc}") from exc
-    return _check_payload(payload, header, scheduler)
+    sim = payload.get("sim") if isinstance(payload, dict) else None
+    if not isinstance(sim, Simulator):
+        raise CheckpointError("checkpoint payload holds no Simulator")
+    return sim, payload.get("state"), header
+
+
+def load_checkpoint(path: str) -> Tuple[Simulator, Any, Dict[str, Any]]:
+    """Load a checkpoint; returns ``(sim, state, header)``."""
+    with open(path, "rb") as fh:
+        return _read(fh)
+
+
+def loads_checkpoint(data: bytes) -> Tuple[Simulator, Any, Dict[str, Any]]:
+    """Load a checkpoint from bytes; returns ``(sim, state, header)``."""
+    return _read(io.BytesIO(data))

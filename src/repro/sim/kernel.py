@@ -8,22 +8,9 @@ PISA pipelines, traffic managers, timer units, links, and hosts — share
 one simulator, so a whole multi-switch network advances on a single
 totally-ordered virtual clock.
 
-Two interchangeable scheduler backends implement that total order:
-
-* ``"heap"`` (the default) — a binary heap of scheduled events.  Events
-  are stored as flat lists so heap sift compares run element-wise at C
-  speed on the (time, priority, seqno) prefix instead of calling a
-  Python ``__lt__``.
-* ``"wheel"`` — a calendar queue for the dominant short-horizon
-  ``call_after`` pattern: events hash into per-timestamp buckets and a
-  small integer heap of bucket times orders the calendar, so far-future
-  events fall back to a heap of plain ints.  Same-time events drain in
-  (priority, seqno) order, byte-identical to the heap backend.
-
-Both backends produce identical event orderings; the determinism tests
-assert trace equality between them.  Pick a backend per simulator
-(``Simulator(scheduler="wheel")``) or process-wide via the
-``REPRO_SIM_SCHEDULER`` environment variable — see docs/PERFORMANCE.md.
+The queue is a binary heap of scheduled events.  Events are stored as
+flat lists so heap sift compares run element-wise at C speed on the
+(time, priority, seqno) prefix instead of calling a Python ``__lt__``.
 
 Implementation note: the per-event cost of ``call_after`` plus one run
 loop iteration bounds every experiment in the repo, so the hot paths are
@@ -37,7 +24,6 @@ exposes the same state through properties for tests and tooling.
 
 from __future__ import annotations
 
-import os
 import weakref
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
@@ -48,23 +34,6 @@ _TIME, _PRIO, _SEQ, _CB, _ARGS, _CANCELLED, _OWNER = range(7)
 
 #: A virtual time no real event ever reaches (run-loop bound sentinel).
 _NEVER_PS = 1 << 63
-
-#: Recognized scheduler backends.
-SCHEDULER_BACKENDS = ("heap", "wheel")
-
-#: Environment variable selecting the default scheduler backend.
-SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
-
-#: Environment variable toggling the batched same-timestamp drain.
-BATCH_DRAIN_ENV = "REPRO_BATCH_DRAIN"
-
-
-def batch_env_enabled(default: bool = True) -> bool:
-    """Resolve the ``REPRO_BATCH_DRAIN`` toggle (default: enabled)."""
-    raw = os.environ.get(BATCH_DRAIN_ENV)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("", "0", "false", "off", "no")
 
 
 class SimulationError(RuntimeError):
@@ -137,32 +106,12 @@ class ScheduledEvent(list):
         )
 
 
-def _prio_of(event: ScheduledEvent) -> int:
-    """Sort key for draining a calendar bucket.
-
-    Buckets accumulate events in seqno order, so a *stable* sort by
-    priority alone yields (priority, seqno) order.
-    """
-    return event[_PRIO]
-
-
-def _build_heap_core(
-    sim: "Simulator", observers: list, floor: int, batch: bool = True
-):
-    """Build the heap backend's hot-path closures.
+def _build_heap_core(sim: "Simulator", observers: list, floor: int):
+    """Build the kernel's hot-path closures.
 
     All mutable kernel state lives in this scope's cells.  The returned
     closures share those cells; the Simulator stores the closures in
     slots and mirrors the state through read-only properties.
-
-    ``batch`` enables the batched same-timestamp drain: when the popped
-    head shares its timestamp with the next queued event, the whole
-    (time, priority, seqno) run is popped off the heap in one go and
-    executed from a flat list — one clock store per run, no per-event
-    bound/limit compares, and same-time events scheduled *by* the run's
-    callbacks bisect into the unexecuted tail (the wheel backend's
-    drain-window technique) instead of round-tripping through the heap.
-    The order is byte-identical to the unbatched drain.
 
     The literal indices in the loops are the ScheduledEvent layout:
     ``0=time  1=priority  2=seqno  3=callback  4=args  5=cancelled
@@ -173,12 +122,6 @@ def _build_heap_core(
     executed_total = 0
     cancelled = 0
     queue: List[ScheduledEvent] = []
-    # Live drain window for the batched same-timestamp drain (mirrors
-    # the wheel backend): while a run at ``drain_time`` executes,
-    # ``drain_list[drain_pos:]`` is its unexecuted tail.
-    drain_time = -1
-    drain_list: Optional[List[ScheduledEvent]] = None
-    drain_pos = 0
     # Free-list of recycled event shells.  The run loop returns an
     # executed event here only when its refcount proves the kernel holds
     # the sole reference (the caller dropped the handle), so a held
@@ -187,8 +130,10 @@ def _build_heap_core(
     # of short-lived containers; the list never outgrows the peak number
     # of concurrently pending events.  Shells in the free-list invariantly
     # have cancelled=False (only executed, uncancelled events are
-    # recycled and no outside handle exists that could cancel them) and
-    # owner=sim, so reuse rewrites just the five leading fields.
+    # recycled and no outside handle exists that could cancel them),
+    # owner=sim, and callback=args=None — a parked shell must not keep
+    # the executed callback's arguments (the packet) alive — so reuse
+    # rewrites just the five leading fields.
     free: List[ScheduledEvent] = []
     push = heappush
     pop_free = free.pop
@@ -219,23 +164,7 @@ def _build_heap_core(
             event = ScheduledEvent(
                 (time_ps, priority, s, callback, args, False, sim)
             )
-        if time_ps == drain_time:
-            # Scheduling at the timestamp currently draining: bisect
-            # into the unexecuted tail of the live run by (priority,
-            # seqno) — exactly where the unbatched drain would pop it.
-            d = drain_list
-            lo = drain_pos
-            hi = len(d)
-            key = (priority, s)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                other = d[mid]
-                if (other[1], other[2]) < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            d.insert(lo, event)
-        elif queue:
+        if queue:
             push(queue, event)
         else:
             queue.append(event)  # empty heap: skip the sift call
@@ -264,23 +193,7 @@ def _build_heap_core(
             event = ScheduledEvent(
                 (time_ps, priority, s, callback, args, False, sim)
             )
-        if time_ps == drain_time:
-            # Scheduling at the timestamp currently draining: bisect
-            # into the unexecuted tail of the live run by (priority,
-            # seqno) — exactly where the unbatched drain would pop it.
-            d = drain_list
-            lo = drain_pos
-            hi = len(d)
-            key = (priority, s)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                other = d[mid]
-                if (other[1], other[2]) < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            d.insert(lo, event)
-        elif queue:
+        if queue:
             push(queue, event)
         else:
             queue.append(event)  # empty heap: skip the sift call
@@ -299,14 +212,10 @@ def _build_heap_core(
         if size >= floor and cancelled > size // 2:
             queue[:] = [ev for ev in queue if not ev[5]]
             heapify(queue)
-            # Subtract only what the rebuild removed: tombstones sitting
-            # in a live batched-drain window are not in ``queue`` and
-            # stay counted until the run loop consumes them.
             cancelled -= size - len(queue)
 
     def drain(bound: int, limit: int) -> int:
         nonlocal now, executed_total, cancelled
-        nonlocal drain_time, drain_list, drain_pos
         q = queue
         pop = heappop
         refs = getrefcount
@@ -332,42 +241,6 @@ def _build_heap_core(
                         head[6] = None
                         cancelled -= 1
                         continue
-                    if batch and q and q[0][0] == head[0]:
-                        # Batched drain: pop the whole same-timestamp
-                        # run (heap order is already (priority, seqno))
-                        # and execute it from a flat list.  Callbacks
-                        # scheduling at this timestamp bisect into the
-                        # unexecuted tail via call_at/call_after.
-                        time_ps = head[0]
-                        run_list = [head]
-                        append_run = run_list.append
-                        while q and q[0][0] == time_ps:
-                            append_run(pop(q))
-                        now = time_ps
-                        drain_time = time_ps
-                        drain_list = run_list
-                        index = 0
-                        while index < len(run_list):
-                            head = run_list[index]
-                            index += 1
-                            drain_pos = index
-                            head[6] = None
-                            if head[5]:
-                                cancelled -= 1
-                                continue
-                            args = head[4]
-                            if args:
-                                head[3](*args)
-                            else:
-                                head[3]()
-                            executed += 1
-                            if observers:
-                                for observer in observers:
-                                    observer(head)
-                        drain_time = -1
-                        drain_list = None
-                        drain_pos = 0
-                        continue
                     head[6] = None  # late cancel() is now a no-op
                     now = head[0]
                     args = head[4]
@@ -385,6 +258,7 @@ def _build_heap_core(
                     # (harmless post-execution), so scrub the flag: with
                     # no handles left the scrub is unobservable.
                     if refs(head) == 2:
+                        head[3] = head[4] = None
                         head[5] = False
                         head[6] = sim
                         recycle(head)
@@ -397,48 +271,6 @@ def _build_heap_core(
                 if head[0] > bound or executed >= limit:
                     push(q, head)  # bounded run: leave the head queued
                     break
-                if batch and q and q[0][0] == head[0]:
-                    # Batched drain under a bound: every run member
-                    # shares the already-checked timestamp, so only the
-                    # event limit needs testing mid-run.
-                    time_ps = head[0]
-                    run_list = [head]
-                    append_run = run_list.append
-                    while q and q[0][0] == time_ps:
-                        append_run(pop(q))
-                    now = time_ps
-                    drain_time = time_ps
-                    drain_list = run_list
-                    index = 0
-                    suspended = False
-                    while index < len(run_list):
-                        if executed >= limit:
-                            # Limit hit mid-run: the unexecuted tail
-                            # (already in (priority, seqno) order) goes
-                            # back on the heap so the next run resumes
-                            # identically.
-                            for ev in run_list[index:]:
-                                push(q, ev)
-                            suspended = True
-                            break
-                        head = run_list[index]
-                        index += 1
-                        drain_pos = index
-                        head[6] = None
-                        if head[5]:
-                            cancelled -= 1
-                            continue
-                        head[3](*head[4])
-                        executed += 1
-                        if observers:
-                            for observer in observers:
-                                observer(head)
-                    drain_time = -1
-                    drain_list = None
-                    drain_pos = 0
-                    if suspended:
-                        break
-                    continue
                 head[6] = None
                 now = head[0]
                 head[3](*head[4])
@@ -447,6 +279,7 @@ def _build_heap_core(
                     for observer in observers:
                         observer(head)
                 if refs(head) == 2:
+                    head[3] = head[4] = None
                     head[5] = False
                     head[6] = sim
                     recycle(head)
@@ -456,19 +289,7 @@ def _build_heap_core(
 
     def peek():
         # (now, seqno, executed, pending, queued_raw, queue) snapshot for
-        # the Simulator's properties and repr.  The unexecuted tail of a
-        # live batched-drain window counts as queued: a callback asking
-        # for ``pending_events`` mid-run must see its same-time peers.
-        if drain_list is not None:
-            tail = len(drain_list) - drain_pos
-            return (
-                now,
-                seqno,
-                executed_total,
-                len(queue) + tail - cancelled,
-                len(queue) + tail,
-                queue + drain_list[drain_pos:],
-            )
+        # the Simulator's properties and repr.
         return (
             now,
             seqno,
@@ -487,14 +308,10 @@ def _build_heap_core(
 
     def reset_state() -> None:
         nonlocal now, seqno, executed_total, cancelled
-        nonlocal drain_time, drain_list, drain_pos
         for ev in queue:
             ev[6] = None  # detach so a late cancel() cannot corrupt counters
         queue.clear()
-        free.clear()  # recycled shells pin old callbacks/args
-        drain_time = -1
-        drain_list = None
-        drain_pos = 0
+        free.clear()
         now = 0
         seqno = 0
         executed_total = 0
@@ -504,12 +321,8 @@ def _build_heap_core(
         # Portable snapshot: (now, seqno, executed, live events sorted by
         # the total (time, priority, seqno) order).  Tombstones and the
         # free-list are deliberately dropped — they are performance
-        # artifacts, not simulation state.  The unexecuted tail of a
-        # live drain window is included defensively, although pickling
-        # mid-run is refused at the Simulator level.
+        # artifacts, not simulation state.
         events = [ev for ev in queue if not ev[5]]
-        if drain_list is not None:
-            events.extend(ev for ev in drain_list[drain_pos:] if not ev[5])
         events.sort()
         return (now, seqno, executed_total, events)
 
@@ -518,317 +331,12 @@ def _build_heap_core(
         # imported list is (time, priority, seqno)-sorted, which is a
         # valid binary heap as-is.
         nonlocal now, seqno, executed_total, cancelled
-        nonlocal drain_time, drain_list, drain_pos
         for ev in queue:
             ev[6] = None
         queue[:] = list(events)
         for ev in queue:
             ev[6] = sim
         free.clear()
-        drain_time = -1
-        drain_list = None
-        drain_pos = 0
-        now = time_ps
-        seqno = seq
-        executed_total = executed
-        cancelled = 0
-
-    return (
-        call_at,
-        call_after,
-        note_cancel,
-        drain,
-        peek,
-        get_now,
-        set_now,
-        reset_state,
-        export_state,
-        import_state,
-    )
-
-
-def _build_wheel_core(
-    sim: "Simulator", observers: list, floor: int, batch: bool = True
-):
-    """Build the calendar-queue backend's hot-path closures.
-
-    Same contract and event layout as :func:`_build_heap_core`; see
-    there for the free-list and in-place-compaction invariants.  The
-    calendar drains whole per-timestamp buckets by construction, so the
-    batched same-timestamp drain is inherent here and ``batch`` is
-    accepted only for signature parity.
-    """
-    del batch  # the calendar always drains per-timestamp batches
-    now = 0
-    seqno = 0
-    executed_total = 0
-    cancelled = 0
-    # Per-timestamp buckets ordered by a heap of bucket times, plus the
-    # live drain window that keeps same-time scheduling deterministic.
-    buckets: dict = {}
-    times: List[int] = []
-    wheel_count = 0
-    drain_time = -1
-    drain_list: Optional[List[ScheduledEvent]] = None
-    drain_pos = 0
-    free: List[ScheduledEvent] = []
-    push = heappush
-
-    def insert(event: ScheduledEvent, time_ps: int) -> None:
-        # Scheduling *at the timestamp currently draining* inserts into
-        # the unexecuted tail of the live bucket by (priority, seqno),
-        # which is exactly where the heap backend would surface it.
-        nonlocal wheel_count
-        wheel_count += 1
-        if time_ps == drain_time:
-            d = drain_list
-            lo = drain_pos
-            hi = len(d)
-            key = (event[1], event[2])
-            while lo < hi:
-                mid = (lo + hi) // 2
-                other = d[mid]
-                if (other[1], other[2]) < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            d.insert(lo, event)
-            return
-        bucket = buckets.get(time_ps)
-        if bucket is None:
-            buckets[time_ps] = [event]
-            push(times, time_ps)
-        else:
-            bucket.append(event)
-
-    def call_at(
-        time_ps: int,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
-    ) -> ScheduledEvent:
-        nonlocal seqno
-        if time_ps < now:
-            raise SimulationError(
-                f"cannot schedule at t={time_ps}ps, now is t={now}ps"
-            )
-        s = seqno
-        seqno = s + 1
-        if free:
-            event = free.pop()
-            event[0] = time_ps
-            event[1] = priority
-            event[2] = s
-            event[3] = callback
-            event[4] = args
-        else:
-            event = ScheduledEvent(
-                (time_ps, priority, s, callback, args, False, sim)
-            )
-        insert(event, time_ps)
-        return event
-
-    def call_after(
-        delay_ps: int,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
-    ) -> ScheduledEvent:
-        nonlocal seqno
-        if delay_ps < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay_ps}")
-        time_ps = now + delay_ps
-        s = seqno
-        seqno = s + 1
-        if free:
-            event = free.pop()
-            event[0] = time_ps
-            event[1] = priority
-            event[2] = s
-            event[3] = callback
-            event[4] = args
-        else:
-            event = ScheduledEvent(
-                (time_ps, priority, s, callback, args, False, sim)
-            )
-        insert(event, time_ps)
-        return event
-
-    def note_cancel() -> None:
-        nonlocal cancelled, wheel_count
-        cancelled += 1
-        if wheel_count >= floor and cancelled > wheel_count // 2:
-            # In-place rebuild (times identity preserved for any running
-            # drain).  Tombstones sitting in the live drain window are
-            # not stored in ``buckets`` and stay counted until consumed.
-            removed = 0
-            for time_ps in list(buckets):
-                bucket = buckets[time_ps]
-                live = [ev for ev in bucket if not ev[5]]
-                if len(live) != len(bucket):
-                    removed += len(bucket) - len(live)
-                    if live:
-                        buckets[time_ps] = live
-                    else:
-                        del buckets[time_ps]
-            times[:] = list(buckets)
-            heapify(times)
-            wheel_count -= removed
-            cancelled -= removed
-
-    def drain(bound: int, limit: int) -> int:
-        nonlocal now, executed_total, cancelled, wheel_count
-        nonlocal drain_time, drain_list, drain_pos
-        pop = heappop
-        refs = getrefcount
-        recycle = free.append
-        executed = 0
-        try:
-            while times:
-                time_ps = times[0]
-                if time_ps > bound or executed >= limit:
-                    break
-                pop(times)
-                bucket = buckets.pop(time_ps, None)
-                if bucket is None:
-                    continue  # stale calendar slot left behind by compaction
-                if len(bucket) == 1:
-                    # Single-occupant bucket: skip the drain-window
-                    # bookkeeping.  A callback scheduling at this same
-                    # timestamp simply recreates the bucket, which the
-                    # outer loop pops next — identical to heap ordering.
-                    head = bucket.pop()  # drop the bucket's reference
-                    wheel_count -= 1
-                    head[6] = None
-                    if head[5]:
-                        cancelled -= 1
-                        continue
-                    now = time_ps
-                    args = head[4]
-                    if args:
-                        head[3](*args)
-                    else:
-                        head[3]()
-                    executed += 1
-                    if observers:
-                        for observer in observers:
-                            observer(head)
-                    if refs(head) == 2:
-                        head[5] = False
-                        head[6] = sim
-                        recycle(head)
-                    continue
-                bucket.sort(key=_prio_of)  # stable: yields (priority, seqno)
-                now = time_ps
-                drain_time = time_ps
-                drain_list = bucket
-                index = 0
-                while index < len(bucket):
-                    if executed >= limit:
-                        # Bounded run stopped mid-bucket: the unexecuted
-                        # tail (already in priority/seqno order) becomes
-                        # the bucket again, so the next run resumes
-                        # identically.
-                        buckets[time_ps] = bucket[index:]
-                        push(times, time_ps)
-                        break
-                    head = bucket[index]
-                    index += 1
-                    drain_pos = index
-                    wheel_count -= 1
-                    head[6] = None
-                    if head[5]:
-                        cancelled -= 1
-                        continue
-                    now = time_ps
-                    head[3](*head[4])
-                    executed += 1
-                    if observers:
-                        for observer in observers:
-                            observer(head)
-                drain_time = -1
-                drain_list = None
-                drain_pos = 0
-        finally:
-            executed_total += executed
-        return executed
-
-    def peek():
-        # Index 5 is a flattened debug snapshot of the calendar (the
-        # heap backend exposes its live queue there); built on demand,
-        # cold paths only.
-        return (
-            now,
-            seqno,
-            executed_total,
-            wheel_count - cancelled,
-            wheel_count,
-            [ev for bucket in buckets.values() for ev in bucket],
-        )
-
-    def get_now() -> int:
-        return now
-
-    def set_now(time_ps: int) -> None:
-        nonlocal now
-        now = time_ps
-
-    def reset_state() -> None:
-        nonlocal now, seqno, executed_total, cancelled, wheel_count
-        nonlocal drain_time, drain_list, drain_pos
-        for bucket in buckets.values():
-            for ev in bucket:
-                ev[6] = None
-        buckets.clear()
-        times.clear()
-        free.clear()
-        wheel_count = 0
-        drain_time = -1
-        drain_list = None
-        drain_pos = 0
-        now = 0
-        seqno = 0
-        executed_total = 0
-        cancelled = 0
-
-    def export_state():
-        # Same contract as the heap backend.  The unexecuted tail of a
-        # live drain window is included defensively, although pickling
-        # mid-run is refused at the Simulator level.
-        events = [
-            ev for bucket in buckets.values() for ev in bucket if not ev[5]
-        ]
-        if drain_list is not None:
-            events.extend(ev for ev in drain_list[drain_pos:] if not ev[5])
-        events.sort()
-        return (now, seqno, executed_total, events)
-
-    def import_state(time_ps, seq, executed, events) -> None:
-        nonlocal now, seqno, executed_total, cancelled, wheel_count
-        nonlocal drain_time, drain_list, drain_pos
-        for bucket in buckets.values():
-            for ev in bucket:
-                ev[6] = None
-        buckets.clear()
-        times.clear()
-        free.clear()
-        # Events arrive (time, priority, seqno)-sorted, so each bucket
-        # fills in (priority, seqno) order; the drain's stable priority
-        # sort then reproduces exactly the heap backend's total order.
-        for ev in events:
-            ev[6] = sim
-            time_key = ev[0]
-            bucket = buckets.get(time_key)
-            if bucket is None:
-                buckets[time_key] = [ev]
-            else:
-                bucket.append(ev)
-        times[:] = list(buckets)
-        heapify(times)
-        wheel_count = len(events)
-        drain_time = -1
-        drain_list = None
-        drain_pos = 0
         now = time_ps
         seqno = seq
         executed_total = executed
@@ -860,11 +368,6 @@ class Simulator:
     Callbacks may schedule further callbacks.  ``run`` drains the queue
     until it is empty or until an optional time/event bound is hit.
 
-    ``scheduler`` picks the queue backend (``"heap"`` or ``"wheel"``);
-    when omitted, the ``REPRO_SIM_SCHEDULER`` environment variable
-    decides, defaulting to the heap.  Both backends execute callbacks in
-    exactly the same (time, priority, seqno) order.
-
     ``call_at`` and ``call_after`` are per-instance closures over the
     kernel state (see the module docstring); their signatures are::
 
@@ -880,8 +383,6 @@ class Simulator:
     COMPACTION_FLOOR = 16
 
     __slots__ = (
-        "scheduler",
-        "batch_drain",
         "call_at",
         "call_after",
         "_note_cancel",
@@ -897,33 +398,10 @@ class Simulator:
         "_reset_listeners",
     )
 
-    def __init__(
-        self,
-        scheduler: Optional[str] = None,
-        batch_drain: Optional[bool] = None,
-    ) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV) or "heap"
-        if scheduler not in SCHEDULER_BACKENDS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; pick one of "
-                f"{SCHEDULER_BACKENDS}"
-            )
-        self.scheduler = scheduler
-        # Batched same-timestamp drain: kwarg wins, then the
-        # REPRO_BATCH_DRAIN environment variable, default on.  The
-        # wheel backend batches by construction either way.
-        if batch_drain is None:
-            batch_drain = batch_env_enabled()
-        self.batch_drain = bool(batch_drain)
+    def __init__(self) -> None:
         self._running = False
         self._exec_observers: List[Callable[[ScheduledEvent], None]] = []
         self._reset_listeners: List[weakref.ref] = []
-        self._bind_core()
-
-    def _bind_core(self) -> None:
-        """(Re)build the backend closures for the current ``scheduler``."""
-        build = _build_wheel_core if self.scheduler == "wheel" else _build_heap_core
         (
             self.call_at,
             self.call_after,
@@ -935,9 +413,7 @@ class Simulator:
             self._reset_state,
             self._export_state,
             self._import_state,
-        ) = build(
-            self, self._exec_observers, self.COMPACTION_FLOOR, self.batch_drain
-        )
+        ) = _build_heap_core(self, self._exec_observers, self.COMPACTION_FLOOR)
 
     # ------------------------------------------------------------------
     # Clock
@@ -980,7 +456,7 @@ class Simulator:
 
     @property
     def _queue(self) -> List[ScheduledEvent]:
-        """Raw queued-event view (live heap list, or a wheel snapshot)."""
+        """Raw queued-event view (the live heap list)."""
         return self._peek()[5]
 
     # ------------------------------------------------------------------
@@ -1089,28 +565,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
-    def set_scheduler(self, scheduler: str) -> None:
-        """Switch the queue backend in place, preserving all state.
-
-        Pending events, the clock, the seqno counter, and the executed
-        count migrate, so the run continues with exactly the same
-        (time, priority, seqno) total order.  Execution observers stay
-        attached.  Used by :meth:`restore` to re-backend a checkpoint.
-        """
-        if scheduler not in SCHEDULER_BACKENDS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; pick one of "
-                f"{SCHEDULER_BACKENDS}"
-            )
-        if self._running:
-            raise SimulationError("cannot switch scheduler while running")
-        if scheduler == self.scheduler:
-            return
-        now, seqno, executed, events = self._export_state()
-        self.scheduler = scheduler
-        self._bind_core()
-        self._import_state(now, seqno, executed, events)
-
     def __getstate__(self) -> dict:
         """Pickle support: export the portable kernel state.
 
@@ -1124,8 +578,6 @@ class Simulator:
             raise SimulationError("cannot pickle a running simulator")
         now, seqno, executed, events = self._export_state()
         return {
-            "scheduler": self.scheduler,
-            "batch_drain": self.batch_drain,
             "now_ps": now,
             "seqno": seqno,
             "events_executed": executed,
@@ -1133,14 +585,11 @@ class Simulator:
         }
 
     def __setstate__(self, state: dict) -> None:
-        self.scheduler = state["scheduler"]
-        # Checkpoints written before the batched drain carry no flag;
-        # they restore with the current environment's default.
-        self.batch_drain = bool(state.get("batch_drain", batch_env_enabled()))
-        self._running = False
-        self._exec_observers = []
-        self._reset_listeners = []
-        self._bind_core()
+        # Format-1 checkpoints written while the queue implementation
+        # was selectable carry extra keys naming it; the event list is
+        # the portable sorted order whichever one wrote it, so they are
+        # ignored.
+        self.__init__()
         self._import_state(
             state["now_ps"],
             state["seqno"],
@@ -1161,16 +610,14 @@ class Simulator:
         return save_checkpoint(path, self, state=state, label=label)
 
     @classmethod
-    def restore(cls, path: str, scheduler: Optional[str] = None) -> tuple:
+    def restore(cls, path: str) -> tuple:
         """Load a checkpoint written by :meth:`checkpoint`.
 
-        Returns ``(simulator, state)``.  ``scheduler`` optionally
-        re-backends the restored kernel (checkpoints are portable across
-        the heap and wheel backends).
+        Returns ``(simulator, state)``.
         """
         from repro.sim.checkpoint import load_checkpoint
 
-        sim, state, _header = load_checkpoint(path, scheduler=scheduler)
+        sim, state, _header = load_checkpoint(path)
         return sim, state
 
     def fork(self, state: Any = None) -> tuple:
@@ -1194,7 +641,4 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         now, _, executed, pending, _, _ = self._peek()
-        return (
-            f"Simulator(now={now}ps, pending={pending}, "
-            f"executed={executed}, scheduler={self.scheduler!r})"
-        )
+        return f"Simulator(now={now}ps, pending={pending}, executed={executed})"

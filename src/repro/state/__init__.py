@@ -43,13 +43,9 @@ _EXPORTS = {
     "run_multipipe": "repro.state.replication",
     "StateStore": "repro.state.store",
     "DenseStore": "repro.state.store",
-    "DictStore": "repro.state.store",
-    "ShadowStore": "repro.state.store",
     "make_store": "repro.state.store",
     "registered_stores": "repro.state.store",
     "store_manifest": "repro.state.store",
-    "STORE_BACKENDS": "repro.state.store",
-    "STORE_ENV": "repro.state.store",
 }
 
 __all__ = sorted(_EXPORTS)

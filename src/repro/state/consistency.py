@@ -26,7 +26,7 @@ This module makes the problem concrete and measurable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.sim.rng import SeededRng
 from repro.state.store import StateStore, make_store
@@ -49,7 +49,6 @@ class DelayedRmwRegister:
         size: int,
         latency_cycles: int,
         name: str = "delayed",
-        backend: Optional[str] = None,
     ) -> None:
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
@@ -58,10 +57,10 @@ class DelayedRmwRegister:
         self.size = size
         self.latency_cycles = latency_cycles
         self.name = name
-        self._cells = make_store(size, 0, backend, name=f"{name}.cells")
+        self._cells = make_store(size, 0, name=f"{name}.cells")
         # Pending: (commit_cycle, read_cycle, index, new_value)
         self._pending: List[Tuple[int, int, int, int]] = []
-        self._last_commit = make_store(size, -1, backend, name=f"{name}.last_commit")
+        self._last_commit = make_store(size, -1, name=f"{name}.last_commit")
         self.issued = 0
         self.interference_commits = 0
 

@@ -33,8 +33,7 @@ class ReplicatedRegister:
     """One logical register array replicated across K pipelines.
 
     The base copy and each replica's delta are :class:`StateStore`
-    instances; delta arrays are a natural fit for the sparse ``dict``
-    backend since flows touch few indices between syncs.
+    instances.
     """
 
     def __init__(
@@ -42,7 +41,6 @@ class ReplicatedRegister:
         replicas: int,
         size: int,
         name: str = "replicated",
-        backend: Optional[str] = None,
     ) -> None:
         if replicas <= 0:
             raise ValueError(f"replica count must be positive, got {replicas}")
@@ -51,9 +49,9 @@ class ReplicatedRegister:
         self.replicas = replicas
         self.size = size
         self.name = name
-        self._base = make_store(size, 0, backend, name=f"{name}.base")
+        self._base = make_store(size, 0, name=f"{name}.base")
         self._delta = [
-            make_store(size, 0, backend, name=f"{name}.delta[{i}]")
+            make_store(size, 0, name=f"{name}.delta[{i}]")
             for i in range(replicas)
         ]
         self.syncs = 0

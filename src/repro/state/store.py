@@ -1,76 +1,44 @@
-"""Pluggable state storage for every stateful extern and state model.
+"""State storage for every stateful extern and state model.
 
 The paper's central mechanism is *shared state* between event threads
 and packet threads (shared registers, §4's merged-pipeline design).
 Before this module each extern managed a raw Python list ad-hoc and
 only two of them could even be snapshotted.  :class:`StateStore` is the
-single allocation point for all of that state, with three backends:
-
-``dense``
-    A :class:`list` subclass.  ``store[i]`` is C-speed list indexing, so
-    the packet/event hot paths tuned in PR 2 are unchanged.  This is the
-    default.
-
-``dict``
-    Sparse storage for mostly-default arrays (e.g. a 64Ki-entry flow
-    table where a trace touches a few hundred slots).  Reads of unset
-    cells return the default *without* inserting, so memory stays
-    proportional to the touched set; writing the default value back
-    evicts the cell.
-
-``shadowed``
-    Copy-on-write: reads hit a frozen base generation, writes go to an
-    overlay dict.  ``snapshot()`` is O(overlay) — O(1) when clean —
-    which makes high-frequency snapshotting (staleness probes,
-    replication deltas) cheap.  Snapshots are *frozen shared lists*:
-    callers must not mutate them.
+single allocation point for all of that state; its one representation,
+:class:`DenseStore`, is a :class:`list` subclass, so ``store[i]`` is
+C-speed list indexing on the packet/event hot paths.
 
 Every store registers itself in a process-wide weak registry so
 whole-simulator checkpoints (:mod:`repro.sim.checkpoint`) can record a
 manifest of live state, and so tools can answer "how much state does
 this topology hold".
-
-Backend selection: explicit ``backend=`` argument wins, then the
-``REPRO_STATE_BACKEND`` environment variable, then ``dense``.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 __all__ = [
     "StateStore",
     "DenseStore",
-    "DictStore",
-    "ShadowStore",
     "make_store",
     "registered_stores",
     "store_manifest",
     "total_state_cells",
-    "STORE_BACKENDS",
-    "STORE_ENV",
 ]
 
-#: Recognised backend names, in documentation order.
-STORE_BACKENDS = ("dense", "dict", "shadowed")
-
-#: Environment variable consulted when ``make_store`` gets no backend.
-STORE_ENV = "REPRO_STATE_BACKEND"
-
 #: Process-wide registry of live stores (weak: stores die with owners).
-#: Keyed by ``id`` because list/dict-backed stores are unhashable.
+#: Keyed by ``id`` because list-backed stores are unhashable.
 _REGISTRY: Dict[int, "weakref.ref[StateStore]"] = {}
 
 
 class StateStore:
-    """A fixed-size indexed cell array with a pluggable representation.
+    """A fixed-size indexed cell array.
 
     Subclasses provide ``__getitem__``/``__setitem__`` plus the bulk
-    operations below.  All backends share the same observable
-    behaviour: ``size`` cells, every cell initially ``default``, and a
-    ``snapshot()`` that materialises the dense contents.
+    operations below: ``size`` cells, every cell initially ``default``,
+    and a ``snapshot()`` that materialises the dense contents.
     """
 
     kind = "abstract"
@@ -92,7 +60,7 @@ class StateStore:
 
     # -- bulk operations ------------------------------------------------
     def snapshot(self) -> List[Any]:
-        """Dense copy of all cells (see backend notes on sharing)."""
+        """Dense copy of all cells."""
         raise NotImplementedError
 
     def load(self, values: Iterable[Any]) -> None:
@@ -103,7 +71,7 @@ class StateStore:
         """Set every cell to ``value`` in place (identity is preserved)."""
         raise NotImplementedError
 
-    # -- reductions (backends override with faster paths) ---------------
+    # -- reductions (subclasses override with faster paths) -------------
     def nonzero_count(self) -> int:
         """Number of cells holding a truthy value."""
         return sum(1 for v in self.snapshot() if v)
@@ -118,7 +86,7 @@ class StateStore:
 
     # -- checkpoint support ---------------------------------------------
     def describe(self) -> Dict[str, Any]:
-        """Manifest row: backend kind, geometry, and population."""
+        """Manifest row: kind, geometry, and population."""
         return {
             "name": self.name,
             "kind": self.kind,
@@ -128,7 +96,7 @@ class StateStore:
         }
 
     def to_state(self) -> Dict[str, Any]:
-        """Portable dense dump, loadable into any backend."""
+        """Portable dense dump (see :meth:`from_state`)."""
         return {
             "kind": self.kind,
             "size": self.size,
@@ -138,13 +106,14 @@ class StateStore:
         }
 
     @staticmethod
-    def from_state(state: Dict[str, Any], backend: Optional[str] = None) -> "StateStore":
-        """Rebuild a store from :meth:`to_state` (optionally re-backed)."""
+    def from_state(state: Dict[str, Any]) -> "StateStore":
+        """Rebuild a store from :meth:`to_state`.
+
+        ``state["kind"]`` is not consulted: the dump is dense whatever
+        representation wrote it.
+        """
         store = make_store(
-            state["size"],
-            default=state["default"],
-            backend=backend or state["kind"],
-            name=state["name"],
+            state["size"], default=state["default"], name=state["name"]
         )
         store.load(state["cells"])
         return store
@@ -169,9 +138,8 @@ def _register(store: "StateStore") -> None:
 class DenseStore(list, StateStore):
     """Array-backed store: a real ``list``, so indexing stays C-speed.
 
-    This is the default backend; it keeps the PR-2 hot paths
-    allocation-free and at raw-list cost because ``store[i]`` *is*
-    ``list.__getitem__``.
+    It keeps the hot paths allocation-free and at raw-list cost because
+    ``store[i]`` *is* ``list.__getitem__``.
     """
 
     kind = "dense"
@@ -227,210 +195,11 @@ def _rebuild_dense(attrs: Dict[str, Any], items: List[Any]) -> "DenseStore":
     return store
 
 
-class DictStore(dict, StateStore):
-    """Sparse store: only non-default cells occupy memory.
-
-    Reads of unset cells return ``default`` without inserting; writing
-    ``default`` back evicts the cell.  ``len()`` reports the logical
-    ``size`` (like every backend); the populated count is in
-    :meth:`describe`.
-    """
-
-    kind = "dict"
-
-    def __init__(self, size: int, default: Any = 0, name: str = "store") -> None:
-        dict.__init__(self)
-        self.size = size
-        self.default = default
-        self.name = name
-        _register(self)
-
-    def __missing__(self, index: int) -> Any:
-        if isinstance(index, int) and -self.size <= index < self.size:
-            return self.default
-        raise IndexError(f"{self.name}: index {index!r} out of range 0..{self.size - 1}")
-
-    def __getitem__(self, index: int) -> Any:
-        if index < 0:  # normalise so sparse keys are canonical
-            index += self.size
-        return dict.__getitem__(self, index) if dict.__contains__(self, index) else self.__missing__(index)
-
-    def __setitem__(self, index: int, value: Any) -> None:
-        if index < 0:
-            index += self.size
-        if not 0 <= index < self.size:
-            raise IndexError(f"{self.name}: index {index} out of range 0..{self.size - 1}")
-        if value == self.default:
-            dict.pop(self, index, None)
-        else:
-            dict.__setitem__(self, index, value)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def populated(self) -> int:
-        """Number of cells physically present (non-default)."""
-        return dict.__len__(self)
-
-    def snapshot(self) -> List[Any]:
-        out = [self.default] * self.size
-        for index, value in dict.items(self):
-            out[index] = value
-        return out
-
-    def load(self, values: Iterable[Any]) -> None:
-        values = list(values)
-        if len(values) != self.size:
-            raise ValueError(
-                f"{self.name}: load of {len(values)} values into size {self.size}"
-            )
-        dict.clear(self)
-        default = self.default
-        for index, value in enumerate(values):
-            if value != default:
-                dict.__setitem__(self, index, value)
-
-    def fill(self, value: Any) -> None:
-        dict.clear(self)
-        if value != self.default:
-            for index in range(self.size):
-                dict.__setitem__(self, index, value)
-
-    def nonzero_count(self) -> int:
-        present = sum(1 for v in dict.values(self) if v)
-        if self.default:
-            present += self.size - dict.__len__(self)
-        return present
-
-    def sum_values(self) -> Any:
-        return sum(dict.values(self)) + self.default * (self.size - dict.__len__(self))
-
-    def max_value(self) -> Any:
-        if dict.__len__(self) == self.size:
-            return max(dict.values(self))
-        if not dict.__len__(self):
-            return self.default
-        return max(self.default, max(dict.values(self)))
-
-    def __reduce_ex__(self, protocol: int):  # noqa: D105
-        return (_rebuild_dict, (self.__dict__.copy(), dict(self)))
-
-
-def _rebuild_dict(attrs: Dict[str, Any], items: Dict[int, Any]) -> "DictStore":
-    store = DictStore.__new__(DictStore)
-    dict.update(store, items)
-    store.__dict__.update(attrs)
-    _register(store)
-    return store
-
-
-class ShadowStore(StateStore):
-    """Copy-on-write store for cheap, high-frequency snapshots.
-
-    Reads fall through an overlay dict to a frozen base list; writes go
-    to the overlay.  ``snapshot()`` folds the overlay into a *new* base
-    generation and returns it — O(overlay) work, O(1) when no writes
-    happened since the last snapshot.  Returned snapshots are logically
-    frozen and shared with the store: treat them as read-only.
-    """
-
-    kind = "shadowed"
-
-    def __init__(self, size: int, default: Any = 0, name: str = "store") -> None:
-        self.size = size
-        self.default = default
-        self.name = name
-        self._base: List[Any] = [default] * size
-        self._overlay: Dict[int, Any] = {}
-        self.snapshots_taken = 0
-        _register(self)
-
-    def __getitem__(self, index: int) -> Any:
-        overlay = self._overlay
-        if index < 0:
-            index += self.size
-        if index in overlay:
-            return overlay[index]
-        return self._base[index]
-
-    def __setitem__(self, index: int, value: Any) -> None:
-        if index < 0:
-            index += self.size
-        if not 0 <= index < self.size:
-            raise IndexError(f"{self.name}: index {index} out of range 0..{self.size - 1}")
-        self._overlay[index] = value
-
-    def snapshot(self) -> List[Any]:
-        self.snapshots_taken += 1
-        overlay = self._overlay
-        if overlay:
-            base = list(self._base)
-            for index, value in overlay.items():
-                base[index] = value
-            self._base = base
-            self._overlay = {}
-        return self._base
-
-    def load(self, values: Iterable[Any]) -> None:
-        values = list(values)
-        if len(values) != self.size:
-            raise ValueError(
-                f"{self.name}: load of {len(values)} values into size {self.size}"
-            )
-        self._base = values
-        self._overlay = {}
-
-    def fill(self, value: Any) -> None:
-        self._base = [value] * self.size
-        self._overlay = {}
-
-    def dirty_count(self) -> int:
-        """Cells written since the last snapshot (overlay population)."""
-        return len(self._overlay)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {
-            "size": self.size,
-            "default": self.default,
-            "name": self.name,
-            "_base": list(self._base),
-            "_overlay": dict(self._overlay),
-            "snapshots_taken": self.snapshots_taken,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for key, value in state.items():
-            setattr(self, key, value)
-        _register(self)
-
-
-_BACKENDS: Dict[str, Callable[..., StateStore]] = {
-    "dense": DenseStore,
-    "dict": DictStore,
-    "shadowed": ShadowStore,
-}
-
-
-def make_store(
-    size: int,
-    default: Any = 0,
-    backend: Optional[str] = None,
-    name: str = "store",
-) -> StateStore:
-    """Allocate a store of ``size`` cells initialised to ``default``.
-
-    ``backend`` falls back to ``$REPRO_STATE_BACKEND``, then ``dense``.
-    """
+def make_store(size: int, default: Any = 0, name: str = "store") -> StateStore:
+    """Allocate a store of ``size`` cells initialised to ``default``."""
     if size < 0:
         raise ValueError(f"{name}: store size must be >= 0, got {size}")
-    chosen = backend or os.environ.get(STORE_ENV) or "dense"
-    try:
-        factory = _BACKENDS[chosen]
-    except KeyError:
-        raise ValueError(
-            f"unknown state backend {chosen!r}; expected one of {STORE_BACKENDS}"
-        ) from None
-    return factory(size, default=default, name=name)
+    return DenseStore(size, default=default, name=name)
 
 
 def registered_stores() -> List[StateStore]:

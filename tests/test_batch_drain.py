@@ -1,31 +1,23 @@
-"""Batched same-timestamp drain: byte-identical to the unbatched order.
+"""Same-timestamp pile-ups drain in the portable (time, priority, seqno) order.
 
-The kernel may drain every callback of one (time, priority) run in a
-single batch (``Simulator(batch_drain=True)``, the default) to amortize
-heap traffic, but the executed order must stay exactly the portable
-(time, priority, seqno) order the unbatched drain produces — on both
-the heap and the calendar-wheel backends, including events scheduled
-*into* the live batch window and cancellations that land mid-batch.
+The executed order is pinned to a golden trace, including events
+scheduled *into* the timestamp currently draining and cancellations
+that land between two same-time callbacks.
 """
 
-import pytest
-
-from repro.sim.kernel import BATCH_DRAIN_ENV, Simulator, batch_env_enabled
-
-SCHEDULERS = ("heap", "wheel")
-MODES = (True, False)
+from repro.sim.kernel import Simulator
 
 
 def record(trace, sim, label):
     trace.append((label, sim.now_ps))
 
 
-def scripted_run(scheduler, batch):
+def scripted_run():
     """One deterministic scenario exercising same-timestamp pile-ups.
 
     Returns the executed trace as (label, time) pairs.
     """
-    sim = Simulator(scheduler=scheduler, batch_drain=batch)
+    sim = Simulator()
     trace = []
 
     # A same-timestamp pile-up with mixed priorities; seqno breaks the
@@ -36,8 +28,8 @@ def scripted_run(scheduler, batch):
     sim.call_at(100, record, trace, sim, "t100-p2", priority=2)
 
     # A callback that schedules INTO its own timestamp: the new event
-    # must land in the unexecuted tail by (priority, seqno), exactly
-    # where the unbatched drain would pop it.
+    # must land among the still-pending same-time events by
+    # (priority, seqno).
     def spawn_same_time():
         record(trace, sim, "t200-spawner")
         sim.call_at(200, record, trace, sim, "t200-late-p0", priority=0)
@@ -47,7 +39,7 @@ def scripted_run(scheduler, batch):
     sim.call_at(200, spawn_same_time, priority=1)
     sim.call_at(200, record, trace, sim, "t200-p3", priority=3)
 
-    # A cancellation landing mid-batch: the first t=400 callback cancels
+    # A cancellation landing mid-run: the first t=400 callback cancels
     # a later one in the same (time, priority) run.
     doomed = []
 
@@ -64,7 +56,7 @@ def scripted_run(scheduler, batch):
     return trace
 
 
-#: The portable order every backend/mode must produce.
+#: The portable order the kernel must produce.
 EXPECTED = [
     ("t100-p0-a", 100),
     ("t100-p2", 100),
@@ -80,28 +72,13 @@ EXPECTED = [
 ]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-@pytest.mark.parametrize("batch", MODES)
-def test_scripted_order_is_portable(scheduler, batch):
-    assert scripted_run(scheduler, batch) == EXPECTED
+def test_scripted_order_is_portable():
+    assert scripted_run() == EXPECTED
 
 
-def test_all_backend_mode_traces_identical():
-    traces = {
-        (scheduler, batch): scripted_run(scheduler, batch)
-        for scheduler in SCHEDULERS
-        for batch in MODES
-    }
-    reference = traces[("heap", False)]
-    for key, trace in traces.items():
-        assert trace == reference, f"{key} diverged from unbatched heap"
-
-
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-@pytest.mark.parametrize("batch", MODES)
-def test_run_until_window_edge(scheduler, batch):
-    """run_until(W) executes strictly-before-W, never the W batch."""
-    sim = Simulator(scheduler=scheduler, batch_drain=batch)
+def test_run_until_window_edge():
+    """run_until(W) executes strictly-before-W, never the W run."""
+    sim = Simulator()
     trace = []
     for priority in (4, 0, 2):
         sim.call_at(500, record, trace, sim, f"t500-p{priority}", priority=priority)
@@ -124,25 +101,12 @@ def test_run_until_window_edge(scheduler, batch):
     ]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_batched_vs_unbatched_counters_match(scheduler):
-    for batch in MODES:
-        sim = Simulator(scheduler=scheduler, batch_drain=batch)
-        for t in (10, 10, 10, 20, 20, 30):
-            sim.call_at(t, lambda: None)
-        assert sim.pending_events == 6
-        assert sim.run() == 6
-        assert sim.pending_events == 0
-        assert sim.events_executed == 6
-        assert sim.now_ps == 30
-
-
-def test_env_toggle(monkeypatch):
-    monkeypatch.setenv(BATCH_DRAIN_ENV, "0")
-    assert batch_env_enabled() is False
-    assert Simulator().batch_drain is False
-    monkeypatch.setenv(BATCH_DRAIN_ENV, "1")
-    assert batch_env_enabled() is True
-    assert Simulator().batch_drain is True
-    monkeypatch.delenv(BATCH_DRAIN_ENV)
-    assert Simulator().batch_drain is True  # default on
+def test_same_timestamp_counters():
+    sim = Simulator()
+    for t in (10, 10, 10, 20, 20, 30):
+        sim.call_at(t, lambda: None)
+    assert sim.pending_events == 6
+    assert sim.run() == 6
+    assert sim.pending_events == 0
+    assert sim.events_executed == 6
+    assert sim.now_ps == 30

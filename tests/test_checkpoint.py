@@ -1,16 +1,20 @@
-"""Checkpoint/restore: determinism across processes and scheduler backends.
+"""Checkpoint/restore: determinism across processes and format history.
 
 Satellite guarantees under test:
 
 * a restored kernel replays a byte-identical ``(time, priority, seqno)``
-  execution trace, on both the ``heap`` and ``wheel`` backends and in
-  every cross-backend combination (checkpoint on one, resume on the
-  other),
+  execution trace, pinned to a golden digest,
+* format-1 state written by the removed wheel queue / batched drain
+  restores with the identical continuation, and a payload naming a
+  removed store class fails as :class:`CheckpointError`,
 * a microburst run checkpointed mid-simulation and resumed in a
   **fresh process** reaches the same final extern state, detections,
   and event counts as the uninterrupted run.
 """
 
+import copyreg
+import hashlib
+import io
 import json
 import os
 import pickle
@@ -25,9 +29,10 @@ from repro.sim.checkpoint import (
     CheckpointError,
     inspect_checkpoint,
     load_checkpoint,
+    loads_checkpoint,
     save_checkpoint,
 )
-from repro.sim.kernel import SCHEDULER_BACKENDS, SimulationError, Simulator
+from repro.sim.kernel import SimulationError, Simulator
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -62,8 +67,21 @@ class TraceRecorder:
         self.records.append((event[0], event[1], event[2]))
 
 
-def _build(scheduler: str):
-    sim = Simulator(scheduler=scheduler)
+def trace_digest(trace) -> str:
+    """SHA-256 over a trace of plain tuples (ints/strings repr stably)."""
+    return hashlib.sha256(repr(trace).encode()).hexdigest()
+
+
+#: ``_build()`` run to 500 ps, then traced to 2,000 ps: 1,621 executed
+#: (time, priority, seqno) records.  Recorded from the heap kernel at
+#: the commit that removed the wheel queue, which produced the same.
+TICKER_TRACE_500_2000 = (
+    "3f275fb0d1988b9386a57de6895f84d91b28efa4e230afed5e7f77e91b2e0b7e"
+)
+
+
+def _build():
+    sim = Simulator()
     # Colliding times and priorities so the total order is non-trivial.
     tickers = [
         Ticker(30, priority=0, tag="a"),
@@ -76,11 +94,9 @@ def _build(scheduler: str):
     return sim, tickers
 
 
-@pytest.mark.parametrize("src_backend", SCHEDULER_BACKENDS)
-@pytest.mark.parametrize("dst_backend", SCHEDULER_BACKENDS)
-def test_restored_trace_identical_across_backends(tmp_path, src_backend, dst_backend):
+def test_restored_trace_matches_original_and_golden(tmp_path):
     path = str(tmp_path / "kernel.ckpt")
-    sim, tickers = _build(src_backend)
+    sim, tickers = _build()
     sim.run(until_ps=500)
     save_checkpoint(path, sim, state=tickers)
 
@@ -89,15 +105,15 @@ def test_restored_trace_identical_across_backends(tmp_path, src_backend, dst_bac
     sim.add_execution_observer(recorder)
     sim.run(until_ps=2_000)
 
-    # Restore (possibly onto the other backend) and finish that copy.
-    sim2, tickers2, header = load_checkpoint(path, scheduler=dst_backend)
-    assert header["scheduler"] == src_backend
-    assert sim2.scheduler == dst_backend
+    # Restore and finish that copy.
+    sim2, tickers2, _header = load_checkpoint(path)
     recorder2 = TraceRecorder()
     sim2.add_execution_observer(recorder2)
     sim2.run(until_ps=2_000)
 
     assert recorder2.records == recorder.records  # byte-identical total order
+    assert len(recorder.records) == 1_621
+    assert trace_digest(recorder.records) == TICKER_TRACE_500_2000
     assert sim2.now_ps == sim.now_ps
     assert sim2.events_executed == sim.events_executed
     for orig, rest in zip(tickers, tickers2):
@@ -105,10 +121,9 @@ def test_restored_trace_identical_across_backends(tmp_path, src_backend, dst_bac
         assert rest.tag == orig.tag
 
 
-@pytest.mark.parametrize("backend", SCHEDULER_BACKENDS)
-def test_restore_matches_uninterrupted_run(tmp_path, backend):
+def test_restore_matches_uninterrupted_run(tmp_path):
     path = str(tmp_path / "kernel.ckpt")
-    sim, tickers = _build(backend)
+    sim, tickers = _build()
     sim.run(until_ps=333)
     save_checkpoint(path, sim, state=tickers)
     _sim2, tickers2, _header = load_checkpoint(path)
@@ -117,7 +132,7 @@ def test_restore_matches_uninterrupted_run(tmp_path, backend):
         break
 
     # A never-interrupted reference run over the same horizon.
-    ref_sim, ref_tickers = _build(backend)
+    ref_sim, ref_tickers = _build()
     ref_sim.run(until_ps=1_000)
     for restored, ref in zip(tickers2, ref_tickers):
         assert restored.fired == ref.fired
@@ -125,7 +140,7 @@ def test_restore_matches_uninterrupted_run(tmp_path, backend):
 
 def test_header_contents_and_inspect(tmp_path):
     path = str(tmp_path / "kernel.ckpt")
-    sim, tickers = _build("heap")
+    sim, tickers = _build()
     sim.run(until_ps=100)
     written = save_checkpoint(path, sim, state=tickers, label="probe")
     header = inspect_checkpoint(path)
@@ -133,7 +148,7 @@ def test_header_contents_and_inspect(tmp_path):
     assert header["format"] == CHECKPOINT_MAGIC
     assert header["version"] == CHECKPOINT_VERSION
     assert header["label"] == "probe"
-    assert header["scheduler"] == "heap"
+    assert "scheduler" not in header  # nothing left to select
     assert header["now_ps"] == sim.now_ps
     assert header["events_executed"] == sim.events_executed
     assert header["pending_events"] == sim.pending_events
@@ -175,17 +190,64 @@ def test_cannot_pickle_running_simulator():
     assert failures and "running" in failures[0]
 
 
-def test_set_scheduler_preserves_order_mid_run():
-    sim, tickers = _build("heap")
-    sim.run(until_ps=500)
-    sim.set_scheduler("wheel")
-    assert sim.scheduler == "wheel"
-    sim.run(until_ps=1_500)
+def _reduce_as_the_wheel_kernel_did(sim: Simulator):
+    """``Simulator`` pickle state with the two keys old kernels added."""
+    state = dict(sim.__getstate__(), scheduler="wheel", batch_drain=True)
+    return copyreg.__newobj__, (Simulator,), state
 
-    ref_sim, ref_tickers = _build("heap")
-    ref_sim.run(until_ps=1_500)
-    for switched, ref in zip(tickers, ref_tickers):
-        assert switched.fired == ref.fired
+
+def test_state_written_by_removed_queue_variants_restores_identically():
+    """Format version 1 outlives the wheel queue and the batched drain.
+
+    Their ``__getstate__`` carried two extra keys naming the variant;
+    the event list was already the portable sorted order, so such a
+    state must restore onto the one remaining kernel and continue
+    exactly like the original.
+    """
+    sim, tickers = _build()
+    sim.run(until_ps=500)
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=4)
+    pickler.dispatch_table = {Simulator: _reduce_as_the_wheel_kernel_did}
+    pickler.dump({"sim": sim, "state": tickers})
+    assert b"wheel" in buffer.getvalue()
+
+    restored = pickle.loads(buffer.getvalue())["sim"]
+    assert type(restored) is Simulator
+    assert restored.now_ps == sim.now_ps
+    assert restored.events_executed == sim.events_executed
+    assert restored.pending_events == sim.pending_events
+
+    recorder = TraceRecorder()
+    restored.add_execution_observer(recorder)
+    restored.run(until_ps=2_000)
+    assert trace_digest(recorder.records) == TICKER_TRACE_500_2000
+
+
+def _blob_naming(name: str) -> bytes:
+    """A two-frame checkpoint whose payload references ``repro.state.store.name``."""
+    header = pickle.dumps(
+        {"format": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION}, protocol=4
+    )
+    # GLOBAL opcode by hand: the class is gone, so it cannot be pickled
+    # by reference the normal way.
+    payload = (
+        b"\x80\x04}(\x8c\x03sim\x8c\x04nope\x8c\x05state"
+        + b"crepro.state.store\n" + name.encode() + b"\n"
+        + b"u."
+    )
+    return header + payload
+
+
+@pytest.mark.parametrize("name", ["DictStore", "ShadowStore", "_rebuild_dict"])
+def test_payload_naming_a_removed_store_class_is_a_checkpoint_error(tmp_path, name):
+    blob = _blob_naming(name)
+    with pytest.raises(CheckpointError, match="corrupt checkpoint payload"):
+        loads_checkpoint(blob)
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match="corrupt checkpoint payload"):
+        load_checkpoint(str(path))
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +304,9 @@ print(json.dumps({
 """
 
 
-def _run_snippet(code: str, args, scheduler: str):
+def _run_snippet(code: str, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
-    env["REPRO_SIM_SCHEDULER"] = scheduler
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
@@ -257,10 +318,9 @@ def _run_snippet(code: str, args, scheduler: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULER_BACKENDS)
-def test_microburst_resumes_identically_in_fresh_process(tmp_path, scheduler):
+def test_microburst_resumes_identically_in_fresh_process(tmp_path):
     ckpt = str(tmp_path / "mb.ckpt")
-    _run_snippet(_PHASE1, [ckpt], scheduler)
-    resumed = _run_snippet(_PHASE2, [ckpt], scheduler)
-    straight = _run_snippet(_UNINTERRUPTED, [], scheduler)
+    _run_snippet(_PHASE1, [ckpt])
+    resumed = _run_snippet(_PHASE2, [ckpt])
+    straight = _run_snippet(_UNINTERRUPTED, [])
     assert resumed == straight

@@ -418,3 +418,58 @@ def test_subprocess_fingerprints_identical_fastpath_on_vs_off(scenario):
     on = _run_scenario(scenario, "1")
     assert json.loads(off)  # sanity: the digest is substantive JSON
     assert on == off  # byte-identical stdout, not just equal objects
+
+
+# ----------------------------------------------------------------------
+# Known divergence: fused arrivals on fabrics deeper than a chain
+# ----------------------------------------------------------------------
+def _fat_tree_zipf_digest(monkeypatch, seed, fastpath_flag):
+    from repro.experiments.shard_exp import ShardScenario, build_shard
+    from repro.pisa.flowcache import FLOW_CACHE_ENV
+    from repro.sim.shard import behavior_fingerprint, fingerprint_digest
+
+    # The cache is pinned on in both arms so the comparison means the
+    # same thing on every CI leg (cache off agrees with per-hop).
+    monkeypatch.setenv(FLOW_CACHE_ENV, "1")
+    monkeypatch.setenv(FLOW_FASTPATH_ENV, fastpath_flag)
+    scenario = ShardScenario(
+        topology="fattree",
+        k=4,
+        workload="zipf",
+        waves=3,
+        packets_per_sender=16,
+        seed=seed,
+    )
+    runtime = build_shard(0, scenario, 1)
+    runtime.sim.run()
+    return fingerprint_digest(behavior_fingerprint(runtime.collect()))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "known fused-fastpath timing divergence (docs/PERFORMANCE.md, "
+        "'Semantics and residuals'): fuse-time quiescence only looks one "
+        "hop around the path, so on a fat tree a per-hop packet can reach "
+        "an on-path port inside a fused window and the precomputed arrival "
+        "ignores the contention — a few deliveries arrive earlier fused "
+        "than per-hop (seed 3: 45d117de… fused vs ccbb81b8… per-hop). "
+        "perf/expected.json pins the fused digests for fabric_zipf, so the "
+        "fix must land together with a benchmark re-pin; strict so that "
+        "whoever fixes it is told to delete this marker."
+    ),
+)
+def test_fat_tree_zipf_matches_per_hop_reference(monkeypatch):
+    fused = _fat_tree_zipf_digest(monkeypatch, 3, "1")
+    per_hop = _fat_tree_zipf_digest(monkeypatch, 3, "0")
+    assert fused == per_hop
+
+
+def test_fat_tree_zipf_control_seed_matches_per_hop_reference(monkeypatch):
+    # Same fabric, a seed whose traffic never meets a fused window: the
+    # passing control for the strict xfail above.
+    fused = _fat_tree_zipf_digest(monkeypatch, 1, "1")
+    per_hop = _fat_tree_zipf_digest(monkeypatch, 1, "0")
+    assert fused == per_hop
+    assert fused.startswith("ddda7d75")

@@ -23,9 +23,15 @@ from repro.sim.checkpoint import (
     load_checkpoint,
     loads_checkpoint,
 )
-from repro.sim.kernel import SCHEDULER_BACKENDS, SimulationError, Simulator
+from repro.sim.kernel import SimulationError, Simulator
 
-from tests.test_checkpoint import TraceRecorder, Ticker, _build
+from tests.test_checkpoint import (
+    TICKER_TRACE_500_2000,
+    TraceRecorder,
+    Ticker,
+    _build,
+    trace_digest,
+)
 
 
 def _finish_with_trace(sim: Simulator, until_ps: int) -> list:
@@ -35,9 +41,8 @@ def _finish_with_trace(sim: Simulator, until_ps: int) -> list:
     return recorder.records
 
 
-@pytest.mark.parametrize("backend", SCHEDULER_BACKENDS)
-def test_identical_continuations_are_byte_identical(backend):
-    sim, tickers = _build(backend)
+def test_identical_continuations_are_byte_identical():
+    sim, tickers = _build()
     sim.run(until_ps=500)
     sim2, tickers2 = sim.fork(state=tickers)
 
@@ -45,6 +50,7 @@ def test_identical_continuations_are_byte_identical(backend):
     trace2 = _finish_with_trace(sim2, 2_000)
 
     assert trace2 == trace
+    assert trace_digest(trace) == TICKER_TRACE_500_2000
     assert sim2.now_ps == sim.now_ps
     assert sim2.events_executed == sim.events_executed
     for orig, forked in zip(tickers, tickers2):
@@ -55,9 +61,8 @@ def test_identical_continuations_are_byte_identical(backend):
     )
 
 
-@pytest.mark.parametrize("backend", SCHEDULER_BACKENDS)
-def test_divergent_continuations_are_isolated(backend):
-    sim, tickers = _build(backend)
+def test_divergent_continuations_are_isolated():
+    sim, tickers = _build()
     sim.run(until_ps=500)
     sim2, tickers2 = sim.fork(state=tickers)
 
@@ -70,7 +75,7 @@ def test_divergent_continuations_are_isolated(backend):
     sim2.run(until_ps=2_000)
 
     # A pristine reference confirms the parent was untouched.
-    ref_sim, ref_tickers = _build(backend)
+    ref_sim, ref_tickers = _build()
     ref_sim.run(until_ps=2_000)
     for orig, ref in zip(tickers, ref_tickers):
         assert orig.fired == ref.fired
@@ -83,7 +88,7 @@ def test_divergent_continuations_are_isolated(backend):
 
 
 def test_fork_shares_no_mutable_structure():
-    sim, tickers = _build("heap")
+    sim, tickers = _build()
     sim.run(until_ps=200)
     sim2, tickers2 = sim.fork(state=tickers)
     assert sim2 is not sim
@@ -111,7 +116,7 @@ def test_fork_refused_while_running():
 
 
 def test_bytes_helpers_round_trip_and_match_file_format(tmp_path):
-    sim, tickers = _build("heap")
+    sim, tickers = _build()
     sim.run(until_ps=300)
     blob = dumps_checkpoint(sim, state=tickers, label="blob")
 

@@ -1,7 +1,7 @@
 """Tests for the PR-2 fast paths.
 
-Covers the scheduler-backend equivalence contract (heap vs. calendar
-wheel), table lookup-cache invalidation, the packet-layer memoization,
+Covers the kernel's pinned execution order, table lookup-cache
+invalidation, the packet-layer memoization,
 the metadata free-list, the zero-allocation no-observer dispatch path,
 ``Simulator.reset()`` observer detachment, the process-parallel sweep
 runner, and the benchmark-trajectory harness behind ``repro bench``.
@@ -16,21 +16,23 @@ from repro.packet.parser import standard_parser
 from repro.pisa.action import DROP, FORWARD, NO_ACTION
 from repro.pisa.metadata import MetadataPool, StandardMetadata
 from repro.pisa.table import ExactTable, LpmTable
-from repro.sim.kernel import SCHEDULER_BACKENDS, Simulator
+from repro.sim.kernel import Simulator
+
+from tests.test_checkpoint import trace_digest
 
 
 # ----------------------------------------------------------------------
-# Scheduler equivalence: heap and wheel produce byte-identical traces
+# Kernel order: the executed trace is pinned to a golden
 # ----------------------------------------------------------------------
-def _kernel_trace(scheduler):
+def _kernel_trace():
     """Drive one scripted schedule and record the executed-event trace.
 
     The script exercises same-timestamp ties across priorities and
     seqnos, cancellation before execution, cancellation *from a
-    callback*, same-timestamp scheduling from inside a callback (the
-    wheel's live drain window), and a bounded run.
+    callback*, same-timestamp scheduling from inside a callback, and a
+    bounded run.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     trace = []
     sim.add_execution_observer(
         lambda ev: trace.append(("exec", sim.now_ps, ev.time_ps, ev.priority, ev.seqno))
@@ -49,7 +51,7 @@ def _kernel_trace(scheduler):
     doomed.cancel()
 
     # A callback that cancels a later event and schedules at its own
-    # timestamp (mid-bucket insertion for the wheel backend).
+    # timestamp.
     victim = sim.call_at(300, note, "victim")
 
     def cancel_and_chain():
@@ -69,38 +71,53 @@ def _kernel_trace(scheduler):
     return trace
 
 
-def test_heap_and_wheel_traces_identical():
-    heap = _kernel_trace("heap")
-    wheel = _kernel_trace("wheel")
-    assert heap == wheel
-    labels = [entry[2] for entry in heap if entry[0] == "cb"]
+#: ("cb", now, label) per callback, ("exec", now, time, priority, seqno)
+#: per executed event — the heap kernel's output, which the removed
+#: wheel queue reproduced entry for entry.
+KERNEL_TRACE = [
+    ("cb", 100, "tie-b"),
+    ("exec", 100, 100, 0, 1),
+    ("cb", 100, "tie-a"),
+    ("exec", 100, 100, 5, 0),
+    ("cb", 100, "tie-c"),
+    ("exec", 100, 100, 5, 2),
+    ("cb", 200, "chain"),
+    ("exec", 200, 200, 0, 5),
+    ("cb", 200, "same-ts"),
+    ("exec", 200, 200, 1, 7),
+    ("cb", 215, "post-bound"),
+    ("exec", 215, 215, 0, 9),
+    ("cb", 250, "later"),
+    ("exec", 250, 250, 0, 8),
+    ("cb", 300, "survivor"),
+    ("exec", 300, 300, -1, 6),
+    ("final", 300, 8, 0),
+]
+
+
+def test_kernel_trace_matches_golden():
+    trace = _kernel_trace()
+    assert trace == KERNEL_TRACE
+    labels = [entry[2] for entry in trace if entry[0] == "cb"]
     assert "never" not in labels and "victim" not in labels
     assert labels[:3] == ["tie-b", "tie-a", "tie-c"]  # (priority, seqno) order
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULER_BACKENDS)
-def test_backends_cover_both_names(scheduler):
-    assert Simulator(scheduler=scheduler).scheduler == scheduler
-
-
-def test_sume_experiment_trace_identical_across_backends(monkeypatch):
-    """Full-experiment determinism: the PR-1 recorder sees byte-identical
-    normalized bus traces whichever kernel backend runs underneath."""
+def test_sume_experiment_trace_matches_golden():
+    """Full-experiment determinism: the PR-1 recorder sees the pinned
+    normalized bus trace (270 records; SHA-256 over its repr, recorded
+    from the heap kernel, identical on every accelerator-toggle leg)."""
     from repro.experiments.psa_fig_exp import run_architecture
     from repro.obs import RecordingObserver, observing
-    from repro.sim import kernel
 
-    def bus_trace(scheduler):
-        monkeypatch.setenv(kernel.SCHEDULER_ENV, scheduler)
-        recorder = RecordingObserver()
-        with observing(recorder):
-            run_architecture("sume", packets=30)
-        return recorder.normalized()
-
-    heap = bus_trace("heap")
-    wheel = bus_trace("wheel")
-    assert len(heap) > 50
-    assert heap == wheel
+    recorder = RecordingObserver()
+    with observing(recorder):
+        run_architecture("sume", packets=30)
+    trace = recorder.normalized()
+    assert len(trace) == 270
+    assert trace_digest(trace) == (
+        "4e15521e317f8789d2d6fc41da68d576fd6390c37428370432467d06b813f2b6"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -311,9 +328,8 @@ def test_packet_dispatch_skips_event_construction_without_observers(monkeypatch)
 # ----------------------------------------------------------------------
 # Simulator.reset() detaches execution observers
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("scheduler", SCHEDULER_BACKENDS)
-def test_reset_detaches_execution_observers(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_reset_detaches_execution_observers():
+    sim = Simulator()
     seen = []
     sim.add_execution_observer(seen.append)
     sim.call_at(10, lambda: None)

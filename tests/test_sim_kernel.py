@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import weakref
+
 import pytest
 
 from repro.sim.kernel import SimulationError, Simulator
@@ -238,3 +240,27 @@ def test_execution_observer_sees_every_callback():
     sim.call_at(30, lambda: None)
     sim.run()
     assert seen == [10, 20]  # detached observers see nothing further
+
+
+class _Payload:
+    """Stands in for a packet riding an event as an argument."""
+
+
+@pytest.mark.parametrize(
+    "run_kwargs", [{}, {"until_ps": 100}], ids=["unbounded", "bounded"]
+)
+def test_executed_event_does_not_pin_its_args(run_kwargs):
+    """A recycled event shell must drop its callback and args.
+
+    The caller kept no handle, so the kernel parks the executed shell on
+    its free-list; the payload has to die with the run, not when the
+    shell happens to be reused.  (No gc.collect(): there is no cycle.)
+    """
+    sim = Simulator()
+    payload = _Payload()
+    probe = weakref.ref(payload)
+    sim.call_at(10, lambda arg: None, payload)
+    del payload
+    assert probe() is not None  # the pending event is what keeps it alive
+    sim.run(**run_kwargs)
+    assert probe() is None

@@ -1,4 +1,4 @@
-"""The pluggable StateStore: backend conformance, sparsity, CoW, registry."""
+"""The StateStore: cell-array conformance, portable dumps, registry."""
 
 import gc
 import pickle
@@ -6,11 +6,7 @@ import pickle
 import pytest
 
 from repro.state.store import (
-    STORE_BACKENDS,
-    STORE_ENV,
     DenseStore,
-    DictStore,
-    ShadowStore,
     StateStore,
     make_store,
     registered_stores,
@@ -18,26 +14,22 @@ from repro.state.store import (
     total_state_cells,
 )
 
-BACKENDS = list(STORE_BACKENDS)
-
 
 # ----------------------------------------------------------------------
-# Conformance: every backend exposes identical observable behaviour
+# Conformance: the observable behaviour every StateStore must have
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_initial_contents_and_geometry(backend):
-    store = make_store(8, default=3, backend=backend, name="t")
+def test_initial_contents_and_geometry():
+    store = make_store(8, default=3, name="t")
     assert len(store) == 8
     assert store.size == 8
     assert store.default == 3
-    assert store.kind == backend
+    assert store.kind == "dense"
     assert store.snapshot() == [3] * 8
     assert all(store[i] == 3 for i in range(8))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_set_get_and_negative_index(backend):
-    store = make_store(4, backend=backend)
+def test_set_get_and_negative_index():
+    store = make_store(4)
     store[1] = 10
     store[-1] = 20
     assert store[1] == 10
@@ -46,25 +38,22 @@ def test_set_get_and_negative_index(backend):
     assert store.snapshot() == [0, 10, 0, 20]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_out_of_range_write_raises(backend):
-    store = make_store(4, backend=backend)
+def test_out_of_range_write_raises():
+    store = make_store(4)
     with pytest.raises(IndexError):
         store[4] = 1
     with pytest.raises(IndexError):
         store[-5] = 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_out_of_range_read_raises(backend):
-    store = make_store(4, backend=backend)
+def test_out_of_range_read_raises():
+    store = make_store(4)
     with pytest.raises(IndexError):
         store[4]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_load_and_fill(backend):
-    store = make_store(4, backend=backend)
+def test_load_and_fill():
+    store = make_store(4)
     store.load([5, 0, 7, 0])
     assert store.snapshot() == [5, 0, 7, 0]
     store.fill(2)
@@ -75,28 +64,25 @@ def test_load_and_fill(backend):
         store.load([1, 2, 3])  # wrong length
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fill_preserves_identity(backend):
+def test_fill_preserves_identity():
     # Externs keep direct references to their stores; clear() must not
     # swap the object out from under them.
-    store = make_store(4, backend=backend)
+    store = make_store(4)
     alias = store
     store.fill(9)
     assert alias[0] == 9
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_reductions(backend):
-    store = make_store(5, backend=backend)
+def test_reductions():
+    store = make_store(5)
     store.load([0, 4, 0, 1, 3])
     assert store.nonzero_count() == 3
     assert store.sum_values() == 8
     assert store.max_value() == 4
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_reductions_with_nonzero_default(backend):
-    store = make_store(4, default=2, backend=backend)
+def test_reductions_with_nonzero_default():
+    store = make_store(4, default=2)
     store[1] = 0
     store[2] = 5
     assert store.nonzero_count() == 3  # two defaults + the 5
@@ -104,113 +90,45 @@ def test_reductions_with_nonzero_default(backend):
     assert store.max_value() == 5
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_describe_row(backend):
-    store = make_store(6, backend=backend, name="probe")
+def test_describe_row():
+    store = make_store(6, name="probe")
     store[2] = 1
     row = store.describe()
     assert row["name"] == "probe"
-    assert row["kind"] == backend
+    assert row["kind"] == "dense"
     assert row["size"] == 6
     assert row["populated"] == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("target", BACKENDS)
-def test_to_state_round_trips_across_backends(backend, target):
-    store = make_store(5, default=1, backend=backend, name="mig")
+@pytest.mark.parametrize("written_by", ["dense", "dict", "shadowed"])
+def test_to_state_round_trips(written_by):
+    # The dump is dense whichever representation wrote it, so dumps from
+    # the removed sparse / copy-on-write stores still load.
+    store = make_store(5, default=1, name="mig")
     store[0] = 9
     store[3] = 0
-    rebuilt = StateStore.from_state(store.to_state(), backend=target)
-    assert rebuilt.kind == target
+    rebuilt = StateStore.from_state(dict(store.to_state(), kind=written_by))
+    assert isinstance(rebuilt, DenseStore)
     assert rebuilt.snapshot() == store.snapshot()
     assert rebuilt.name == "mig"
     assert rebuilt.default == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pickle_round_trip_and_reregistration(backend):
-    store = make_store(4, backend=backend, name="pkl")
+def test_pickle_round_trip_and_reregistration():
+    store = make_store(4, name="pkl")
     store[1] = 7
     clone = pickle.loads(pickle.dumps(store, protocol=4))
     assert clone.snapshot() == store.snapshot()
-    assert clone.kind == backend
+    assert isinstance(clone, DenseStore)
     assert clone.name == "pkl"
     assert any(s is clone for s in registered_stores())
 
 
 # ----------------------------------------------------------------------
-# DictStore: sparsity semantics
+# Allocation
 # ----------------------------------------------------------------------
-def test_dict_store_reads_do_not_insert():
-    store = DictStore(1 << 16, name="flows")
-    for i in range(0, 1 << 16, 997):
-        assert store[i] == 0
-    assert store.populated() == 0
-
-
-def test_dict_store_default_write_evicts():
-    store = DictStore(8, default=0, name="flows")
-    store[3] = 5
-    assert store.populated() == 1
-    store[3] = 0  # writing the default frees the cell
-    assert store.populated() == 0
-    assert store[3] == 0
-
-
-def test_dict_store_len_is_logical_size():
-    store = DictStore(32)
-    store[0] = 1
-    assert len(store) == 32
-    assert store.populated() == 1
-
-
-# ----------------------------------------------------------------------
-# ShadowStore: copy-on-write snapshots
-# ----------------------------------------------------------------------
-def test_shadow_snapshot_is_shared_and_o1_when_clean():
-    store = ShadowStore(4, name="cow")
-    store[1] = 5
-    first = store.snapshot()
-    assert first == [0, 5, 0, 0]
-    # No writes since: the same frozen generation comes back.
-    assert store.snapshot() is first
-    assert store.snapshots_taken == 2
-
-
-def test_shadow_writes_go_to_overlay_until_snapshot():
-    store = ShadowStore(4)
-    frozen = store.snapshot()
-    store[2] = 9
-    assert store.dirty_count() == 1
-    assert frozen[2] == 0  # the old generation is untouched
-    assert store[2] == 9
-    folded = store.snapshot()
-    assert folded[2] == 9
-    assert store.dirty_count() == 0
-
-
-# ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(STORE_ENV, "dict")
-    assert isinstance(make_store(4), DictStore)
-
-
-def test_explicit_backend_beats_env(monkeypatch):
-    monkeypatch.setenv(STORE_ENV, "dict")
-    assert isinstance(make_store(4, backend="shadowed"), ShadowStore)
-
-
-def test_default_backend_is_dense(monkeypatch):
-    monkeypatch.delenv(STORE_ENV, raising=False)
+def test_default_backend_is_dense():
     assert isinstance(make_store(4), DenseStore)
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown state backend"):
-        make_store(4, backend="mmap")
 
 
 def test_negative_size_rejected():

@@ -5,11 +5,16 @@ Walks every ``repro`` subpackage, collects the public classes and
 functions (honoring ``__all__`` where defined), and emits a markdown
 reference with each item's signature and first docstring paragraph.
 
-Run:  python tools/gen_api_docs.py
+Run:  python tools/gen_api_docs.py [--output PATH]
+
+The output is a pure function of the source tree: two runs under
+different ``PYTHONHASHSEED`` values are byte-identical.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import importlib
 import inspect
 import os
@@ -49,11 +54,43 @@ def first_paragraph(obj) -> str:
     return paragraph
 
 
+def stable_repr(value) -> str:
+    """``repr`` with set members sorted, so it ignores the hash seed."""
+    if isinstance(value, (set, frozenset)) and value:
+        body = "{" + ", ".join(sorted(stable_repr(v) for v in value)) + "}"
+        return body if type(value) is set else f"{type(value).__name__}({body})"
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        body = ", ".join(
+            f"{field.name}={stable_repr(getattr(value, field.name))}"
+            for field in dataclasses.fields(value)
+            if field.repr
+        )
+        return f"{type(value).__qualname__}({body})"
+    return repr(value)
+
+
+class _Literal:
+    """Stands in for a default value whose repr is already computed."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
 def item_signature(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        signature = inspect.signature(obj)
     except (TypeError, ValueError):
         return "(…)"
+    parameters = [
+        param
+        if param.default is param.empty
+        else param.replace(default=_Literal(stable_repr(param.default)))
+        for param in signature.parameters.values()
+    ]
+    return str(signature.replace(parameters=parameters))
 
 
 def public_items(module) -> List[str]:
@@ -120,13 +157,18 @@ def render_module(module_name: str) -> List[str]:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--output", default=OUTPUT, help="file to write (default: docs/API.md)"
+    )
+    output = parser.parse_args().output
     lines = [
         "# API Reference",
         "",
         "_Generated by `python tools/gen_api_docs.py`; do not edit by hand._",
         "",
         "Guides: [TUTORIAL.md](TUTORIAL.md) · [STATE.md](STATE.md)"
-        " (StateStore backends, checkpoint/restore) ·"
+        " (StateStore, checkpoint/restore) ·"
         " [PERFORMANCE.md](PERFORMANCE.md)"
         " (flow cache, [compiled pipelines](PERFORMANCE.md#compiled-pipelines)) ·"
         " [OBSERVABILITY.md](OBSERVABILITY.md) · [LANGUAGE.md](LANGUAGE.md)",
@@ -142,10 +184,10 @@ def main() -> int:
             lines.append("")
         for module_name in collect_modules(package_name)[1:]:
             lines.extend(render_module(module_name))
-    os.makedirs(os.path.dirname(os.path.abspath(OUTPUT)), exist_ok=True)
-    with open(OUTPUT, "w") as handle:
+    os.makedirs(os.path.dirname(os.path.abspath(output)), exist_ok=True)
+    with open(output, "w") as handle:
         handle.write("\n".join(lines).rstrip() + "\n")
-    print(f"wrote {os.path.abspath(OUTPUT)} ({len(lines)} lines)")
+    print(f"wrote {os.path.abspath(output)} ({len(lines)} lines)")
     return 0
 
 
