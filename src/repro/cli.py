@@ -22,9 +22,6 @@ Long runs checkpoint mid-flight and resume in a fresh process::
     python -m repro.cli resume --ckpt mb.ckpt --info
     python -m repro.cli resume --ckpt mb.ckpt
 
-Benchmark sweeps are resumable too: ``bench --resume progress.json``
-skips benchmarks an interrupted sweep already recorded.
-
 Datacenter-scale fabrics run sharded across worker processes
 (:mod:`repro.sim.shard`), with a fingerprint check against the
 single-process run::
@@ -391,86 +388,6 @@ def run_events_trace(
         rows.append(f"… {len(records) - limit} more record(s)")
     _print(f"EventBus trace ({source}) → {out}", rows)
     print(f"\nwrote {len(records)} records to {out}")
-
-
-# ----------------------------------------------------------------------
-# Benchmark trajectory subcommand
-# ----------------------------------------------------------------------
-def run_bench(
-    label: str = "local",
-    out: str = "",
-    rounds: int = 5,
-    workers: int = 1,
-    compare_to: List[str] = (),
-    max_regression: float = 0.25,
-    resume_path: str = "",
-    sharded_showcase: bool = False,
-    host_normalize: bool = False,
-) -> int:
-    """Run the perf suite, write BENCH_<label>.json, gate on regressions.
-
-    ``--compare`` entries may be globs (``BENCH_pr*.json``), so the CI
-    gate picks up new trajectory snapshots without workflow edits.  When
-    ``$GITHUB_STEP_SUMMARY`` is set, a per-scenario delta table is
-    appended there.  ``--host-normalize`` corrects wall times by the
-    snapshots' host-speed calibration scores before gating, and the
-    table then shows raw *and* normalized deltas.
-    """
-    import os
-
-    from repro.experiments import bench
-
-    data = bench.collect(
-        label, rounds=rounds, workers=workers, progress_path=resume_path or None
-    )
-    if sharded_showcase:
-        data["sharded"] = bench.sharded_showcase()
-    path = out or f"BENCH_{label}.json"
-    bench.write_snapshot(data, path)
-    _print(f"benchmark trajectory → {path}", bench.summary_rows(data))
-    if sharded_showcase:
-        _print("sharded showcase (k=8 fat tree)", bench.showcase_rows(data["sharded"]))
-    if resume_path and os.path.exists(resume_path) and resume_path != path:
-        os.remove(resume_path)  # sweep finished; progress file is spent
-    failed = False
-    baselines = []
-    for baseline_path in bench.expand_baselines(list(compare_to), exclude=path):
-        baseline = bench.read_snapshot(baseline_path)
-        baselines.append((baseline_path, baseline))
-        problems = bench.compare(
-            baseline,
-            data,
-            max_regression=max_regression,
-            host_normalize=host_normalize,
-        )
-        if problems:
-            _print(f"REGRESSIONS vs {baseline_path}", problems)
-            failed = True
-        else:
-            gate = "host-normalized" if host_normalize else "raw"
-            print(
-                f"\nno regressions vs {baseline_path} "
-                f"(threshold {max_regression:.0%}, {gate} walls)"
-            )
-    for warning in bench.missing_round_warnings(data, baselines):
-        print(warning)
-    for note in bench.skipped_round_notes(data, baselines):
-        print(note)
-    ungated = bench.missing_round_failures(data, baselines)
-    if ungated:
-        _print("UNGATED BENCHMARKS (no baseline covers them)", ungated)
-        failed = True
-    step_summary = os.environ.get("GITHUB_STEP_SUMMARY")
-    if step_summary and baselines:
-        table = bench.delta_markdown(
-            data,
-            baselines,
-            max_regression=max_regression,
-            normalize=host_normalize,
-        )
-        with open(step_summary, "a", encoding="utf-8") as fh:
-            fh.write("\n".join(table) + "\n")
-    return 1 if failed else 0
 
 
 # ----------------------------------------------------------------------
@@ -1016,8 +933,6 @@ def main(argv: List[str] = None) -> int:
         return run_submit(raw[1:])
     if raw and raw[0] == "scenarios":
         return run_scenarios_list(raw[1:])
-    if raw and raw[0] == "search":
-        return run_search_cli(raw[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli",
         description="Regenerate the paper's tables, figures, and claims.",
@@ -1025,7 +940,7 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS)
-        + ["all", "list", "events-stats", "events-trace", "bench",
+        + ["all", "list", "events-stats", "events-trace",
            "checkpoint", "resume", "chaos", "shard",
            "scenarios", "search", "serve", "submit"],
         help="experiment to run ('all' for everything, 'list' to enumerate)",
@@ -1038,64 +953,15 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--out",
-        default="events_trace.jsonl",
-        help="output path for events-trace",
+        default="",
+        help="events-trace / chaos: output path (default events_trace.jsonl "
+        "/ chaos_verdicts.jsonl)",
     )
     parser.add_argument(
         "--limit",
         type=int,
         default=5,
         help="trace records events-trace prints",
-    )
-    parser.add_argument(
-        "--label",
-        default="local",
-        help="bench: trajectory point name (output defaults to BENCH_<label>.json)",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=5,
-        help="bench: timed rounds per benchmark",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="bench: processes to fan rounds across (1 = serial, best timing fidelity)",
-    )
-    parser.add_argument(
-        "--compare",
-        action="append",
-        default=[],
-        metavar="BENCH_JSON",
-        help="bench: baseline snapshot(s) to gate against (repeatable; "
-        "non-zero exit on regression)",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="bench: allowed slowdown vs the baseline (0.25 = 25%%)",
-    )
-    parser.add_argument(
-        "--resume",
-        default="",
-        metavar="PROGRESS_JSON",
-        help="bench: progress file making an interrupted sweep resumable",
-    )
-    parser.add_argument(
-        "--sharded-showcase",
-        action="store_true",
-        help="bench: also run the k=8 fat-tree serial-vs-8-shard showcase "
-        "and record it under the snapshot's 'sharded' key",
-    )
-    parser.add_argument(
-        "--host-normalize",
-        action="store_true",
-        help="bench: correct wall times by the snapshots' host-speed "
-        "calibration scores before gating (the delta table then shows "
-        "raw and normalized deltas)",
     )
     parser.add_argument(
         "--topology",
@@ -1234,14 +1100,52 @@ def main(argv: List[str] = None) -> int:
         action="store_true",
         help="resume: print the checkpoint header and exit",
     )
-    args = parser.parse_args(argv)
+    # The four subcommands that write a file the user names share one
+    # handler: an unwritable path is a message and exit 2, not a traceback.
+    try:
+        if raw and raw[0] == "search":  # own argument namespace, as above
+            return run_search_cli(raw[1:])
+        args = parser.parse_args(argv)
+        if args.experiment == "shard":
+            return run_shard(
+                topology=args.topology,
+                k=args.k,
+                leaves=args.leaves,
+                spines=args.spines,
+                hosts_per_leaf=args.hosts_per_leaf,
+                shards=args.shards,
+                mode=args.mode,
+                workload=args.workload,
+                waves=args.waves,
+                packets=args.packets,
+                compare_serial=args.compare_serial,
+                json_out=args.json_out,
+            )
+        if args.experiment == "chaos":
+            return run_chaos(
+                plan=args.plan,
+                app=args.app,
+                seed=args.seed,
+                seed_sweep=args.seed_sweep,
+                out=args.out or "chaos_verdicts.jsonl",
+                compile_arm=args.compile_arm,
+                forked=args.forked,
+                fastpath_arm=args.fastpath_arm,
+            )
+        if args.experiment == "events-trace":
+            run_events_trace(args.source, args.out or "events_trace.jsonl", args.limit)
+            return 0
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"repro: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     if args.experiment == "list":
         for name, fn in sorted(EXPERIMENTS.items()):
             print(f"{name:<14} {fn.__doc__.splitlines()[0]}")
         for name, fn in (
             ("events-stats", run_events_stats),
             ("events-trace", run_events_trace),
-            ("bench", run_bench),
             ("chaos", run_chaos),
             ("checkpoint", run_checkpoint),
             ("resume", run_resume),
@@ -1256,55 +1160,12 @@ def main(argv: List[str] = None) -> int:
             "(stdio or --socket; see docs/SERVING.md)"
         )
         return 0
-    if args.experiment == "bench":
-        return run_bench(
-            label=args.label,
-            out="" if args.out == "events_trace.jsonl" else args.out,
-            rounds=args.rounds,
-            workers=args.workers,
-            compare_to=args.compare,
-            max_regression=args.max_regression,
-            resume_path=args.resume,
-            sharded_showcase=args.sharded_showcase,
-            host_normalize=args.host_normalize,
-        )
-    if args.experiment == "shard":
-        return run_shard(
-            topology=args.topology,
-            k=args.k,
-            leaves=args.leaves,
-            spines=args.spines,
-            hosts_per_leaf=args.hosts_per_leaf,
-            shards=args.shards,
-            mode=args.mode,
-            workload=args.workload,
-            waves=args.waves,
-            packets=args.packets,
-            compare_serial=args.compare_serial,
-            json_out=args.json_out,
-        )
-    if args.experiment == "chaos":
-        return run_chaos(
-            plan=args.plan,
-            app=args.app,
-            seed=args.seed,
-            seed_sweep=args.seed_sweep,
-            out="chaos_verdicts.jsonl"
-            if args.out == "events_trace.jsonl"
-            else args.out,
-            compile_arm=args.compile_arm,
-            forked=args.forked,
-            fastpath_arm=args.fastpath_arm,
-        )
     if args.experiment == "checkpoint":
         return run_checkpoint(args.ckpt, args.at_ps, args.duration_ps)
     if args.experiment == "resume":
         return run_resume(args.ckpt, info=args.info)
     if args.experiment == "events-stats":
         run_events_stats(args.source)
-        return 0
-    if args.experiment == "events-trace":
-        run_events_trace(args.source, args.out, args.limit)
         return 0
     if args.experiment == "all":
         for name in sorted(EXPERIMENTS):

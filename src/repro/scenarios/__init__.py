@@ -1,8 +1,8 @@
 """Declarative scenario specs and the registry behind every entry point.
 
 ``repro.scenarios`` is the spine between scenario *descriptions* and
-scenario *execution*: experiments, chaos cells, sharded fabrics, and
-bench rounds all register a picklable :class:`ScenarioSpec`, and the
+scenario *execution*: experiments, chaos cells and sharded fabrics
+all register a picklable :class:`ScenarioSpec`, and the
 CLI (``repro scenarios --list`` / ``repro submit``) plus the serving
 layer (:mod:`repro.serve`) run them exclusively through this registry.
 See docs/SERVING.md.

@@ -42,7 +42,6 @@ SCENARIO_MODULES = (
     "repro.experiments.merger_exp",
     "repro.experiments.reliable_exp",
     "repro.experiments.shard_exp",
-    "repro.experiments.bench",
     "repro.faults.chaos",
     "repro.search.runner",
 )

@@ -12,8 +12,8 @@ artifact's top level — trial order, params, metrics, objectives,
 fingerprints, best, frontier — depends only on the spec (strategies
 draw from seeded streams; workers return identical payloads regardless
 of scheduling because phased trials always run on a fork of a pristine
-build).  Everything measured rather than derived — wall times, the
-host-speed calibration, fresh/forked build counts, crash retries —
+build).  Everything measured rather than derived — wall times,
+fresh/forked build counts, crash retries, pool size —
 lives under the single top-level ``"host"`` key, which ``repro search
 --omit-host`` drops so CI can ``cmp`` two runs byte-for-byte.
 
@@ -335,10 +335,7 @@ def run_search(
         "truncated": bool(strategy.truncated),
     }
     if host:
-        from repro.experiments.bench import host_speed_score
-
         artifact["host"] = {
-            "host_speed": host_speed_score(),
             "wall_s_total": time.perf_counter() - started,
             "wall_s_trials": walls,
             "fresh_builds": sources.count("fresh"),

@@ -1,4 +1,4 @@
-"""The API doc generator runs and covers the public surface."""
+"""The tools run: API doc generator coverage, hot-path profiler smoke."""
 
 import os
 import subprocess
@@ -47,3 +47,19 @@ def test_generator_produces_reference(tmp_path):
     # Every top-level package section is present.
     for package in ("repro.sim", "repro.arch", "repro.apps", "repro.lang"):
         assert f"## `{package}`" in text
+
+
+def test_profile_hotpath_names_the_workload_and_the_kernel(tmp_path):
+    # Own interpreter: the tool puts perf/ on sys.path and advances packet ids.
+    code = (
+        "import profile_hotpath as p; print(p.report("
+        "p.profile_workload('chain_paced', 1, scale=0.05), 'chain_paced', 40))"
+    )
+    env = dict(os.environ, PYTHONPATH=f"{REPO}/tools{os.pathsep}{REPO}/src")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=str(tmp_path), env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "perf workload 'chain_paced'" in result.stdout
+    assert os.path.join("sim", "kernel.py") in result.stdout

@@ -10,6 +10,7 @@ def test_list(capsys):
     out = capsys.readouterr().out
     for name in EXPERIMENTS:
         assert name in out
+    assert "bench" not in out
 
 
 def test_table3(capsys):
@@ -33,8 +34,27 @@ def test_fig3(capsys):
 
 
 def test_unknown_experiment_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["warp-drive"])
+    for name in ("warp-drive", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            main([name])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "events-trace --source catalog --out",
+        "chaos --plan linkflap --app frr --out",
+        "shard --mode inline --waves 1 --packets 1 --json-out",
+        "search --scenario aqm/fred --objective fairness --domain blaster_gbps=choice:6"
+        " --fixed duration_ps=200000000 --budget 1 --workers 0 --out",
+    ],
+    ids=lambda argv: argv.split()[0],
+)
+def test_unwritable_output_path_is_a_message_not_a_traceback(argv, tmp_path, capsys):
+    path = str(tmp_path / "missing-dir" / "out.json")
+    assert main(argv.split() + [path]) == 2
+    assert capsys.readouterr().err.startswith(f"repro: cannot write {path}: ")
 
 
 def test_every_experiment_is_documented():

@@ -3,8 +3,8 @@
 Covers the kernel's pinned execution order, table lookup-cache
 invalidation, the packet-layer memoization,
 the metadata free-list, the zero-allocation no-observer dispatch path,
-``Simulator.reset()`` observer detachment, the process-parallel sweep
-runner, and the benchmark-trajectory harness behind ``repro bench``.
+``Simulator.reset()`` observer detachment, and the process-parallel
+sweep runner.
 """
 
 import pytest
@@ -367,139 +367,3 @@ def test_run_tasks_preserves_input_order():
 
     tasks = [(_kwargs_point, (i,), {"bump": 100}) for i in range(6)]
     assert run_tasks(tasks, workers=2) == [100 + i for i in range(6)]
-
-
-# ----------------------------------------------------------------------
-# Benchmark-trajectory harness + `repro bench`
-# ----------------------------------------------------------------------
-def test_bench_collect_write_read_compare(tmp_path):
-    from repro.experiments import bench
-
-    data = bench.collect("unit", rounds=1)
-    assert set(data["benchmarks"]) == {
-        "kernel",
-        "switch",
-        "switch_cached",
-        "switch_compiled",
-        "switch_fastpath",
-        "switch_sharded",
-    }
-    assert data["host_speed"]["score"] > 0
-    kern = data["benchmarks"]["kernel"]
-    assert kern["events"] == bench.KERNEL_EVENTS
-    assert kern["events_per_sec"] > 0
-    assert data["benchmarks"]["switch"]["packets"] == bench.SWITCH_PACKETS
-    assert data["benchmarks"]["switch_cached"]["packets"] == bench.SWITCH_PACKETS
-
-    path = tmp_path / "BENCH_unit.json"
-    bench.write_snapshot(data, str(path))
-    loaded = bench.read_snapshot(str(path))
-    assert loaded == data
-
-    assert bench.compare(loaded, loaded) == []
-    slower = {
-        "benchmarks": {
-            "kernel": {"wall_s_min": kern["wall_s_min"] * 2.0},
-        }
-    }
-    problems = bench.compare(loaded, slower, max_regression=0.25)
-    assert len(problems) == 1 and problems[0].startswith("kernel:")
-    # Faster (or merely within threshold) passes.
-    assert bench.compare(slower, loaded, max_regression=0.25) == []
-
-
-def test_bench_cli_writes_snapshot_and_gates(tmp_path, capsys):
-    from repro.cli import main
-    from repro.experiments import bench
-
-    out = tmp_path / "BENCH_t.json"
-    assert main(["bench", "--label", "t", "--rounds", "1", "--out", str(out)]) == 0
-    snapshot = bench.read_snapshot(str(out))
-    assert snapshot["label"] == "t"
-
-    # Gate against an impossible baseline: must fail with exit 1.
-    impossible = dict(snapshot)
-    impossible["benchmarks"] = {
-        name: dict(entry, wall_s_min=entry["wall_s_min"] / 100.0)
-        for name, entry in snapshot["benchmarks"].items()
-    }
-    base_path = tmp_path / "BENCH_base.json"
-    bench.write_snapshot(impossible, str(base_path))
-    out2 = tmp_path / "BENCH_t2.json"
-    assert (
-        main(
-            [
-                "bench",
-                "--label",
-                "t2",
-                "--rounds",
-                "1",
-                "--out",
-                str(out2),
-                "--compare",
-                str(base_path),
-            ]
-        )
-        == 1
-    )
-    captured = capsys.readouterr().out
-    assert "REGRESSIONS" in captured
-
-
-def test_bench_missing_rounds_warn_vs_fail():
-    from repro.experiments import bench
-
-    current = {"benchmarks": {"kernel": {}, "switch": {}, "switch_compiled": {}}}
-    old = ("old", {"benchmarks": {"kernel": {}, "switch": {}}})
-    newer = ("newer", {"benchmarks": {"kernel": {}, "switch_compiled": {}}})
-    # A round missing from ONE baseline is a warning...
-    warnings = bench.missing_round_warnings(current, [old, newer])
-    assert len(warnings) == 2
-    assert "switch_compiled" in warnings[0] and "switch" in warnings[1]
-    # ...but still covered by the other, so not a failure.
-    assert bench.missing_round_failures(current, [old, newer]) == []
-    # A round covered by NO baseline is ungated: a hard failure.
-    failures = bench.missing_round_failures(current, [old])
-    assert len(failures) == 1 and "switch_compiled" in failures[0]
-    # No baselines at all claims no gating — nothing to fail.
-    assert bench.missing_round_failures(current, []) == []
-
-
-def test_bench_cli_fails_on_fully_ungated_round(tmp_path, capsys):
-    from repro.cli import main
-    from repro.experiments import bench
-
-    out = tmp_path / "BENCH_cur.json"
-    assert main(["bench", "--label", "cur", "--rounds", "1", "--out", str(out)]) == 0
-    snapshot = bench.read_snapshot(str(out))
-
-    # A generous baseline (10x slower) that simply lacks one round: no
-    # timing regression is possible, but the missing round must still
-    # turn the exit code nonzero — it is gated by nothing.
-    generous = dict(snapshot)
-    generous["benchmarks"] = {
-        name: dict(entry, wall_s_min=entry["wall_s_min"] * 10.0)
-        for name, entry in snapshot["benchmarks"].items()
-        if name != "switch_sharded"
-    }
-    base_path = tmp_path / "BENCH_base.json"
-    bench.write_snapshot(generous, str(base_path))
-    out2 = tmp_path / "BENCH_cur2.json"
-    code = main(
-        [
-            "bench",
-            "--label",
-            "cur2",
-            "--rounds",
-            "1",
-            "--out",
-            str(out2),
-            "--compare",
-            str(base_path),
-        ]
-    )
-    captured = capsys.readouterr().out
-    assert "REGRESSIONS" not in captured
-    assert "UNGATED BENCHMARKS" in captured
-    assert "switch_sharded" in captured
-    assert code == 1

@@ -1,6 +1,6 @@
 """The scenario registry: the single construction path for everything.
 
-Every experiment, bench round, chaos cell, and shard fabric registers a
+Every experiment, chaos cell, and shard fabric registers a
 :class:`ScenarioSpec`; the CLI and the job service build exclusively
 through the registry.  These tests pin the registry's contracts:
 validation at declaration, admission-grade override checking, pickling
@@ -40,7 +40,6 @@ def test_catalog_names_are_stable_identifiers():
         "microburst/event-driven",
         "table2/rows",
         "figures/sume",
-        "bench/kernel",
         "chaos/frr",
         "chaos/forked-grid",
         "shard/fattree-k4",
@@ -48,6 +47,7 @@ def test_catalog_names_are_stable_identifiers():
     names = scenarios.names()
     for name in expected_somewhere:
         assert name in names
+    assert not [name for name in names if name.startswith("bench/")]
 
 
 def test_spec_validation():

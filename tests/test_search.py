@@ -10,9 +10,7 @@ Satellite guarantees under test:
 * a worker process crash mid-trial respawns the worker and retries the
   trial once,
 * a search submitted through the job service is equivalent to the
-  inline run (same artifact, same best-trial fingerprint),
-* the host-speed-normalized bench gate and the skipped-round summary
-  notes (the PR's CI satellites).
+  inline run (same artifact, same best-trial fingerprint).
 """
 
 import dataclasses
@@ -22,7 +20,6 @@ import os
 import pytest
 
 from repro import scenarios
-from repro.experiments import bench
 from repro.scenarios import ScenarioSpec
 from repro.search import (
     ChoiceDomain,
@@ -428,7 +425,6 @@ class TestRunSearch:
         spec = _landscape_spec(budget=4)
         data = run_search(spec, workers=0, host=True)
         assert set(data["host"]) == {
-            "host_speed",
             "wall_s_total",
             "wall_s_trials",
             "fresh_builds",
@@ -565,82 +561,3 @@ class TestSearchCli:
         )
         assert code == 2
         assert "undeclared knob" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# Bench gate satellites (host normalization + skipped rounds)
-# ----------------------------------------------------------------------
-def _snapshot(label, walls, score=None):
-    data = {
-        "schema": 1,
-        "label": label,
-        "python": "3.12.0",
-        "scheduler": "heap",
-        "benchmarks": {
-            name: {
-                "rounds": 1,
-                "wall_s_min": wall,
-                "wall_s_mean": wall,
-                "wall_s_all": [wall],
-                "events": 100,
-                "events_per_sec": 100 / wall,
-            }
-            for name, wall in walls.items()
-        },
-    }
-    if score is not None:
-        data["host_speed"] = {
-            "iters": 1,
-            "rounds": 3,
-            "wall_s_min": 1.0,
-            "score": score,
-        }
-    return data
-
-
-class TestBenchGateSatellites:
-    def test_host_normalized_gate_forgives_slow_hosts(self):
-        baseline = _snapshot("seed", {"kernel": 1.0}, score=1000.0)
-        current = _snapshot("ci", {"kernel": 1.4}, score=700.0)
-        raw = bench.compare(baseline, current, max_regression=0.25)
-        assert raw and "1.40x" in raw[0]
-        normalized = bench.compare(
-            baseline, current, max_regression=0.25, host_normalize=True
-        )
-        assert normalized == []  # 1.4 s x (700/1000) = 0.98 s vs 1.0 s
-
-    def test_host_normalized_gate_still_catches_code_regressions(self):
-        baseline = _snapshot("seed", {"kernel": 1.0}, score=1000.0)
-        current = _snapshot("ci", {"kernel": 1.4}, score=1000.0)
-        problems = bench.compare(
-            baseline, current, max_regression=0.25, host_normalize=True
-        )
-        assert problems and "host-normalized" in problems[0]
-
-    def test_normalize_without_scores_falls_back_to_raw(self):
-        baseline = _snapshot("seed", {"kernel": 1.0})
-        current = _snapshot("ci", {"kernel": 1.4})
-        problems = bench.compare(
-            baseline, current, max_regression=0.25, host_normalize=True
-        )
-        assert problems and "host-normalized" not in problems[0]
-
-    def test_delta_markdown_shows_raw_and_normalized(self):
-        baseline = _snapshot("seed", {"kernel": 1.0}, score=1000.0)
-        current = _snapshot("ci", {"kernel": 1.4}, score=700.0)
-        table = bench.delta_markdown(
-            current, [("seed", baseline)], max_regression=0.25, normalize=True
-        )
-        row = next(line for line in table if line.startswith("| kernel"))
-        assert "+40.0% / -2.0%" in row
-        assert "⚠" not in row  # the normalized delta is within the gate
-        assert any("raw / host-speed-normalized" in line for line in table)
-
-    def test_skipped_round_notes_list_baseline_only_rounds(self):
-        baseline = _snapshot("seed", {"kernel": 1.0, "legacy": 2.0})
-        current = _snapshot("ci", {"kernel": 1.0})
-        notes = bench.skipped_round_notes(current, [("seed", baseline)])
-        assert len(notes) == 1 and "legacy" in notes[0]
-        table = bench.delta_markdown(current, [("seed", baseline)])
-        assert any("legacy" in line and "absent" in line for line in table)
-        assert bench.skipped_round_notes(baseline, [("ci", current)]) != notes

@@ -1,67 +1,67 @@
-"""cProfile the packet hot path and emit a sorted-cumtime artifact.
+"""cProfile the timed region of a ``perf/`` workload, sorted by cumtime.
 
-Runs one bench round (default: the uncached ``switch`` round — the
-interpreted/compiled pipeline walk under load, see
-``repro.experiments.bench``) under :mod:`cProfile` and writes the
-profile two ways:
+Runs one ``perf/workloads.py`` workload (default ``microburst_sume``:
+every flow uncacheable, so arch/tm/externs/kernel do all the work) the
+way ``perf/child.py`` does — ``setup()`` outside the profile, exactly
+the ``steps()`` calls under :mod:`cProfile`, then ``finish()`` /
+``close()`` — and writes the profile two ways:
 
 * a text report of the top functions sorted by cumulative time (the
-  artifact CI uploads; reviewers read this to see where wall time
-  actually goes before/after a hot-path change), and
+  artifact CI uploads: where wall time goes before/after a change), and
 * optionally the raw ``pstats`` dump for interactive digging
   (``python -m pstats profile.pstats``).
 
 Usage::
 
     PYTHONPATH=src python tools/profile_hotpath.py
-    PYTHONPATH=src python tools/profile_hotpath.py --round switch_cached \
-        --out profile_cached.txt --pstats profile_cached.pstats
+    PYTHONPATH=src python tools/profile_hotpath.py --workload chain_paced \
+        --out profile_chain.txt --pstats profile_chain.pstats
     REPRO_PIPELINE_COMPILE=0 PYTHONPATH=src python tools/profile_hotpath.py
 
 Environment toggles apply as everywhere else: set
 ``REPRO_PIPELINE_COMPILE=0`` / ``REPRO_FLOW_CACHE=0`` to profile the
-interpreted or uncached variants of the same round.
+interpreted or uncached variants of the same workload.  cProfile shifts
+proportions: find candidates here, measure with ``perf/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
-import gc
 import io
+import os
 import pstats
 import sys
+import tempfile
+
+# tools/ may import perf/ (src/ may not): the workloads are the benchmark's.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perf"))
+from workloads import WORKLOAD_CLASSES  # noqa: E402
 
 
-def profile_round(round_name: str, repeats: int) -> cProfile.Profile:
-    """Profile ``repeats`` runs of one bench round; returns the profiler."""
-    from repro.experiments.bench import BENCH_ROUNDS
-
-    try:
-        round_fn = BENCH_ROUNDS[round_name]
-    except KeyError:
-        choices = ", ".join(sorted(BENCH_ROUNDS))
-        raise SystemExit(f"unknown round {round_name!r}; pick from: {choices}")
-
-    round_fn()  # warm up imports, header layouts, compiled walks
+def profile_workload(name: str, seed: int, scale: float = 1.0) -> cProfile.Profile:
+    """Profile one run of a workload's timed region; returns the profiler."""
     profiler = cProfile.Profile()
-    gc.disable()
-    try:
-        profiler.enable()
-        for _ in range(repeats):
-            round_fn()
-        profiler.disable()
-    finally:
-        gc.enable()
+    with tempfile.TemporaryDirectory(prefix="profile-") as tmp:
+        workload = WORKLOAD_CLASSES[name](seed, scale, tmp)
+        try:
+            workload.setup()
+            steps = workload.steps()
+            with profiler:
+                for step in steps:
+                    step()
+            workload.finish()
+        finally:
+            workload.close()
     return profiler
 
 
-def report(profiler: cProfile.Profile, round_name: str, top: int) -> str:
+def report(profiler: cProfile.Profile, name: str, top: int) -> str:
     """The sorted-cumtime text report for the profile."""
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats(pstats.SortKey.CUMULATIVE)
-    buffer.write(f"hot path profile: bench round {round_name!r}\n")
+    buffer.write(f"hot path profile: perf workload {name!r}\n")
     buffer.write(f"(sorted by cumulative time, top {top} functions)\n\n")
     stats.print_stats(top)
     return buffer.getvalue()
@@ -70,17 +70,12 @@ def report(profiler: cProfile.Profile, round_name: str, top: int) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--round",
-        default="switch",
-        help="bench round to profile (see repro.experiments.bench.BENCH_ROUNDS)",
+        "--workload",
+        choices=sorted(WORKLOAD_CLASSES),
+        default="microburst_sume",
+        help="perf/ workload whose timed region is profiled",
     )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="profiled runs of the round after one unprofiled warm-up",
-    )
+    parser.add_argument("--seed", type=int, default=1, help="workload seed")
     parser.add_argument(
         "--top",
         type=int,
@@ -102,8 +97,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    profiler = profile_round(args.round, args.repeats)
-    text = report(profiler, args.round, args.top)
+    profiler = profile_workload(args.workload, args.seed)
+    text = report(profiler, args.workload, args.top)
     sys.stdout.write(text)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as handle:
