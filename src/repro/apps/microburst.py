@@ -85,10 +85,11 @@ class MicroburstDetector(ForwardingProgram):
         # compute flowID = hash(hdr.ip.src ++ hdr.ip.dst)
         flow_id = ip_pair_hash(ip.src, ip.dst, self.flow_buf_size.size)
         # initialize enq & deq metadata for this pkt
+        pkt_len = pkt.total_len
         meta.enq_meta["flowID"] = flow_id
-        meta.enq_meta["pkt_len"] = pkt.total_len
+        meta.enq_meta["pkt_len"] = pkt_len
         meta.deq_meta["flowID"] = flow_id
-        meta.deq_meta["pkt_len"] = pkt.total_len
+        meta.deq_meta["pkt_len"] = pkt_len
         # read buffer occupancy of this flow
         buf_size = self.flow_buf_size.read(flow_id)
         # detect microburst

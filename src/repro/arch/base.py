@@ -52,7 +52,9 @@ TxCallback = Callable[[Packet, int], None]
 class _TmEventHook:
     """Picklable traffic-manager hook firing ``kind`` data-plane events.
 
-    A named callable instead of a closure so whole-switch object graphs
+    Called positionally by the TM (see :data:`repro.tm.traffic_manager.Hook`);
+    builds the :class:`Event` and its ``meta`` once and publishes it.  A
+    named callable instead of a closure so whole-switch object graphs
     survive checkpoint pickling (closures don't pickle).
     """
 
@@ -74,27 +76,7 @@ class _TmEventHook:
         # object graph), so support is re-resolved lazily on first use.
         self._unsupported = None
 
-    def suppresses_cheaply(self) -> bool:
-        """TM precheck: consume the event before it is even built.
-
-        True when the architecture suppresses ``kind`` and nobody is
-        observing — the only externally visible effect is the
-        suppressed counter, recorded here, so the TM can skip the
-        TmEvent construction and the user-meta copy entirely.
-        """
-        unsupported = self._unsupported
-        if unsupported is None:
-            unsupported = self._unsupported = not self.switch.description.supports(
-                self.kind
-            )
-        if unsupported:
-            bus = self.switch.bus
-            if not bus._observers:
-                bus.suppressed[self.kind] += 1
-                return True
-        return False
-
-    def __call__(self, tm_event) -> None:
+    def __call__(self, pkt, port, queue_id, depth_bytes, user_meta) -> None:
         switch = self.switch
         kind = self.kind
         bus = switch.bus
@@ -106,15 +88,19 @@ class _TmEventHook:
             # observable, so skip building the Event and its meta.
             bus.suppressed[kind] += 1
             return
-        meta = dict(tm_event.user_meta)
-        meta.setdefault("pkt_len", tm_event.pkt.total_len)
-        meta["port"] = tm_event.port
-        meta["queue_id"] = tm_event.queue_id
-        meta["qdepth_bytes"] = tm_event.queue_depth_bytes
-        meta["buffer_bytes"] = tm_event.buffer_occupancy_bytes
-        switch.fire_event(
-            Event(kind=kind, time_ps=tm_event.time_ps, pkt=tm_event.pkt, meta=meta)
-        )
+        meta = dict(user_meta) if user_meta else {}
+        if "pkt_len" not in meta:
+            meta["pkt_len"] = pkt.total_len
+        meta["port"] = port
+        meta["queue_id"] = queue_id
+        meta["qdepth_bytes"] = depth_bytes
+        meta["buffer_bytes"] = switch.tm.buffer.occupancy_bytes
+        # Support was decided above from the same description the bus's
+        # admission gate (SwitchBase._admits) consults, so admitted kinds
+        # skip the gate; an unsupported kind only gets here with
+        # observers attached and goes through the gate to be suppressed
+        # in front of them.
+        bus.publish(Event(kind, switch.sim.now_ps, pkt, meta), gated=unsupported)
 
 
 class SwitchContext(ProgramContext):

@@ -178,13 +178,13 @@ class EventMerger:
         self._check_scheduled = False
         if not self.injection_enabled or self._inject_fn is None:
             return
-        if self.pending_count == 0:
+        if self._pending_total == 0:
             return
         events = self.take_for_carrier(piggyback=False)
         if events:
             self.stats.injected_packets += 1
             self._inject_fn(events)
-        if self.pending_count > 0:
+        if self._pending_total > 0:
             # More events than one carrier's slots: keep injecting on
             # subsequent idle cycles.
             self._check_scheduled = True

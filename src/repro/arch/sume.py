@@ -26,7 +26,6 @@ from repro.arch.description import SUME_EVENT_SWITCH, ArchitectureDescription
 from repro.arch.events import Event, EventType
 from repro.arch.generator import GeneratorConfig, PacketGenerator
 from repro.arch.merger import EventMerger
-from repro.packet.headers import Ethernet, EtherType
 from repro.packet.packet import Packet
 from repro.pisa.metadata import StandardMetadata
 from repro.pisa.pipeline import Pipeline
@@ -95,52 +94,62 @@ class SumeEventSwitch(SwitchBase):
     # ------------------------------------------------------------------
     # Pipeline entry and traversal
     # ------------------------------------------------------------------
-    def _enter_pipeline(self, pkt: Packet, kind: Optional[EventType]) -> None:
-        """Attach pending events and start the pipeline traversal.
-
-        ``kind`` is the packet event this carrier represents, or None
-        for an injected empty packet (which carries events only).
-        """
-        events = self.merger.take_for_carrier(piggyback=kind is not None)
+    def _enter_pipeline(self, pkt: Packet, kind: EventType) -> None:
+        """Attach pending events to ``pkt`` and start its traversal."""
+        events = self.merger.take_for_carrier()
         self.sim.call_after(
             self.pipeline.latency_ps, self._pipeline_exit, pkt, kind, events
         )
 
-    #: Outer header of injected empty carriers; cloned per injection so
-    #: the validating constructor runs once, not per empty packet.
-    _CARRIER_ETH = Ethernet(src=0, dst=0, ethertype=int(EtherType.EVENT_METADATA))
-
     def _inject_empty_packet(self, events: List[Event]) -> None:
-        carrier = Packet(
-            headers=[self._CARRIER_ETH.copy()],
-            payload_len=50,  # pad to a 64B minimum frame
-            ts_created_ps=self.sim.now_ps,
-        )
-        carrier.meta["event_carrier"] = 1
+        """The merger's idle-cycle injection: an empty carrier enters.
+
+        On hardware this is a 64B frame of ethertype
+        ``EtherType.EVENT_METADATA``.  Handlers receive only the Event
+        records and have no way to set an egress spec, so the carrier
+        always dies silently after delivery; the model therefore builds
+        no :class:`Packet` for it and schedules just the record delivery
+        at the carrier's pipeline exit.
+        """
         self.empty_packets_injected += 1
-        self.sim.call_after(
-            self.pipeline.latency_ps, self._pipeline_exit, carrier, None, events
-        )
+        self.sim.call_after(self.pipeline.latency_ps, self._carrier_exit, events)
+
+    def _carrier_exit(self, events: List[Event]) -> None:
+        self.pipeline.packets_processed += 1
+        self._deliver(events)
+
+    def _deliver(self, events: List[Event]) -> None:
+        """Run the handlers of the records a carrier brought through.
+
+        With nobody watching, only the handler and the bus's handled
+        counter are observable, so the dispatcher runs inline; with
+        observers attached each record takes the bus's own
+        :meth:`~repro.arch.bus.EventBus.dispatch`, which reports its
+        staleness — merger wait plus pipeline traversal.
+        """
+        bus = self.bus
+        handled = bus.handled
+        run = self._run_handler
+        for event in events:
+            if bus._observers:
+                bus.dispatch(event)
+            elif run(event):
+                handled[event.kind] += 1
 
     def _pipeline_exit(
         self, pkt: Packet, kind: Optional[EventType], events: List[Event]
     ) -> None:
+        if kind is None:
+            # An empty carrier scheduled by an older build, which made
+            # one a Packet; checkpoints taken then still hold this shape.
+            self._carrier_exit(events)
+            return
         self.pipeline.packets_processed += 1
         # Event handlers run first (their metadata words sit ahead of
         # the packet's own headers in the physical layout), then the
-        # packet event's handler.  Dispatching through the bus records
-        # each event's staleness — the merger wait plus the pipeline
-        # traversal — for the observability layer.
+        # packet event's handler.
         if events:
-            dispatch = self.bus.dispatch
-            for event in events:
-                dispatch(event)
-        if kind is None:
-            # Empty carrier: handlers receive only the Event records and
-            # have no way to set an egress spec, so the carrier always
-            # dies silently after delivery — skip the metadata shell and
-            # the steering walk entirely.
-            return
+            self._deliver(events)
         meta = self.meta_pool.acquire(
             ingress_port=pkt.ingress_port,
             packet_length=pkt.total_len,
@@ -149,7 +158,7 @@ class SumeEventSwitch(SwitchBase):
         if pkt.recirculated and kind is EventType.INGRESS_PACKET:
             kind = EventType.RECIRCULATED_PACKET
         self._dispatch_packet_event(kind, pkt, meta)
-        self._steer(pkt, meta, carrier_only=False)
+        self._steer(pkt, meta)
         if getrefcount(meta) == 2:
             # Only this frame still holds the shell (handlers kept no
             # reference), so it can be recycled.
@@ -166,13 +175,10 @@ class SumeEventSwitch(SwitchBase):
     # ------------------------------------------------------------------
     # Steering after the pipeline
     # ------------------------------------------------------------------
-    def _steer(
-        self, pkt: Packet, meta: StandardMetadata, carrier_only: bool
-    ) -> None:
+    def _steer(self, pkt: Packet, meta: StandardMetadata) -> None:
         if meta.egress_spec is None:
-            if not carrier_only:
-                self.dropped_by_program += 1
-            return  # empty carriers die silently unless explicitly steered
+            self.dropped_by_program += 1
+            return
         if meta.dropped:
             self.dropped_by_program += 1
             return

@@ -17,6 +17,10 @@ from repro.packet.headers import Ethernet, Header, Ipv4, Tcp, Udp
 
 _packet_ids = itertools.count()
 
+#: Per-frame wire overhead beyond :attr:`Packet.total_len`: preamble,
+#: start delimiter and inter-frame gap.
+WIRE_OVERHEAD_BYTES = 20
+
 
 @dataclass(frozen=True)
 class FiveTuple:
@@ -126,7 +130,7 @@ class Packet:
     @property
     def wire_len(self) -> int:
         """Bytes occupied on the wire, including preamble + IFG (20B)."""
-        return self.total_len + 20
+        return self.total_len + WIRE_OVERHEAD_BYTES
 
     # ------------------------------------------------------------------
     # Header access

@@ -42,6 +42,10 @@ class Pipeline:
         self.control = control
         self.stage_count = stage_count
         self.clock_mhz = clock_mhz
+        #: Traversal latency: one cycle per stage.  Stage count and clock
+        #: are fixed here and architectures read it on every pipeline
+        #: entry, so it is computed once.
+        self.latency_ps = stage_count * clock_period_ps(clock_mhz)
         self.packets_processed = 0
         # Traversals answered from the flow-decision cache: the packet
         # still crossed the pipeline (latency and packets_processed are
@@ -54,10 +58,11 @@ class Pipeline:
         """Clock period in picoseconds."""
         return clock_period_ps(self.clock_mhz)
 
-    @property
-    def latency_ps(self) -> int:
-        """Traversal latency: one cycle per stage."""
-        return self.stage_count * self.cycle_ps
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        if "latency_ps" not in state:
+            # Pickled before the latency was stored on the instance.
+            self.latency_ps = self.stage_count * self.cycle_ps
 
     def process(self, pkt: Packet, meta: StandardMetadata) -> None:
         """Run the control block on one packet."""

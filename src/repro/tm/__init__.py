@@ -16,10 +16,9 @@ from repro.tm.scheduler import (
     Scheduler,
     StrictPriorityScheduler,
 )
-from repro.tm.traffic_manager import TmEvent, TmEventHooks, TrafficManager
+from repro.tm.traffic_manager import TmEventHooks, TrafficManager
 
 __all__ = [
-    "TmEvent",
     "PacketQueue",
     "QueueStats",
     "SharedBuffer",

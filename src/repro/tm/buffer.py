@@ -9,8 +9,6 @@ paper's AQM application.
 
 from __future__ import annotations
 
-from repro.packet.packet import Packet
-
 
 class SharedBuffer:
     """Global byte budget shared by every queue of a switch."""
@@ -24,28 +22,30 @@ class SharedBuffer:
         self.admitted_packets = 0
         self.rejected_packets = 0
 
-    def fits(self, pkt: Packet) -> bool:
-        """Would ``pkt`` fit in the remaining shared budget?"""
-        return self.occupancy_bytes + pkt.total_len <= self.capacity_bytes
+    def fits(self, size: int) -> bool:
+        """Would ``size`` more bytes fit in the remaining shared budget?"""
+        return self.occupancy_bytes + size <= self.capacity_bytes
 
-    def admit(self, pkt: Packet) -> None:
-        """Charge ``pkt`` against the shared budget."""
-        if not self.fits(pkt):
+    def admit(self, size: int) -> None:
+        """Charge a ``size``-byte packet against the shared budget."""
+        occupancy = self.occupancy_bytes + size
+        if occupancy > self.capacity_bytes:
             raise OverflowError(
                 f"shared buffer overflow: {self.occupancy_bytes}B + "
-                f"{pkt.total_len}B > {self.capacity_bytes}B"
+                f"{size}B > {self.capacity_bytes}B"
             )
-        self.occupancy_bytes += pkt.total_len
+        self.occupancy_bytes = occupancy
         self.admitted_packets += 1
-        self.max_occupancy_bytes = max(self.max_occupancy_bytes, self.occupancy_bytes)
+        if occupancy > self.max_occupancy_bytes:
+            self.max_occupancy_bytes = occupancy
 
-    def release(self, pkt: Packet) -> None:
-        """Return ``pkt``'s bytes to the shared budget."""
-        if self.occupancy_bytes < pkt.total_len:
+    def release(self, size: int) -> None:
+        """Return a ``size``-byte packet's bytes to the shared budget."""
+        if self.occupancy_bytes < size:
             raise ValueError(
-                f"releasing {pkt.total_len}B but only {self.occupancy_bytes}B held"
+                f"releasing {size}B but only {self.occupancy_bytes}B held"
             )
-        self.occupancy_bytes -= pkt.total_len
+        self.occupancy_bytes -= size
 
     def reject(self) -> None:
         """Record an admission failure (buffer overflow drop)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, Optional, Tuple
 
 from repro.packet.packet import Packet
 
@@ -41,9 +41,18 @@ class PacketQueue:
             raise ValueError(f"queue capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self.name = name
-        self._packets: Deque[Packet] = deque()
+        # (packet, size) pairs: the TM reads ``total_len`` once at
+        # enqueue, so ``pop`` need not read it again.
+        self._packets: Deque[Tuple[Packet, int]] = deque()
         self.depth_bytes = 0
         self.stats = QueueStats()
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        packets = self._packets
+        if packets and not isinstance(packets[0], tuple):
+            # Pickled when the queue held bare packets.
+            self._packets = deque((pkt, pkt.total_len) for pkt in packets)
 
     def __len__(self) -> int:
         return len(self._packets)
@@ -53,44 +62,48 @@ class PacketQueue:
         """True when the queue holds no packets."""
         return not self._packets
 
-    def fits(self, pkt: Packet) -> bool:
-        """Would ``pkt`` fit within this queue's own capacity?"""
-        return self.depth_bytes + pkt.total_len <= self.capacity_bytes
+    def fits(self, size: int) -> bool:
+        """Would a ``size``-byte packet fit within this queue's own capacity?"""
+        return self.depth_bytes + size <= self.capacity_bytes
 
-    def push(self, pkt: Packet) -> None:
-        """Enqueue at the tail; caller must have checked :meth:`fits`."""
-        if not self.fits(pkt):
+    def push(self, pkt: Packet, size: int) -> None:
+        """Enqueue ``pkt`` (``size`` = its ``total_len``) at the tail;
+        caller must have checked :meth:`fits`."""
+        depth = self.depth_bytes + size
+        if depth > self.capacity_bytes:
             raise OverflowError(
                 f"queue {self.name!r} overflow: {self.depth_bytes}B + "
-                f"{pkt.total_len}B > {self.capacity_bytes}B"
+                f"{size}B > {self.capacity_bytes}B"
             )
-        self._packets.append(pkt)
-        self.depth_bytes += pkt.total_len
-        self.stats.enqueued_packets += 1
-        self.stats.enqueued_bytes += pkt.total_len
-        self.stats.max_depth_bytes = max(self.stats.max_depth_bytes, self.depth_bytes)
-        self.stats.max_depth_packets = max(
-            self.stats.max_depth_packets, len(self._packets)
-        )
+        packets = self._packets
+        packets.append((pkt, size))
+        self.depth_bytes = depth
+        stats = self.stats
+        stats.enqueued_packets += 1
+        stats.enqueued_bytes += size
+        if depth > stats.max_depth_bytes:
+            stats.max_depth_bytes = depth
+        if len(packets) > stats.max_depth_packets:
+            stats.max_depth_packets = len(packets)
 
     def pop(self) -> Packet:
         """Dequeue from the head; IndexError when empty."""
         if not self._packets:
             raise IndexError(f"pop from empty queue {self.name!r}")
-        pkt = self._packets.popleft()
-        self.depth_bytes -= pkt.total_len
+        pkt, size = self._packets.popleft()
+        self.depth_bytes -= size
         self.stats.dequeued_packets += 1
-        self.stats.dequeued_bytes += pkt.total_len
+        self.stats.dequeued_bytes += size
         return pkt
 
     def peek(self) -> Optional[Packet]:
         """The head packet without removing it, or None when empty."""
-        return self._packets[0] if self._packets else None
+        return self._packets[0][0] if self._packets else None
 
-    def account_drop(self, pkt: Packet) -> None:
-        """Record a drop that was charged against this queue."""
+    def account_drop(self, size: int) -> None:
+        """Record a ``size``-byte drop that was charged against this queue."""
         self.stats.dropped_packets += 1
-        self.stats.dropped_bytes += pkt.total_len
+        self.stats.dropped_bytes += size
 
     def __repr__(self) -> str:
         return (

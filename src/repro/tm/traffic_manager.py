@@ -17,10 +17,10 @@ Responsibilities (paper Figures 1, 2 and 4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.packet.packet import Packet
+from repro.packet.packet import WIRE_OVERHEAD_BYTES, Packet
 from repro.sim.kernel import Simulator
 from repro.sim.units import bytes_to_time_ps
 from repro.tm.buffer import SharedBuffer
@@ -28,25 +28,21 @@ from repro.tm.queues import PacketQueue
 from repro.tm.scheduler import FifoScheduler, PifoScheduler, Scheduler
 
 
-@dataclass(slots=True)
-class TmEvent:
-    """Context passed to traffic-manager event hooks."""
-
-    pkt: Packet
-    port: int
-    queue_id: int
-    queue_depth_bytes: int
-    buffer_occupancy_bytes: int
-    time_ps: int
-    user_meta: Dict[str, int] = field(default_factory=dict)
-
-
-Hook = Callable[[TmEvent], None]
+#: A traffic-manager hook, called positionally as
+#: ``hook(pkt, port, queue_id, depth_bytes, user_meta)`` at the moment of
+#: the transition (``sim.now_ps`` and ``tm.buffer.occupancy_bytes`` are
+#: current).  ``depth_bytes`` is the queue's (enqueue, overflow) or the
+#: port's (dequeue, transmit) depth after the transition; ``user_meta``
+#: is the packet's own ``enq_meta``/``deq_meta`` dict or None — a hook
+#: that keeps it must copy it.
+Hook = Callable[[Packet, int, int, int, Optional[Dict[str, int]]], None]
 
 
 @dataclass
 class TmEventHooks:
-    """Hook points the owning architecture wires to its event threads."""
+    """Hook points the owning architecture wires to its event threads.
+
+    Each is a :data:`Hook`, called positionally at the transition."""
 
     on_enqueue: Optional[Hook] = None
     on_dequeue: Optional[Hook] = None
@@ -215,76 +211,89 @@ class TrafficManager:
             queue_id = port_obj.last_queue
         queue = port_obj.queues[queue_id]
 
+        # The packet's size is read once and handed to every accounting
+        # step (queue, shared buffer) instead of each re-deriving it.
+        size = pkt.total_len
         if port_obj.is_pifo:
-            return self._enqueue_pifo(pkt, port_obj, queue)
+            return self._enqueue_pifo(pkt, size, port_obj, queue)
 
-        if not queue.fits(pkt) or not self.buffer.fits(pkt):
-            self._drop_overflow(pkt, port_obj, queue_id, queue)
+        buffer = self.buffer
+        if not queue.fits(size) or not buffer.fits(size):
+            self._drop_overflow(pkt, size, port_obj, queue_id, queue)
             return False
-        self.buffer.admit(pkt)
-        queue.push(pkt)
+        buffer.admit(size)
+        queue.push(pkt, size)
         pkt.ts_enqueued_ps = self.sim.now_ps
         self.total_enqueued += 1
-        self._fire(
-            self.hooks.on_enqueue,
-            pkt,
-            port_obj.index,
-            queue_id,
-            queue.depth_bytes,
-            pkt.meta.get("enq_meta"),
-        )
+        hook = self.hooks.on_enqueue
+        if hook is not None:
+            hook(
+                pkt,
+                port_obj.index,
+                queue_id,
+                queue.depth_bytes,
+                pkt.meta.get("enq_meta"),
+            )
         self._kick(port_obj)
         return True
 
-    def _enqueue_pifo(self, pkt: Packet, port_obj: _Port, queue: PacketQueue) -> bool:
-        if not self.buffer.fits(pkt):
-            self._drop_overflow(pkt, port_obj, pkt.queue_id, queue)
+    def _enqueue_pifo(
+        self, pkt: Packet, size: int, port_obj: _Port, queue: PacketQueue
+    ) -> bool:
+        buffer = self.buffer
+        if not buffer.fits(size):
+            self._drop_overflow(pkt, size, port_obj, pkt.queue_id, queue)
             return False
         scheduler = port_obj.scheduler
         assert isinstance(scheduler, PifoScheduler)
-        self.buffer.admit(pkt)
+        buffer.admit(size)
         displaced = scheduler.on_enqueue(pkt)
         if displaced is pkt:
             # Rejected: rank no better than the PIFO tail.
-            self.buffer.release(pkt)
-            self._drop_overflow(pkt, port_obj, pkt.queue_id, queue, admitted=False)
+            buffer.release(size)
+            self._drop_overflow(pkt, size, port_obj, pkt.queue_id, queue)
             return False
         pkt.ts_enqueued_ps = self.sim.now_ps
         self.total_enqueued += 1
-        self._fire(
-            self.hooks.on_enqueue,
-            pkt,
-            port_obj.index,
-            pkt.queue_id,
-            scheduler.depth_bytes,
-            pkt.meta.get("enq_meta"),
-        )
+        hook = self.hooks.on_enqueue
+        if hook is not None:
+            hook(
+                pkt,
+                port_obj.index,
+                pkt.queue_id,
+                scheduler.depth_bytes,
+                pkt.meta.get("enq_meta"),
+            )
         if displaced is not None:
             # Pushed out of the tail: a late overflow drop.
-            self.buffer.release(displaced)
-            self._drop_overflow(displaced, port_obj, displaced.queue_id, queue, admitted=False)
+            displaced_size = displaced.total_len
+            buffer.release(displaced_size)
+            self._drop_overflow(
+                displaced, displaced_size, port_obj, displaced.queue_id, queue
+            )
         self._kick(port_obj)
         return True
 
     def _drop_overflow(
         self,
         pkt: Packet,
+        size: int,
         port_obj: _Port,
         queue_id: int,
         queue: PacketQueue,
-        admitted: bool = False,
     ) -> None:
         self.drops_overflow += 1
         self.buffer.reject()
-        queue.account_drop(pkt)
-        self._fire(
-            self.hooks.on_overflow,
-            pkt,
-            port_obj.index,
-            queue_id,
-            queue.depth_bytes,
-            pkt.meta.get("enq_meta"),
-        )
+        queue.account_drop(size)
+        hook = self.hooks.on_overflow
+        if hook is not None:
+            hook(
+                pkt,
+                port_obj.index,
+                queue_id,
+                queue.depth_bytes,
+                pkt.meta.get("enq_meta"),
+            )
 
     def _kick(self, port_obj: _Port) -> None:
         """Start transmitting if the port is idle and has work."""
@@ -293,49 +302,48 @@ class TrafficManager:
         pkt = port_obj.scheduler.dequeue()
         if pkt is None:
             return
-        self.buffer.release(pkt)
+        size = pkt.total_len
+        self.buffer.release(size)
         pkt.ts_dequeued_ps = self.sim.now_ps
         self.total_dequeued += 1
         queue_id = pkt.queue_id
         if queue_id > port_obj.last_queue:
             queue_id = port_obj.last_queue
-        self._fire(
-            self.hooks.on_dequeue,
-            pkt,
-            port_obj.index,
-            queue_id,
-            port_obj.depth_bytes(),
-            pkt.meta.get("deq_meta"),
-        )
-        if not port_obj.has_packets():
-            self._fire(
-                self.hooks.on_underflow,
+        hooks = self.hooks
+        hook = hooks.on_dequeue
+        if hook is not None:
+            hook(
                 pkt,
                 port_obj.index,
                 queue_id,
-                0,
-                {},
+                port_obj.depth_bytes(),
+                pkt.meta.get("deq_meta"),
             )
+        if not port_obj.has_packets():
+            hook = hooks.on_underflow
+            if hook is not None:
+                hook(pkt, port_obj.index, queue_id, 0, None)
         port_obj.busy = True
-        tx_time = bytes_to_time_ps(pkt.wire_len, port_obj.rate_gbps)
+        tx_time = bytes_to_time_ps(size + WIRE_OVERHEAD_BYTES, port_obj.rate_gbps)
         port_obj.busy_time_ps += tx_time
-        self.sim.call_after(tx_time, self._finish_tx, port_obj, pkt)
+        self.sim.call_after(tx_time, self._finish_tx, port_obj, pkt, size)
 
-    def _finish_tx(self, port_obj: _Port, pkt: Packet) -> None:
+    def _finish_tx(
+        self, port_obj: _Port, pkt: Packet, size: Optional[int] = None
+    ) -> None:
+        # The flow fastpath, and checkpoints from before the size was
+        # passed along, schedule this without ``size``.
+        if size is None:
+            size = pkt.total_len
         port_obj.busy = False
         port_obj.tx_packets += 1
-        port_obj.tx_bytes += pkt.total_len
+        port_obj.tx_bytes += size
         queue_id = pkt.queue_id
         if queue_id > port_obj.last_queue:
             queue_id = port_obj.last_queue
-        self._fire(
-            self.hooks.on_transmit,
-            pkt,
-            port_obj.index,
-            queue_id,
-            port_obj.depth_bytes(),
-            {},
-        )
+        hook = self.hooks.on_transmit
+        if hook is not None:
+            hook(pkt, port_obj.index, queue_id, port_obj.depth_bytes(), None)
         if self.egress_callback is not None:
             self.egress_callback(pkt, port_obj.index)
         self._kick(port_obj)
@@ -349,36 +357,6 @@ class TrafficManager:
                 f"TM {self.name!r} port {port} out of range [0, {len(self.ports)})"
             )
         return self.ports[port]
-
-    def _fire(
-        self,
-        hook: Optional[Hook],
-        pkt: Packet,
-        port: int,
-        queue_id: int,
-        depth: int,
-        user_meta: Optional[Dict[str, int]] = None,
-    ) -> None:
-        if hook is None:
-            return
-        # Hooks that can tell the event will be suppressed without
-        # anyone watching (architecture hooks precompute description
-        # support) answer here, before the TmEvent and the user-meta
-        # copy are built — the TM fires several of these per packet.
-        precheck = getattr(hook, "suppresses_cheaply", None)
-        if precheck is not None and precheck():
-            return
-        hook(
-            TmEvent(
-                pkt=pkt,
-                port=port,
-                queue_id=queue_id,
-                queue_depth_bytes=depth,
-                buffer_occupancy_bytes=self.buffer.occupancy_bytes,
-                time_ps=self.sim.now_ps,
-                user_meta=dict(user_meta) if user_meta else {},
-            )
-        )
 
     def __repr__(self) -> str:
         return (

@@ -7,6 +7,8 @@ Satellite guarantees under test:
 * format-1 state written by the removed wheel queue / batched drain
   restores with the identical continuation, and a payload naming a
   removed store class fails as :class:`CheckpointError`,
+* a SUME empty carrier in flight in the shape older builds scheduled
+  (a Packet through ``_pipeline_exit``) resumes to the same result,
 * a microburst run checkpointed mid-simulation and resumed in a
   **fresh process** reaches the same final extern state, detections,
   and event counts as the uninterrupted run.
@@ -27,6 +29,7 @@ from repro.sim.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     CheckpointError,
+    dumps_checkpoint,
     inspect_checkpoint,
     load_checkpoint,
     loads_checkpoint,
@@ -324,3 +327,62 @@ def test_microburst_resumes_identically_in_fresh_process(tmp_path):
     resumed = _run_snippet(_PHASE2, [ckpt])
     straight = _run_snippet(_UNINTERRUPTED, [])
     assert resumed == straight
+
+
+# ----------------------------------------------------------------------
+# A SUME empty carrier in flight, as written before carriers stopped
+# being Packets
+# ----------------------------------------------------------------------
+def _sume_with_carrier_in_flight(legacy: bool):
+    """A SUME switch with one empty carrier between entry and exit.
+
+    ``legacy=True`` schedules the carrier the way older builds did — a
+    64B ``EVENT_METADATA`` Packet through ``_pipeline_exit(pkt, None,
+    events)`` — and drops the pipeline's cached latency, as pickles from
+    before that cache lack it.
+    """
+    from repro.apps.microburst import MicroburstDetector
+    from repro.arch.events import Event, EventType
+    from repro.arch.sume import SumeEventSwitch
+    from repro.packet.headers import Ethernet, EtherType
+    from repro.packet.packet import Packet
+
+    sim = Simulator()
+    switch = SumeEventSwitch(sim)
+    switch.load_program(MicroburstDetector(num_regs=16))
+    events = [
+        Event(EventType.ENQUEUE, 0, None, {"flowID": 3, "pkt_len": 500}),
+        Event(EventType.DEQUEUE, 0, None, {"flowID": 3, "pkt_len": 200}),
+    ]
+    delay = switch.pipeline.latency_ps
+    if legacy:
+        eth = Ethernet(src=0, dst=0, ethertype=int(EtherType.EVENT_METADATA))
+        carrier = Packet(headers=[eth], payload_len=50)
+        carrier.meta["event_carrier"] = 1
+        sim.call_after(delay, switch._pipeline_exit, carrier, None, events)
+        del switch.pipeline.__dict__["latency_ps"]
+    else:
+        sim.call_after(delay, switch._carrier_exit, events)
+    return sim, switch
+
+
+def test_legacy_packet_carrier_in_flight_resumes_identically():
+    sim, switch = _sume_with_carrier_in_flight(legacy=True)
+    restored_sim, restored, _header = loads_checkpoint(
+        dumps_checkpoint(sim, state=switch)
+    )
+    restored_sim.run()
+    reference_sim, reference = _sume_with_carrier_in_flight(legacy=False)
+    reference_sim.run()
+
+    def outcome(sim, switch):
+        return (
+            sim.now_ps,
+            switch.program.flow_buf_size.peek(3),
+            switch.pipeline.packets_processed,
+            dict(switch.bus.handled),
+        )
+
+    assert outcome(restored_sim, restored) == outcome(reference_sim, reference)
+    assert restored.program.flow_buf_size.peek(3) == 300
+    assert restored.pipeline.latency_ps == reference.pipeline.latency_ps

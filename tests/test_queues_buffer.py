@@ -1,5 +1,7 @@
 """Unit tests for packet queues and the shared buffer."""
 
+from collections import deque
+
 import pytest
 
 from repro.packet.builder import make_udp_packet
@@ -12,19 +14,23 @@ def pkt(size_payload=0):
     return make_udp_packet(1, 2, payload_len=size_payload)
 
 
+def push(queue, p):
+    queue.push(p, p.total_len)
+
+
 class TestPacketQueue:
     def test_fifo_order(self):
         queue = PacketQueue(10_000)
         first, second = pkt(), pkt()
-        queue.push(first)
-        queue.push(second)
+        push(queue, first)
+        push(queue, second)
         assert queue.pop() is first
         assert queue.pop() is second
 
     def test_byte_accounting(self):
         queue = PacketQueue(10_000)
         p = pkt(458)  # 500B total
-        queue.push(p)
+        push(queue, p)
         assert queue.depth_bytes == 500
         queue.pop()
         assert queue.depth_bytes == 0
@@ -32,14 +38,28 @@ class TestPacketQueue:
 
     def test_fits_respects_capacity(self):
         queue = PacketQueue(600)
-        queue.push(pkt(458))  # 500B
-        assert not queue.fits(pkt(458))
-        assert queue.fits(pkt(0))  # 64B still fits
+        push(queue, pkt(458))  # 500B
+        assert not queue.fits(500)
+        assert queue.fits(64)  # a minimum frame still fits
 
     def test_push_beyond_capacity_raises(self):
         queue = PacketQueue(100)
         with pytest.raises(OverflowError):
-            queue.push(pkt(458))
+            push(queue, pkt(458))
+
+    def test_state_with_bare_packets_restores_sizes(self):
+        # Queues pickled when they held bare packets, without sizes.
+        queue = PacketQueue(10_000)
+        push(queue, pkt(458))
+        push(queue, pkt(100))
+        state = dict(queue.__dict__)
+        state["_packets"] = deque(p for p, _size in queue._packets)
+        restored = PacketQueue.__new__(PacketQueue)
+        restored.__setstate__(state)
+        restored.pop()
+        assert restored.depth_bytes == 142
+        restored.pop()
+        assert restored.depth_bytes == 0
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
@@ -48,15 +68,15 @@ class TestPacketQueue:
     def test_peek_does_not_remove(self):
         queue = PacketQueue(1_000)
         p = pkt()
-        queue.push(p)
+        push(queue, p)
         assert queue.peek() is p
         assert len(queue) == 1
         assert PacketQueue(10).peek() is None
 
     def test_stats_track_watermarks(self):
         queue = PacketQueue(10_000)
-        queue.push(pkt(458))
-        queue.push(pkt(458))
+        push(queue, pkt(458))
+        push(queue, pkt(458))
         queue.pop()
         assert queue.stats.enqueued_packets == 2
         assert queue.stats.dequeued_packets == 1
@@ -65,7 +85,7 @@ class TestPacketQueue:
 
     def test_drop_accounting(self):
         queue = PacketQueue(100)
-        queue.account_drop(pkt(458))
+        queue.account_drop(500)
         assert queue.stats.dropped_packets == 1
         assert queue.stats.dropped_bytes == 500
 
@@ -77,31 +97,29 @@ class TestPacketQueue:
 class TestSharedBuffer:
     def test_admit_and_release(self):
         buffer = SharedBuffer(1_000)
-        p = pkt(458)
-        buffer.admit(p)
+        buffer.admit(500)
         assert buffer.occupancy_bytes == 500
-        buffer.release(p)
+        buffer.release(500)
         assert buffer.occupancy_bytes == 0
         assert buffer.empty
 
     def test_fits_and_overflow(self):
         buffer = SharedBuffer(600)
-        buffer.admit(pkt(458))
-        assert not buffer.fits(pkt(458))
+        buffer.admit(500)
+        assert not buffer.fits(500)
         with pytest.raises(OverflowError):
-            buffer.admit(pkt(458))
+            buffer.admit(500)
 
     def test_release_more_than_held_raises(self):
         buffer = SharedBuffer(1_000)
         with pytest.raises(ValueError):
-            buffer.release(pkt(458))
+            buffer.release(500)
 
     def test_high_water_mark(self):
         buffer = SharedBuffer(10_000)
-        a, b = pkt(458), pkt(458)
-        buffer.admit(a)
-        buffer.admit(b)
-        buffer.release(a)
+        buffer.admit(500)
+        buffer.admit(500)
+        buffer.release(500)
         assert buffer.max_occupancy_bytes == 1_000
         assert buffer.occupancy_bytes == 500
 

@@ -19,6 +19,10 @@ def pkt(payload=0, queue_id=0, priority=0):
     return p
 
 
+def push(queue, p):
+    queue.push(p, p.total_len)
+
+
 def make_queues(n, capacity=100_000):
     return [PacketQueue(capacity, name=f"q{i}") for i in range(n)]
 
@@ -28,8 +32,8 @@ class TestFifo:
         queues = make_queues(1)
         sched = FifoScheduler(queues)
         a, b = pkt(), pkt()
-        queues[0].push(a)
-        queues[0].push(b)
+        push(queues[0], a)
+        push(queues[0], b)
         assert sched.dequeue() is a
         assert sched.dequeue() is b
         assert sched.dequeue() is None
@@ -45,8 +49,8 @@ class TestStrictPriority:
         sched = StrictPriorityScheduler(queues)
         low = pkt()
         high = pkt()
-        queues[1].push(low)
-        queues[0].push(high)
+        push(queues[1], low)
+        push(queues[0], high)
         assert sched.dequeue() is high
         assert sched.dequeue() is low
 
@@ -54,8 +58,8 @@ class TestStrictPriority:
         queues = make_queues(2)
         sched = StrictPriorityScheduler(queues)
         for _ in range(3):
-            queues[0].push(pkt())
-        queues[1].push(pkt())
+            push(queues[0], pkt())
+        push(queues[1], pkt())
         order = [0 if sched.select() == 0 else 1 for _ in range(3)
                  if sched.dequeue() is not None]
         assert 1 not in order[:2]
@@ -68,9 +72,9 @@ class TestDrr:
         queues = make_queues(2)
         sched = DeficitRoundRobinScheduler(queues, quantum_bytes=1_500)
         for _ in range(20):
-            queues[0].push(pkt(1_458))  # 1500B total
+            push(queues[0], pkt(1_458))  # 1500B total
         for _ in range(60):
-            queues[1].push(pkt(458))  # 500B total
+            push(queues[1], pkt(458))  # 500B total
         served = {0: 0, 1: 0}
         for _ in range(30):
             packet = sched.dequeue()
@@ -83,7 +87,7 @@ class TestDrr:
     def test_drains_to_empty(self):
         queues = make_queues(2)
         sched = DeficitRoundRobinScheduler(queues, quantum_bytes=100)
-        queues[0].push(pkt(1_436))
+        push(queues[0], pkt(1_436))
         assert sched.dequeue() is not None
         assert sched.dequeue() is None
 

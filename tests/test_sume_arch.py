@@ -1,15 +1,24 @@
 """Unit tests for the SUME Event Switch (paper Figure 4)."""
 
 
+import dataclasses
+
 from repro.arch.description import FULL_EVENT_SWITCH
 from repro.arch.events import EventType
 from repro.arch.generator import GeneratorConfig
 from repro.arch.program import P4Program, handler
 from repro.arch.sume import SumeEventSwitch
+from repro.experiments.microburst_exp import (
+    finish_event_driven,
+    prepare_event_driven,
+)
+from repro.obs import EventCounters
+from repro.packet import packet as packet_module
 from repro.packet.builder import make_udp_packet
-from repro.packet.headers import Ethernet, EtherType
 from repro.pisa.externs.register import SharedRegister
 from repro.sim.kernel import Simulator
+from repro.sim.shard import attach_recorders
+from repro.sim.units import MILLISECONDS
 
 
 class EventSink(P4Program):
@@ -204,21 +213,179 @@ def test_full_description_enables_underflow():
     assert program.underflows == 1
 
 
-def test_injected_carrier_is_event_metadata_frame():
+def test_injected_carriers_are_counted_not_allocated():
     sim, switch, program = make_switch()
-    carriers = []
-    original_exit = switch._pipeline_exit
-
-    def spy(pkt, kind, events):
-        if kind is None:
-            carriers.append(pkt)
-        original_exit(pkt, kind, events)
-
-    switch._pipeline_exit = spy
+    first_id = next(packet_module._packet_ids)
     switch.receive(make_udp_packet(1, 2), 0)
     sim.run()
-    assert carriers, "expected at least one injected carrier"
-    eth = carriers[0].get(Ethernet)
-    assert eth is not None
-    assert eth.ethertype == int(EtherType.EVENT_METADATA)
-    assert carriers[0].total_len == 64
+    injected = switch.empty_packets_injected
+    assert injected > 0
+    assert injected == switch.merger.stats.injected_packets
+    # Every carrier is one pipeline traversal, like the data packet.
+    assert switch.pipeline.packets_processed == injected + 1
+    # Only the data packet took a packet id: carriers are not Packets.
+    assert next(packet_module._packet_ids) == first_id + 2
+
+
+# ----------------------------------------------------------------------
+# Observer equivalence: attaching an observer mid-run changes nothing
+# ----------------------------------------------------------------------
+def bus_counts(switch):
+    bus = switch.bus
+    return {
+        name: {kind.value: n for kind, n in getattr(bus, name).items() if n}
+        for name in ("fired", "suppressed", "handled", "dropped")
+    }
+
+
+def attach_counters(switches):
+    """One EventCounters on every bus, plus each bus's counts at attach."""
+    counters = EventCounters()
+    baseline = {}
+    for name, switch in switches.items():
+        switch.bus.add_observer(counters)
+        baseline[name] = bus_counts(switch)
+    return counters, baseline
+
+
+def assert_counters_saw_the_rest(counters, baseline, switches):
+    """The observer's counts are exactly the bus deltas since attach."""
+    totals = {name: {} for name in ("fired", "suppressed", "handled", "dropped")}
+    for name, switch in switches.items():
+        after = bus_counts(switch)
+        for field, kinds in after.items():
+            for kind, n in kinds.items():
+                delta = n - baseline[name][field].get(kind, 0)
+                totals[field][kind] = totals[field].get(kind, 0) + delta
+    seen = counters.as_dict()
+    for kind, row in seen.items():
+        assert row["published"] == totals["fired"].get(kind, 0) + totals[
+            "suppressed"
+        ].get(kind, 0)
+        assert row["suppressed"] == totals["suppressed"].get(kind, 0)
+        assert row["handled"] == totals["handled"].get(kind, 0)
+        assert row["dropped"] == totals["dropped"].get(kind, 0)
+
+
+def run_microburst(observe: bool):
+    setup = prepare_event_driven(
+        duration_ps=2 * MILLISECONDS, background_senders=3, seed=1
+    )
+    network = setup.network
+    recorders = attach_recorders(network)
+    counters = None
+    if observe:
+        network.run(until_ps=setup.duration_ps // 2)
+        counters, baseline = attach_counters(network.switches)
+    result = finish_event_driven(setup)
+    if observe:
+        assert counters.total_published() > 0
+        assert_counters_saw_the_rest(counters, baseline, network.switches)
+    return {
+        "arrivals": {name: rec.arrivals for name, rec in recorders.items()},
+        "result": dataclasses.asdict(result),
+        "detections": [
+            dataclasses.astuple(d) for d in setup.detector.detections
+        ],
+        "merger": {
+            name: dataclasses.asdict(sw.merger.stats)
+            for name, sw in network.switches.items()
+        },
+        "bus": {name: bus_counts(sw) for name, sw in network.switches.items()},
+    }
+
+
+def test_microburst_identical_with_observer_attached_mid_run():
+    bare = run_microburst(observe=False)
+    observed = run_microburst(observe=True)
+    assert bare["merger"]["s0"]["injected_packets"] > 0
+    assert bare["result"]["detections_total"] > 0
+    assert observed == bare
+
+
+class FullEventRecorder(P4Program):
+    """Forward on port 1; record every buffer and transmit event."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    @handler(EventType.INGRESS_PACKET)
+    def ingress(self, ctx, pkt, meta):
+        meta.send_to_port(1)
+
+    def record(self, ctx, event):
+        self.log.append((event.kind.value, event.time_ps, ctx.now_ps, event.meta))
+
+    @handler(EventType.ENQUEUE)
+    def on_enqueue(self, ctx, event):
+        self.record(ctx, event)
+
+    @handler(EventType.DEQUEUE)
+    def on_dequeue(self, ctx, event):
+        self.record(ctx, event)
+
+    @handler(EventType.BUFFER_OVERFLOW)
+    def on_overflow(self, ctx, event):
+        self.record(ctx, event)
+
+    @handler(EventType.BUFFER_UNDERFLOW)
+    def on_underflow(self, ctx, event):
+        self.record(ctx, event)
+
+    @handler(EventType.PACKET_TRANSMITTED)
+    def on_transmit(self, ctx, event):
+        self.record(ctx, event)
+
+
+def run_full_event_switch(observe: bool):
+    sim = Simulator()
+    switch = SumeEventSwitch(
+        sim,
+        description=FULL_EVENT_SWITCH,
+        queue_capacity_bytes=2_000,
+        merger_queue_capacity=2,
+    )
+    program = FullEventRecorder()
+    switch.load_program(program)
+    sent = []
+    switch.set_tx_callback(lambda pkt, port: sent.append((sim.now_ps, pkt.total_len)))
+    # Three bursts of back-to-back 500B frames: each overflows the 2 kB
+    # queue and the 2-deep merger queues, and drains to underflow.
+    for burst in range(3):
+        for i in range(8):
+            sim.call_at(
+                burst * 20_000_000 + i * 1_000,
+                switch.receive,
+                make_udp_packet(1, 2, payload_len=458),
+                0,
+            )
+    counters = None
+    if observe:
+        sim.run(until_ps=25_000_000)
+        counters, baseline = attach_counters({"sw": switch})
+    sim.run()
+    if observe:
+        assert_counters_saw_the_rest(counters, baseline, {"sw": switch})
+    return {
+        "sent": sent,
+        "log": program.log,
+        "merger": dataclasses.asdict(switch.merger.stats),
+        "bus": bus_counts(switch),
+        "tm": (switch.tm.drops_overflow, switch.tm.total_dequeued),
+    }
+
+
+def test_full_event_switch_identical_with_observer_attached_mid_run():
+    bare = run_full_event_switch(observe=False)
+    observed = run_full_event_switch(observe=True)
+    kinds = {kind for kind, *_ in bare["log"]}
+    assert kinds == {
+        "buffer_enqueue",
+        "buffer_dequeue",
+        "buffer_overflow",
+        "buffer_underflow",
+        "packet_transmitted",
+    }
+    assert bare["merger"]["dropped"] > 0
+    assert observed == bare

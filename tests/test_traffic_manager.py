@@ -60,10 +60,18 @@ def test_hooks_fire_in_order_with_metadata():
     tm = make_tm(sim)
     tm.set_egress_callback(lambda pkt, port: None)
     events = []
-    tm.hooks.on_enqueue = lambda ev: events.append(("enq", ev.queue_depth_bytes))
-    tm.hooks.on_dequeue = lambda ev: events.append(("deq", ev.queue_depth_bytes))
-    tm.hooks.on_transmit = lambda ev: events.append(("tx", ev.time_ps))
-    tm.hooks.on_underflow = lambda ev: events.append(("under", 0))
+    tm.hooks.on_enqueue = lambda pkt, port, qid, depth, meta: events.append(
+        ("enq", depth)
+    )
+    tm.hooks.on_dequeue = lambda pkt, port, qid, depth, meta: events.append(
+        ("deq", depth)
+    )
+    tm.hooks.on_transmit = lambda pkt, port, qid, depth, meta: events.append(
+        ("tx", sim.now_ps)
+    )
+    tm.hooks.on_underflow = lambda pkt, port, qid, depth, meta: events.append(
+        ("under", depth)
+    )
     pkt = routed_pkt(payload=458)
     tm.enqueue(pkt)
     sim.run()
@@ -78,8 +86,12 @@ def test_user_metadata_propagates_to_hooks():
     tm = make_tm(sim)
     tm.set_egress_callback(lambda pkt, port: None)
     seen = {}
-    tm.hooks.on_enqueue = lambda ev: seen.update(enq=dict(ev.user_meta))
-    tm.hooks.on_dequeue = lambda ev: seen.update(deq=dict(ev.user_meta))
+    tm.hooks.on_enqueue = lambda pkt, port, qid, depth, meta: seen.update(
+        enq=dict(meta)
+    )
+    tm.hooks.on_dequeue = lambda pkt, port, qid, depth, meta: seen.update(
+        deq=dict(meta)
+    )
     pkt = routed_pkt(enq_meta={"flowID": 7, "pkt_len": 500},
                      deq_meta={"flowID": 7, "pkt_len": 500})
     tm.enqueue(pkt)
@@ -92,7 +104,9 @@ def test_queue_overflow_drops_and_fires_hook():
     sim = Simulator()
     tm = make_tm(sim, queue_capacity_bytes=1_000, port_rate_gbps=0.001)
     drops = []
-    tm.hooks.on_overflow = lambda ev: drops.append(ev.pkt.pkt_id)
+    tm.hooks.on_overflow = lambda pkt, port, qid, depth, meta: drops.append(
+        pkt.pkt_id
+    )
     admitted = 0
     for _ in range(5):
         if tm.enqueue(routed_pkt(payload=458)):  # 500B each
