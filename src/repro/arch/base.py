@@ -100,7 +100,7 @@ class _TmEventHook:
         # skip the gate; an unsupported kind only gets here with
         # observers attached and goes through the gate to be suppressed
         # in front of them.
-        bus.publish(Event(kind, switch.sim.now_ps, pkt, meta), gated=unsupported)
+        bus.publish(Event(kind, switch.sim._get_now(), pkt, meta), gated=unsupported)
 
 
 class SwitchContext(ProgramContext):
@@ -163,13 +163,12 @@ class SwitchBase:
         self.name = name
         self.parser = parser or standard_parser()
         # The central event path: sources publish here, the architecture
-        # subscribes its routing hook, and the program handler runs via
-        # the bus's dispatcher.  Passing a shared bus merges accounting
-        # across switches; the default is one bus per switch.
+        # subclass subscribes its routing hook, and the program handler
+        # runs via the bus's dispatcher.  Passing a shared bus merges
+        # accounting across switches; the default is one bus per switch.
         self.bus = bus or EventBus(sim, name=f"{name}.bus")
         self.bus.set_admission(self._admits)
         self.bus.set_dispatcher(self._run_handler)
-        self.bus.subscribe(self._route_event)
         self.tm = TrafficManager(
             sim,
             port_count=description.port_count,
@@ -187,8 +186,7 @@ class SwitchBase:
         self.tm.hooks.on_transmit = self._tm_hook(EventType.PACKET_TRANSMITTED)
         self.tm.fastpath_disrupt = self.fastpath_disrupt
         self.program: Optional[P4Program] = None
-        self._shared_regs: tuple = ()
-        self._event_handlers: Dict[EventType, Callable] = {}
+        self._bind_handlers()
         self.ctx = SwitchContext(self)
         self.meta_pool = MetadataPool()
         self._tx_callback: Optional[TxCallback] = None
@@ -214,12 +212,13 @@ class SwitchBase:
         # The flow-decision cache (repro.pisa.flowcache): memoizes the
         # per-packet pipeline walk behind generation vectors and purity
         # detection.  ``flow_cache=`` overrides the REPRO_FLOW_CACHE
-        # environment default (on).
+        # environment default (on); see _seat_flow_cache for parking.
         if flow_cache is None:
             flow_cache = env_enabled()
         self.flow_cache: Optional[FlowCache] = (
             FlowCache(sim, name=name) if flow_cache else None
         )
+        self._parked_flow_cache: Optional[FlowCache] = None
         # Compiled pipeline specialization (repro.pisa.compile): the
         # packet-event dispatch is exec-generated against the loaded
         # program on the first dispatch after a load.  ``compile=``
@@ -268,28 +267,39 @@ class SwitchBase:
                 f"programming model and cannot host shared_register(s): {names}"
             )
         self.program = program
-        # shared_registers() rebuilds its list per call; _set_thread runs
-        # twice per handled event, so snapshot the (load-time-fixed) set.
-        # The handler map is likewise fixed at load: _run_handler reads
-        # it directly instead of calling handler_for per event.
-        self._shared_regs = tuple(program.shared_registers())
-        self._event_handlers = program._handlers
+        self._bind_handlers()
         # A (re)load voids any compiled dispatch; warm-up restarts and
         # the dispatch regenerates against the new program.
         if self.pipeline_compile:
             self._compiled = None
             self._compile_countdown = self.COMPILE_WARMUP
-        if self.flow_cache is not None:
-            # (Re)binding a program starts the memo cold and rediscovers
-            # the generation-vector dependencies (tables, versioned
-            # route dicts) and the externs to shim during recording.
-            self.flow_cache.attach(program)
+        self._seat_flow_cache()
         if self.flow_fastpath is not None:
             # Fused paths memoize this switch's cached decisions; a new
             # program voids them (interior hops are caught by the
             # attach-epoch in the path generation vector).
             self.flow_fastpath.clear()
         program.on_load(self.ctx)
+
+    def _seat_flow_cache(self) -> None:
+        """Attach the flow cache to the loaded program, starting cold, or
+        park it unbound while the program declares a shared_register.
+
+        Parking saves a per-packet ``flow_key`` and lookup on flows that
+        read shared state.  It is safe because cache on ≡ cache off is
+        the cache's contract, and shared registers load only on event
+        architectures, which never fuse.
+        """
+        cache = self.flow_cache
+        if cache is None:
+            # FlowCache defines __len__, so no `or`: an empty cache is falsy.
+            cache = self._parked_flow_cache
+        if cache is None:
+            return
+        parked = bool(self._shared_regs)
+        cache.attach(None if parked else self.program)
+        self.flow_cache = None if parked else cache
+        self._parked_flow_cache = cache if parked else None
 
     def require_program(self) -> P4Program:
         """The loaded program; raises if none is loaded."""
@@ -463,23 +473,35 @@ class SwitchBase:
         """How an admitted event reaches the program; subclasses override."""
         raise NotImplementedError
 
+    def _bind_handlers(self) -> None:
+        """Snapshot the program's shared registers and its ``kind →
+        (handler, thread tag)`` table, read by :meth:`_run_handler`."""
+        program = self.program
+        if program is None:
+            self._shared_regs, self._event_handlers = (), {}
+            return
+        self._shared_regs = tuple(program.shared_registers())
+        self._event_handlers = {
+            kind: (fn, kind.value) for kind, fn in program._handlers.items()
+        }
+
     def _run_handler(self, event: Event) -> bool:
         """The bus's dispatcher: run the handler for a non-pipeline event."""
-        fn = self._event_handlers.get(event.kind)
-        if fn is None:
+        bound = self._event_handlers.get(event.kind)
+        if bound is None:
             return False
+        fn, thread = bound
         regs = self._shared_regs
         if not regs:
             fn(self.ctx, event)
             return True
-        value = event.kind.value
         for reg in regs:
-            reg.set_thread(value)
+            reg._thread = thread
         try:
             fn(self.ctx, event)
         finally:
             for reg in regs:
-                reg.set_thread(None)
+                reg._thread = None
         return True
 
     def _dispatch_packet_event(
@@ -511,27 +533,29 @@ class SwitchBase:
                 return
             bus.fired[kind] += 1
             fn = program.handler_for(kind)
-            if fn is None:
-                return
-            cache = self.flow_cache
-            if cache is not None:
-                key = cache.flow_key(kind, pkt, meta)
-                entry = cache.lookup(key)
-                if entry is not None:
-                    if entry is UNCACHEABLE:
-                        # Known-impure flow: the walk runs in full.
-                        self._set_thread(kind.value)
-                        try:
-                            fn(self.ctx, pkt, meta)
-                        finally:
-                            self._set_thread(None)
-                    else:
-                        cache.replay(entry, pkt, meta)
-                        pipeline = self._pipeline_for_kind(kind)
-                        if pipeline is not None:
-                            pipeline.walks_elided += 1
-                    bus.handled[kind] += 1
-                    return
+            if fn is not None:
+                self._run_walk(fn, kind, pkt, meta)
+                bus.handled[kind] += 1
+            return
+        event = Event(kind=kind, time_ps=self.sim.now_ps, pkt=pkt)
+        bus.publish(event, route=False, gated=False)
+        fn = program.handler_for(kind)
+        if fn is not None:
+            # Observers still see every publish/delivery; only the
+            # behavioral walk may be answered from the memo.
+            self._run_walk(fn, kind, pkt, meta)
+        bus.delivered(event, handled=fn is not None)
+
+    def _run_walk(
+        self, fn, kind: EventType, pkt: Packet, meta: StandardMetadata
+    ) -> None:
+        """Run one packet-event handler, through the flow-decision cache
+        when one is attached."""
+        cache = self.flow_cache
+        if cache is not None:
+            key = cache.flow_key(kind, pkt, meta)
+            entry = cache.lookup(key)
+            if entry is None:
                 # First traversal of this flow: run it under the
                 # recording harness and memoize the decision.
                 rec, rctx, rmeta = cache.begin(self.ctx, pkt, meta)
@@ -544,64 +568,19 @@ class SwitchBase:
                 finally:
                     self._set_thread(None)
                 cache.commit(rec, key, pkt, meta)
-                bus.handled[kind] += 1
                 return
-            self._set_thread(kind.value)
-            try:
-                fn(self.ctx, pkt, meta)
-            finally:
-                self._set_thread(None)
-            bus.handled[kind] += 1
-            return
-        event = Event(kind=kind, time_ps=self.sim.now_ps, pkt=pkt)
-        bus.publish(event, route=False, gated=False)
-        fn = program.handler_for(kind)
-        if fn is None:
-            bus.delivered(event, handled=False)
-            return
-        cache = self.flow_cache
-        if cache is not None:
-            # Observers still see every publish/delivery; only the
-            # behavioral walk is answered from the memo.
-            self._cached_run(cache, fn, kind, pkt, meta)
-            bus.delivered(event, handled=True)
-            return
+            if entry is not UNCACHEABLE:
+                cache.replay(entry, pkt, meta)
+                pipeline = self._pipeline_for_kind(kind)
+                if pipeline is not None:
+                    pipeline.walks_elided += 1
+                return
+        # No cache, or a known-impure flow: the walk runs in full.
         self._set_thread(kind.value)
         try:
             fn(self.ctx, pkt, meta)
         finally:
             self._set_thread(None)
-        bus.delivered(event, handled=True)
-
-    def _cached_run(
-        self, cache, fn, kind: EventType, pkt: Packet, meta: StandardMetadata
-    ) -> None:
-        """Run one packet-event handler through the flow-decision cache."""
-        key = cache.flow_key(kind, pkt, meta)
-        entry = cache.lookup(key)
-        if entry is not None:
-            if entry is UNCACHEABLE:
-                self._set_thread(kind.value)
-                try:
-                    fn(self.ctx, pkt, meta)
-                finally:
-                    self._set_thread(None)
-            else:
-                cache.replay(entry, pkt, meta)
-                pipeline = self._pipeline_for_kind(kind)
-                if pipeline is not None:
-                    pipeline.walks_elided += 1
-            return
-        rec, rctx, rmeta = cache.begin(self.ctx, pkt, meta)
-        self._set_thread(kind.value)
-        try:
-            fn(rctx, pkt, rmeta)
-        except BaseException:
-            cache.abort(rec)
-            raise
-        finally:
-            self._set_thread(None)
-        cache.commit(rec, key, pkt, meta)
 
     def _maybe_compile(self):
         """Resolve a pending compile: specialize the dispatch for the
@@ -633,7 +612,7 @@ class SwitchBase:
 
     def _set_thread(self, thread: Optional[str]) -> None:
         for reg in self._shared_regs:
-            reg.set_thread(thread)
+            reg._thread = thread
 
     # ------------------------------------------------------------------
     # State introspection (checkpoint manifests and reports)
@@ -682,7 +661,18 @@ class SwitchBase:
         # switch recompiles lazily on its first dispatch.
         if state.get("_compiled"):
             state["_compiled"] = None
+        # Derived from the program; rebuilt by __setstate__.
+        del state["_event_handlers"]
         return state
+
+    def __setstate__(self, state) -> None:
+        # Older checkpoints hold the raw handler dict and no parked
+        # cache, maybe with a shared_register program's cache attached.
+        self.__dict__.update(state)
+        self._bind_handlers()
+        self.__dict__.setdefault("_parked_flow_cache", None)
+        if self._shared_regs and self.flow_cache is not None:
+            self._seat_flow_cache()
 
     # ------------------------------------------------------------------
     # Transmission

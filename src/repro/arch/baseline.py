@@ -37,6 +37,7 @@ class BaselinePsaSwitch(SwitchBase):
         **kwargs,
     ) -> None:
         super().__init__(sim, description, name=name, **kwargs)
+        self.bus.subscribe(self._route_event)
         self.ingress_pipeline = Pipeline(
             f"{name}.ingress",
             self._run_ingress,

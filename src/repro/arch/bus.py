@@ -95,6 +95,7 @@ class EventBus:
         self._admission: Optional[AdmissionFn] = None
         self._subscribers: Dict[EventType, List[Subscriber]] = {}
         self._wildcard: List[Subscriber] = []
+        self._bind_routes()
         self._dispatcher: Optional[DispatcherFn] = None
         self._observers: List[BusObserver] = list(EventBus._global_observers)
         #: Bumped on every observer attach/detach; the flow fastpath
@@ -119,9 +120,18 @@ class EventBus:
         """Route admitted events to ``fn`` (all kinds when ``kinds`` is None)."""
         if kinds is None:
             self._wildcard.append(fn)
-            return
-        for kind in kinds:
-            self._subscribers.setdefault(kind, []).append(fn)
+        else:
+            for kind in kinds:
+                self._subscribers.setdefault(kind, []).append(fn)
+        self._bind_routes()
+
+    def _bind_routes(self) -> None:
+        """Per kind, the subscribers :meth:`publish` calls, in order."""
+        wildcard = tuple(self._wildcard)
+        self._routes: Dict[EventType, tuple] = {
+            kind: tuple(self._subscribers.get(kind, ())) + wildcard
+            for kind in EventType
+        }
 
     def add_observer(self, observer: BusObserver) -> None:
         """Attach an observer to this bus only."""
@@ -166,9 +176,7 @@ class EventBus:
             return False
         self.fired[event.kind] += 1
         if route:
-            for fn in self._subscribers.get(event.kind, ()):
-                fn(event)
-            for fn in self._wildcard:
+            for fn in self._routes[event.kind]:
                 fn(event)
         return True
 
@@ -208,6 +216,16 @@ class EventBus:
     def published_total(self) -> int:
         """Events published so far, admitted or not."""
         return sum(self.fired.values()) + sum(self.suppressed.values())
+
+    # The route table is derived: not pickled, rebuilt on unpickle.
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_routes"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._bind_routes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -94,7 +94,7 @@ class Event:
     time_ps: int
     pkt: Optional[Packet] = None
     meta: Dict[str, int] = field(default_factory=dict)
-    event_id: int = field(default_factory=lambda: next(_event_ids))
+    event_id: int = field(default_factory=_event_ids.__next__)
 
     def require_pkt(self) -> Packet:
         """The event's packet; raises if this event kind carries none."""

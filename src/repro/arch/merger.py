@@ -149,22 +149,26 @@ class EventMerger:
         taken: List[Event] = []
         live = self._live
         slots = self.slots_per_kind
-        for kind in sorted(live, key=_KIND_ORDER.__getitem__):
+        # One live kind (the common case) needs no ordering.
+        kinds = list(live) if len(live) == 1 else sorted(live, key=_KIND_ORDER.get)
+        for kind in kinds:
             queue = self._pending[kind]
-            take_n = min(slots, len(queue))
-            taken += queue[:take_n]
-            del queue[:take_n]
-            if not queue:
+            if len(queue) <= slots:
+                taken += queue
+                queue.clear()
                 live.discard(kind)
+            else:
+                taken += queue[:slots]
+                del queue[:slots]
         count = len(taken)
         self._pending_total -= count
-        now = self.sim.now_ps
         stats = self.stats
         stats.delivered += count
-        wait_ps = 0
+        # Σ (now - time_ps) over the taken records, as now·count - Σ time_ps.
+        fired_ps = 0
         for event in taken:
-            wait_ps += now - event.time_ps
-        stats.total_wait_ps += wait_ps
+            fired_ps += event.time_ps
+        stats.total_wait_ps += self.sim._get_now() * count - fired_ps
         if piggyback:
             stats.piggybacked += count
         else:

@@ -63,6 +63,7 @@ class SumeEventSwitch(SwitchBase):
         )
         self.merger.set_inject_fn(self._inject_empty_packet)
         self.merger.set_drop_fn(self.bus.drop)
+        self.bus.subscribe(self.merger.offer)
         self.generator = PacketGenerator(sim, self.inject_generated)
         self.tm.set_egress_callback(self._after_tm)
         self.recirculations = 0
@@ -210,7 +211,8 @@ class SumeEventSwitch(SwitchBase):
     # Event routing: everything goes through the Event Merger
     # ------------------------------------------------------------------
     def _route_event(self, event: Event) -> None:
-        """Bus subscriber: admitted events wait in the merger for a carrier."""
+        """The bus subscriber of checkpoints written before the switch
+        subscribed :meth:`EventMerger.offer` directly."""
         self.merger.offer(event)
 
     # ------------------------------------------------------------------

@@ -293,6 +293,15 @@ def _flow_cache_rows(caches) -> List[str]:
     """Per-switch hit/miss/invalidation rows plus an aggregate line."""
     if not caches:
         return ["flow cache disabled (REPRO_FLOW_CACHE=0 or flow_cache=False)"]
+    attached = [cache for cache in caches if cache.attached]
+    parked = len(caches) - len(attached)
+    note = [
+        f"flow cache not attached on {parked} switch(es): the program "
+        "declares a shared_register (or none is loaded)"
+    ] if parked else []
+    if not attached:
+        return note
+    caches = attached
     header = (
         f"{'switch':<16}{'hits':>10}{'misses':>10}{'uncacheable':>13}"
         f"{'invalidated':>13}{'evicted':>9}{'hit rate':>10}"
@@ -316,7 +325,7 @@ def _flow_cache_rows(caches) -> List[str]:
         f"{totals['uncacheable']:>13}{totals['invalidations']:>13}"
         f"{totals['evictions']:>9}{rate:>10.1%}"
     )
-    return rows
+    return rows + note
 
 
 def _fastpath_rows(fastpaths) -> List[str]:

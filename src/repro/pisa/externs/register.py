@@ -168,17 +168,34 @@ class SharedRegister(Register):
                 self.accesses_by_thread.get(self._thread, 0) + 1
             )
 
+    # read/add run per event record, so each is one frame: _account,
+    # _check and Register's body inlined, in that order.
     def read(self, index: int) -> int:
-        self._account()
-        return super().read(index)
+        thread = self._thread
+        if thread is not None:
+            counts = self.accesses_by_thread
+            counts[thread] = counts.get(thread, 0) + 1
+        if not 0 <= index < self.size:
+            self._check(index)
+        self.read_count += 1
+        return self._cells[index]
 
     def write(self, index: int, value: int) -> None:
         self._account()
         super().write(index, value)
 
     def add(self, index: int, delta: int) -> int:
-        self._account()
-        return super().add(index, delta)
+        thread = self._thread
+        if thread is not None:
+            counts = self.accesses_by_thread
+            counts[thread] = counts.get(thread, 0) + 1
+        if not 0 <= index < self.size:
+            self._check(index)
+        self.read_count += 1
+        self.write_count += 1
+        new = (self._cells[index] + delta) & self._mask
+        self._cells[index] = new
+        return new
 
     def modify(self, index: int, fn: Callable[[int], int]) -> int:
         self._account()

@@ -40,7 +40,8 @@ dicts, or externs.
 
 The cache is per-switch, enabled by default, and disabled either with
 the ``REPRO_FLOW_CACHE=0`` environment variable or the switch's
-``flow_cache=False`` constructor argument.  Bus observers keep full
+``flow_cache=False`` constructor argument; a switch parks it while its
+program declares a ``shared_register``.  Bus observers keep full
 visibility: on the observed dispatch path every packet event is still
 published and delivered as usual — only the behavioral walk itself is
 answered from the memo, and the cache's own hit/miss/invalidation
@@ -454,6 +455,11 @@ class FlowCache:
     def clear(self) -> None:
         """Drop every cached flow (entries only; stats survive)."""
         self._entries.clear()
+
+    @property
+    def attached(self) -> bool:
+        """Whether a program is bound (False while parked by its switch)."""
+        return self._program is not None
 
     def on_sim_reset(self) -> None:
         """Simulator.reset(): start cold *and* with zeroed counters."""

@@ -115,16 +115,19 @@ async def serve_socket(service: JobService, path: str) -> None:
                 pass
             writer.close()
 
-    if os.path.exists(path):
-        os.unlink(path)
-    server = await asyncio.start_unix_server(on_connect, path=path)
+    # Bind under a temporary name and move the socket into place once it
+    # listens: a client connecting on first sight of ``path`` is served.
+    staging = f"{path}.{os.getpid()}"
+    server = await asyncio.start_unix_server(on_connect, path=staging)
     try:
+        os.replace(staging, path)
         await stop.wait()
     finally:
         server.close()
         await server.wait_closed()
-        if os.path.exists(path):
-            os.unlink(path)
+        for leftover in (staging, path):
+            if os.path.exists(leftover):
+                os.unlink(leftover)
 
 
 async def run_service(

@@ -9,6 +9,9 @@ Satellite guarantees under test:
   removed store class fails as :class:`CheckpointError`,
 * a SUME empty carrier in flight in the shape older builds scheduled
   (a Packet through ``_pipeline_exit``) resumes to the same result,
+* a microburst run pickled by builds without the load-time handler and
+  route tables (raw handler dict, ``_route_event`` subscription, cache
+  attached under a shared register) resumes to the uninterrupted result,
 * a microburst run checkpointed mid-simulation and resumed in a
   **fresh process** reaches the same final extern state, detections,
   and event counts as the uninterrupted run.
@@ -386,3 +389,83 @@ def test_legacy_packet_carrier_in_flight_resumes_identically():
     assert outcome(restored_sim, restored) == outcome(reference_sim, reference)
     assert restored.program.flow_buf_size.peek(3) == 300
     assert restored.pipeline.latency_ps == reference.pipeline.latency_ps
+
+
+# ----------------------------------------------------------------------
+# A microburst run as pickled before the handler and route tables were
+# bound at load and the flow cache was parked under shared registers
+# ----------------------------------------------------------------------
+def _reduce_to_raw_dict(obj):
+    """Pickle ``obj`` as its raw ``__dict__``, as builds without the
+    derived tables did (no ``__getstate__`` dropping them)."""
+    state = dict(obj.__dict__)
+    if state.get("_compiled"):
+        state["_compiled"] = None
+    return copyreg.__newobj__, (type(obj),), state
+
+
+def _microburst_outcome(setup, result):
+    switches = setup.network.switches
+    return {
+        "result": result,
+        "now_ps": setup.network.sim.now_ps,
+        "events": setup.network.sim.events_executed,
+        "state": setup.detector.flow_buf_size.snapshot(),
+        "accesses": {
+            name: dict(sw.program.flow_buf_size.accesses_by_thread)
+            for name, sw in switches.items()
+        },
+        "merger": {name: sw.merger.stats for name, sw in switches.items()},
+        "handled": {name: dict(sw.bus.handled) for name, sw in switches.items()},
+    }
+
+
+def test_checkpoint_without_bound_tables_resumes_identically():
+    from repro.arch.bus import EventBus
+    from repro.arch.sume import SumeEventSwitch
+    from repro.experiments.microburst_exp import (
+        finish_event_driven,
+        prepare_event_driven,
+    )
+    from repro.pisa.flowcache import FlowCache
+    from repro.sim.units import MILLISECONDS
+
+    setup = prepare_event_driven(duration_ps=6 * MILLISECONDS)
+    setup.network.run(until_ps=3 * MILLISECONDS)
+    # Rewind every switch to the older shape: the program's raw handler
+    # dict, an attached flow cache, and a bus routing through the
+    # switch's _route_event with no route table.
+    for switch in setup.network.switches.values():
+        program = switch.program
+        switch._event_handlers = program._handlers
+        cache = switch.__dict__.pop("_parked_flow_cache")
+        if cache is None:
+            cache = FlowCache(setup.network.sim, name=switch.name)
+        cache.attach(program)
+        switch.flow_cache = cache
+        bus = switch.bus
+        del bus._routes
+        bus._wildcard[:] = [switch._route_event]
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=4)
+    pickler.dispatch_table = {
+        SumeEventSwitch: _reduce_to_raw_dict,
+        EventBus: _reduce_to_raw_dict,
+    }
+    pickler.dump({"sim": setup.network.sim, "state": setup})
+    header = pickle.dumps(
+        {"format": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION}, protocol=4
+    )
+    _sim, restored, _header = loads_checkpoint(header + buffer.getvalue())
+
+    for switch in restored.network.switches.values():
+        assert switch.flow_cache is None
+        assert not switch._parked_flow_cache.attached
+        bound = switch._event_handlers.values()
+        assert all(isinstance(entry, tuple) for entry in bound)
+        assert switch.bus._routes
+    resumed = _microburst_outcome(restored, finish_event_driven(restored))
+    straight_setup = prepare_event_driven(duration_ps=6 * MILLISECONDS)
+    straight = _microburst_outcome(straight_setup, finish_event_driven(straight_setup))
+    assert resumed == straight
+    assert resumed["result"].detections_total > 0

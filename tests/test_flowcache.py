@@ -148,24 +148,70 @@ def test_pure_program_hits_and_identical_delivery(factory_fn):
     assert all(p.get(Ipv4).ttl == 63 for p in recv_on)
 
 
-def test_stateful_program_is_never_short_circuited():
-    from repro.apps.microburst import MicroburstDetector
-
-    def fresh():
-        return MicroburstDetector(num_regs=64, flow_thresh_bytes=1 << 30)
-
-    sw_on, recv_on = _drive(make_sume_switch(), fresh(), count=20)
-    sw_off, recv_off = _drive(make_sume_switch(flow_cache=False), fresh(), count=20)
-    stats = sw_on.flow_cache.stats
-    # The detector reads a shared register in ingress: uncacheable.
-    assert stats.hits == 0
-    assert stats.uncacheable > 0
-    assert sw_on.program.packets_seen == sw_off.program.packets_seen == 20
-    assert (
-        sw_on.program.flow_buf_size.snapshot()
-        == sw_off.program.flow_buf_size.snapshot()
+def _microburst_run(duration_ps):
+    """The §2 detector on the SUME dumbbell; returns (setup, result,
+    packets received by rx0)."""
+    from repro.experiments.microburst_exp import (
+        finish_event_driven,
+        prepare_event_driven,
     )
-    assert _delivery_fingerprint(recv_on) == _delivery_fingerprint(recv_off)
+
+    setup = prepare_event_driven(duration_ps=duration_ps, seed=7)
+    received = []
+    setup.network.hosts["rx0"].add_sink(received.append)
+    return setup, finish_event_driven(setup), received
+
+
+def test_stateful_program_is_never_short_circuited(monkeypatch, capsys):
+    from repro import cli
+    from repro.apps.frr import StaticRouteProgram
+    from repro.experiments.microburst_exp import RX_IP
+
+    # A shared_register program gets no cache: nothing is keyed or
+    # looked up, and the run equals one with the cache switched off.
+    setup, result, received = _microburst_run(4 * MS)
+    monkeypatch.setenv(FLOW_CACHE_ENV, "0")
+    off_setup, off_result, off_received = _microburst_run(4 * MS)
+    monkeypatch.setenv(FLOW_CACHE_ENV, "1")
+    switches = setup.network.switches
+    assert all(switch.flow_cache is None for switch in switches.values())
+    assert all(
+        switch._parked_flow_cache is None
+        for switch in off_setup.network.switches.values()
+    )
+    assert result == off_result
+    assert result.detections_total > 0
+    assert setup.detector.detections == off_setup.detector.detections
+    assert received and _delivery_fingerprint(received) == _delivery_fingerprint(
+        off_received
+    )
+
+    # Loading a program without one gets the same cache back, cold.
+    s1 = switches["s1"]
+    parked = s1._parked_flow_cache
+    assert parked is not None and not parked.attached
+    static = StaticRouteProgram()
+    static.install_route(RX_IP, 1)
+    s1.load_program(static)
+    assert s1.flow_cache is parked and parked.attached
+    assert len(parked) == 0 and parked.stats.hits == parked.stats.misses == 0
+    # The workload keeps sending: its few flows now hit at s1.
+    before = len(received)
+    setup.network.run(until_ps=setup.network.sim.now_ps + MS)
+    assert len(received) > before
+    assert 1 <= parked.stats.misses <= 4 < parked.stats.hits
+
+    # events-stats names the reason, not just the off switches.
+    def short_microburst_source(source):
+        _microburst_run(MS)
+        return {}
+
+    monkeypatch.setattr(cli, "_run_event_source", short_microburst_source)
+    cli.run_events_stats("microburst")
+    out = capsys.readouterr().out
+    assert "flow cache not attached on 2 switch(es)" in out
+    assert "declares a shared_register" in out
+    assert "REPRO_FLOW_CACHE=0" not in out
 
 
 def test_recordable_counter_stays_exact_through_replay():

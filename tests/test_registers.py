@@ -103,3 +103,38 @@ class TestSharedRegister:
         reg = SharedRegister(2, width_bits=8)
         reg.write(0, 200)
         assert reg.add(0, 100) == 44
+
+    def test_out_of_range_access_is_counted_then_raises(self):
+        reg = SharedRegister(4, name="r")
+        reg.set_thread("buffer_enqueue")
+        message = r"register 'r' index {} out of range \[0, 4\)"
+        with pytest.raises(IndexError, match=message.format(4)):
+            reg.read(4)
+        with pytest.raises(IndexError, match=message.format(-1)):
+            reg.add(-1, 3)
+        with pytest.raises(IndexError, match=message.format(9)):
+            reg.sub(9, 1)
+        # The thread's access lands before the bounds check; the cell
+        # counters and the cells do not move.
+        assert reg.accesses_by_thread == {"buffer_enqueue": 3}
+        assert (reg.read_count, reg.write_count) == (0, 0)
+        assert reg.snapshot() == [0, 0, 0, 0]
+
+    def test_microburst_accounting_matches_golden(self):
+        from repro.experiments.microburst_exp import (
+            finish_event_driven,
+            prepare_event_driven,
+        )
+        from repro.sim.units import MILLISECONDS
+
+        # s0's detector after a 4 ms, seed-7 run, recorded before
+        # read/add were flattened into one frame each.
+        setup = prepare_event_driven(duration_ps=4 * MILLISECONDS, seed=7)
+        finish_event_driven(setup)
+        reg = setup.detector.flow_buf_size
+        assert reg.accesses_by_thread == {
+            "buffer_dequeue": 1268,
+            "buffer_enqueue": 1268,
+            "ingress_packet": 1268,
+        }
+        assert (reg.read_count, reg.write_count) == (3804, 2536)

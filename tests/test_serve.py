@@ -15,8 +15,10 @@ Satellite guarantees under test:
 
 import asyncio
 import os
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -321,6 +323,52 @@ def test_cancel_queued_and_preempt_running(tmp_path):
 # ----------------------------------------------------------------------
 # The full stack: socket server + blocking client
 # ----------------------------------------------------------------------
+class _EchoService:
+    """Just enough of :class:`JobService` for :func:`serve_socket`."""
+
+    closing = False
+
+    async def handle(self, request, events):
+        if request.get("op") == "shutdown":
+            self.closing = True
+        return ok_reply(op=request.get("op"))
+
+
+def test_socket_path_appears_only_once_listening(tmp_path, monkeypatch):
+    from repro.serve.server import serve_socket
+
+    # Widen the bind → listen window: a server that published its path
+    # at bind() would refuse a client connecting on first sight of it.
+    real_listen = socket.socket.listen
+
+    def slow_listen(sock, *args):
+        time.sleep(0.3)
+        return real_listen(sock, *args)
+
+    monkeypatch.setattr(socket.socket, "listen", slow_listen)
+    path = str(tmp_path / "serve.sock")
+    server = threading.Thread(
+        target=asyncio.run,
+        args=(serve_socket(_EchoService(), path),),
+        daemon=True,
+    )
+    server.start()
+    try:
+        deadline = time.monotonic() + 30
+        while not os.path.exists(path):
+            assert time.monotonic() < deadline, "socket never appeared"
+            time.sleep(0.001)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+            client.connect(path)  # refused if the path preceded listen()
+            client.sendall(encode({"op": "shutdown"}).encode())
+            reply = decode(client.makefile().readline())
+        assert reply == {"ok": True, "op": "shutdown"}
+    finally:
+        server.join(timeout=30)
+    assert not server.is_alive()
+    assert os.listdir(tmp_path) == []
+
+
 def test_socket_server_end_to_end(tmp_path):
     from repro.serve.client import ServiceClient
 
