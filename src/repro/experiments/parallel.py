@@ -92,6 +92,14 @@ class WorkerCrashed(RuntimeError):
     """A persistent worker died or reported an exception."""
 
 
+def _forked_main(parent_conn, main: Callable[..., None], *args: Any) -> None:
+    # A forked child inherits the parent's end of its own pipe; while it
+    # holds that end, a SIGKILLed parent never produces EOF and the
+    # worker outlives it as an orphan.
+    parent_conn.close()
+    main(*args)
+
+
 class PersistentWorker:
     """One long-lived worker process behind a duplex pipe.
 
@@ -112,9 +120,10 @@ class PersistentWorker:
             "fork" if "fork" in methods else "spawn"
         )
         self._conn, child_conn = ctx.Pipe(duplex=True)
-        self._process = ctx.Process(
-            target=main, args=(child_conn, *args), daemon=True
-        )
+        target, target_args = main, (child_conn, *args)
+        if ctx.get_start_method() == "fork":
+            target, target_args = _forked_main, (self._conn, main, *target_args)
+        self._process = ctx.Process(target=target, args=target_args, daemon=True)
         self._process.start()
         child_conn.close()
 

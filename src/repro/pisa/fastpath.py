@@ -334,6 +334,7 @@ class FlowFastpath:
         "_active",
         "_quiet_until_ps",
         "_registered",
+        "_nbhd",
         "__weakref__",
     )
 
@@ -352,6 +353,8 @@ class FlowFastpath:
         #: a new fuse through this switch must start at or after it.
         self._quiet_until_ps = 0
         self._registered = False
+        #: ``(network, link count, neighborhood)`` — see :meth:`_neighborhood`.
+        self._nbhd: Optional[tuple] = None
         for collector in _COLLECTORS:
             collector.append(self)
 
@@ -400,6 +403,7 @@ class FlowFastpath:
         self._active = []
         self._quiet_until_ps = 0
         self._registered = False
+        self._nbhd = None
 
     # ------------------------------------------------------------------
     # Entry point (called by the owning switch's receive path)
@@ -514,8 +518,13 @@ class FlowFastpath:
     # Fused delivery: one event, every hop's bookkeeping, in hop order
     # ------------------------------------------------------------------
     def _finish(self, flight: _Flight) -> None:
-        """The fused event: unregister the flight, then deliver."""
+        """The fused event: unregister the flight, then deliver.
+
+        Dropping the event handle first breaks the flight ↔ event-args
+        cycle: the kernel recycles the shell, and the flight and its
+        packet die by refcount instead of waiting for a full collection."""
         flight.done = True
+        flight.event = None
         for hop in flight.path.hops:
             try:
                 hop.fp._active.remove(flight)
@@ -653,6 +662,7 @@ class FlowFastpath:
                 continue
             flight.done = True
             flight.event.cancel()
+            flight.event = None  # no cycle through the tombstone (see _finish)
             for hop in flight.path.hops:
                 fp = hop.fp
                 if fp is not self:
@@ -727,8 +737,9 @@ class FlowFastpath:
     # ------------------------------------------------------------------
     def _build(self, pkt, port: int, key: tuple) -> Optional[_PathEntry]:
         self._ensure_registered()
-        classes = [type(h) for h in pkt.headers]
-        values = [list(field_getter(cls)(h)) for cls, h in zip(classes, pkt.headers)]
+        # The flat rows are built only once hop 0's entry exists; until
+        # then ``key`` (equal to hop 0's flat ingress key) is the probe.
+        classes = values = None
         payload = pkt.payload_len
         header_len = pkt.header_len
         sw = self.switch
@@ -761,10 +772,17 @@ class FlowFastpath:
                     return self._negative(key, "architecture")
             if program.handler_for(_INGRESS) is None:
                 return self._negative(key, "steer")
-            ikey = self._flow_key_flat(_INGRESS, rx_port, payload, classes, values)
+            if classes is None:
+                ikey = key
+            else:
+                ikey = self._flow_key_flat(_INGRESS, rx_port, payload, classes, values)
             entry = cache._entries.get(ikey)
             if entry is None:
                 return None  # transient: the per-hop run will record it
+            if classes is None:
+                headers = pkt.headers
+                classes = [type(h) for h in headers]
+                values = [list(field_getter(c)(h)) for c, h in zip(classes, headers)]
             if entry is UNCACHEABLE:
                 return self._negative(key, "uncacheable")
             genvec = cache._generation_vector()
@@ -818,22 +836,15 @@ class FlowFastpath:
                 # A same-path follower one in-link behind could catch
                 # this hop's transmit window: never fuse such paths.
                 return self._negative(key, "short-link")
-            incident: List[Link] = []
-            neighbors: List[Host] = []
-            for (name, _p), other in port_links.items():
-                if name != sw.name or other in incident:
-                    continue
-                if type(other) is not link_cls:
-                    return self._negative(key, "boundary")
-                incident.append(other)
-                for end in (other.node_a, other.node_b):
-                    if isinstance(end, host_cls) and end not in neighbors:
-                        neighbors.append(end)
+            fp = sw.flow_fastpath
+            nbhd = fp._neighborhood(network)
+            if nbhd is None:
+                return self._negative(key, "boundary")
             bus = sw.bus
             hop = _Hop()
             hop.switch = sw
             hop.cache = cache
-            hop.fp = sw.flow_fastpath
+            hop.fp = fp
             hop.rx_port = rx_port
             hop.ingress_key = ikey
             hop.ingress_entry = entry
@@ -863,8 +874,7 @@ class FlowFastpath:
             hop.d_enq = clock + sw.ingress_pipeline.latency_ps
             hop.d_leave = hop.d_enq + tx_time + sw.egress_pipeline.latency_ps
             hop.d_exit = hop.d_leave + link.latency_ps
-            hop.incident_links = tuple(incident)
-            hop.neighbor_hosts = tuple(neighbors)
+            hop.incident_links, hop.neighbor_hosts = nbhd
             hops.append(hop)
             if egress_entry is not None:
                 # Egress rewrites land before the next hop sees the bits.
@@ -889,6 +899,37 @@ class FlowFastpath:
                 return self._negative(key, "architecture")
             sw = receiver
             rx_port = next_port
+
+    def _neighborhood(self, network) -> Optional[tuple]:
+        """``(incident_links, neighbor_hosts)`` of this switch, or None
+        when one of its ports leads off this network (a boundary link).
+
+        Bound once instead of scanning the whole port map per hop, and
+        refreshed only when the network gains a link (``Network`` never
+        removes one)."""
+        port_links = network._switch_port_links
+        cached = self._nbhd
+        if cached is not None and cached[0] is network and cached[1] == len(port_links):
+            return cached[2]
+        link_cls = _link_cls()
+        host_cls = _host_cls()
+        name = self.switch.name
+        incident: List[Link] = []
+        neighbors: List[Host] = []
+        nbhd: Optional[tuple] = None
+        for (owner, _p), other in port_links.items():
+            if owner != name or other in incident:
+                continue
+            if type(other) is not link_cls:
+                break
+            incident.append(other)
+            for end in (other.node_a, other.node_b):
+                if isinstance(end, host_cls) and end not in neighbors:
+                    neighbors.append(end)
+        else:
+            nbhd = (tuple(incident), tuple(neighbors))
+        self._nbhd = (network, len(port_links), nbhd)
+        return nbhd
 
     # ------------------------------------------------------------------
     # Keys and negative entries

@@ -9,6 +9,7 @@ per-hop machinery — or pokes the guard machinery (generation vectors,
 quiescence, negative entries) that keeps the guarantee honest.
 """
 
+import gc
 import json
 import os
 import pickle
@@ -20,10 +21,19 @@ import pytest
 from repro.apps.l3fwd import L3Router
 from repro.experiments.factories import make_baseline_switch
 from repro.faults.injector import Degradation
+from repro.net.host import Host
 from repro.net.topology import build_linear
 from repro.packet.builder import make_udp_packet
-from repro.pisa.fastpath import FLOW_FASTPATH_ENV, FlowFastpath, env_enabled
+from repro.pisa.fastpath import (
+    FLOW_FASTPATH_ENV,
+    FlowFastpath,
+    _Flight,
+    _PathEntry,
+    _Unfusable,
+    env_enabled,
+)
 from repro.sim.rng import SeededRng
+from repro.sim.shard import BoundaryLink
 
 H0_IP = 0x0A00_0001
 H1_IP = 0x0A00_0002
@@ -43,9 +53,10 @@ def _fresh_l3():
     return program
 
 
-def _build_chain(fastpath, switch_count=3):
+def _build_chain(fastpath, switch_count=3, port_count=2):
+    factory = make_baseline_switch(flow_cache=True, fastpath=fastpath)
     network = build_linear(
-        make_baseline_switch(flow_cache=True, fastpath=fastpath),
+        lambda sim, name, _ports: factory(sim, name, port_count),
         switch_count=switch_count,
     )
     for name in sorted(network.switches):
@@ -59,10 +70,11 @@ def _build_chain(fastpath, switch_count=3):
 
 def _send_n(network, count, spacing_ps=8_000_000, flows=1):
     h0 = network.hosts["h0"]
+    start = network.sim.now_ps + 1_000
     for i in range(count):
         src = H0_IP + 16 * (i % flows)
         network.sim.call_at(
-            1_000 + i * spacing_ps,
+            start + i * spacing_ps,
             h0.send,
             make_udp_packet(src, H1_IP, payload_len=200),
         )
@@ -249,6 +261,45 @@ def test_program_reload_clears_paths():
     assert not fastpath._paths
 
 
+def _built_paths(fastpath):
+    return [path for path in fastpath._paths.values() if type(path) is _PathEntry]
+
+
+def test_link_connected_after_a_build_joins_the_neighborhood():
+    network, _received = _build_chain(True, port_count=3)
+    _send_n(network, 4)
+    network.run()
+    s1 = network.switches["s1"]
+    fastpath = network.switches["s0"].flow_fastpath
+    (path,) = _built_paths(fastpath)
+    assert len(path.hops[1].incident_links) == 2
+    assert path.hops[1].neighbor_hosts == ()
+    # The neighborhood is bound per switch; gaining a link must refresh it.
+    h2 = network.add_host(Host(network.sim, "h2", 0x0A00_0003))
+    link = network.connect(s1, 2, h2, 0)
+    fastpath.clear()
+    _send_n(network, 4)
+    network.run()
+    (path,) = _built_paths(fastpath)
+    assert path.hops[1].switch is s1
+    assert link in path.hops[1].incident_links
+    assert path.hops[1].neighbor_hosts == (h2,)
+
+
+def test_boundary_port_stays_unfusable():
+    network, received = _build_chain(True, port_count=3)
+    s1 = network.switches["s1"]
+    network.attach_boundary(s1, 2, BoundaryLink(network.sim, s1, 2, "remote", 0))
+    _send_n(network, 6)
+    network.run()
+    fastpath = network.switches["s0"].flow_fastpath
+    (verdict,) = fastpath._paths.values()
+    assert type(verdict) is _Unfusable and verdict.reason == "boundary"
+    assert fastpath.stats.fused == 0
+    assert fastpath.stats.fallbacks["boundary"] == 5  # every warm packet
+    assert len(received) == 6
+
+
 # ----------------------------------------------------------------------
 # Disruption-time materialization: faults mid-fused-window
 # ----------------------------------------------------------------------
@@ -258,7 +309,7 @@ def test_program_reload_clears_paths():
 _OFFSETS = (20_000, 100_000, 1_560_000, 2_000_000)
 
 
-def _run_faulted(fastpath, fault, offset):
+def _faulted_network(fastpath, fault, offset):
     network, received = _build_chain(fastpath)
     _send_n(network, 12)
     t = 1_000 + 5 * 8_000_000 + offset
@@ -279,6 +330,11 @@ def _run_faulted(fastpath, fault, offset):
         sim.call_at(t, s1.tm.set_port_enabled, 1, False)
         sim.call_at(t + 2_000_000, s1.tm.set_port_enabled, 1, True)
     network.run()
+    return network, received
+
+
+def _run_faulted(fastpath, fault, offset):
+    network, received = _faulted_network(fastpath, fault, offset)
     return _network_state(network, received), _fastpath_totals(network)
 
 
@@ -292,6 +348,38 @@ def test_disruption_materializes_byte_identically(fault):
         materialized += totals["materialized"]
     # At least one offset per fault lands inside a fused window.
     assert materialized >= 1
+
+
+# ----------------------------------------------------------------------
+# Flight lifetime: a fused delivery is freed by refcount, not by the GC
+# ----------------------------------------------------------------------
+def _fused_chain():
+    network, _received = _build_chain(True)
+    _send_n(network, 30)
+    network.run()
+    return network
+
+
+def _materialized_flap():
+    # Lands the flap inside a fused window (s1's egress pipe).
+    network, _received = _faulted_network(True, "flap", _OFFSETS[2])
+    assert _fastpath_totals(network)["materialized"] == 1
+    return network
+
+
+@pytest.mark.parametrize("run", [_fused_chain, _materialized_flap])
+def test_fused_flights_leave_no_garbage(run):
+    gc.collect()
+    gc.disable()
+    try:
+        network = run()  # held, so only the run's garbage is collectable
+        flights = [obj for obj in gc.get_objects() if type(obj) is _Flight]
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert _fastpath_totals(network)["fused"] > 0
+    assert flights == []
+    assert freed == 0
 
 
 # ----------------------------------------------------------------------
@@ -423,10 +511,9 @@ def test_subprocess_fingerprints_identical_fastpath_on_vs_off(scenario):
 # ----------------------------------------------------------------------
 # Known divergence: fused arrivals on fabrics deeper than a chain
 # ----------------------------------------------------------------------
-def _fat_tree_zipf_digest(monkeypatch, seed, fastpath_flag):
+def _fat_tree_zipf_runtime(monkeypatch, seed, fastpath_flag):
     from repro.experiments.shard_exp import ShardScenario, build_shard
     from repro.pisa.flowcache import FLOW_CACHE_ENV
-    from repro.sim.shard import behavior_fingerprint, fingerprint_digest
 
     # The cache is pinned on in both arms so the comparison means the
     # same thing on every CI leg (cache off agrees with per-hop).
@@ -442,7 +529,57 @@ def _fat_tree_zipf_digest(monkeypatch, seed, fastpath_flag):
     )
     runtime = build_shard(0, scenario, 1)
     runtime.sim.run()
+    return runtime
+
+
+def _fat_tree_zipf_digest(monkeypatch, seed, fastpath_flag):
+    from repro.sim.shard import behavior_fingerprint, fingerprint_digest
+
+    runtime = _fat_tree_zipf_runtime(monkeypatch, seed, fastpath_flag)
     return fingerprint_digest(behavior_fingerprint(runtime.collect()))
+
+
+# Which deliveries fuse, and why the rest decline, summed over the
+# switches: the fused timing is pinned (see the xfail below), so a
+# change to how fuse decisions are made must leave these exact.
+_K4_ZIPF_DECISIONS = {
+    1: {
+        "fastpath": dict(
+            paths_built=536, fused=15, materialized=0, fallbacks=2402, invalidations=0
+        ),
+        "reasons": dict(busy=1158, neighborhood=1035, queued=209),
+        "flowcache": dict(
+            hits=2544, misses=832, uncacheable=0, invalidations=0, evictions=0
+        ),
+    },
+    3: {
+        "fastpath": dict(
+            paths_built=538, fused=13, materialized=0, fallbacks=2467, invalidations=0
+        ),
+        "reasons": dict(busy=1160, neighborhood=1087, queued=220),
+        "flowcache": dict(
+            hits=2572, misses=798, uncacheable=0, invalidations=0, evictions=0
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_K4_ZIPF_DECISIONS))
+def test_fat_tree_zipf_fuse_decisions_pinned(monkeypatch, seed):
+    runtime = _fat_tree_zipf_runtime(monkeypatch, seed, "1")
+    totals = {"fastpath": {}, "reasons": {}, "flowcache": {}}
+
+    def add(group, counts):
+        for key, value in counts.items():
+            totals[group][key] = totals[group].get(key, 0) + value
+
+    for switch in runtime.network.switches.values():
+        stats = switch.flow_fastpath.stats.as_dict()
+        reasons = stats.pop("fallback_reasons")
+        add("fastpath", stats)
+        add("reasons", reasons)
+        add("flowcache", switch.flow_cache.stats.as_dict())
+    assert totals == _K4_ZIPF_DECISIONS[seed]
 
 
 @pytest.mark.xfail(

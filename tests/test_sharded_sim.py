@@ -5,7 +5,11 @@ on the kernel, the conservative coordinator, serial-vs-sharded
 behavior-fingerprint equality, and the persistent-worker plumbing.
 """
 
+import os
+import signal
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -168,8 +172,6 @@ def test_fingerprint_is_order_insensitive():
 
 
 def test_default_workers_prefers_affinity(monkeypatch):
-    import os
-
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert default_workers() == 3
@@ -208,3 +210,56 @@ def test_persistent_worker_crash_raises():
             worker.recv()
     finally:
         worker.close()
+
+
+# A parent that owns one job-service worker, reports the worker's pid,
+# then idles until it is killed.
+_ORPHAN_PARENT = """
+import time
+from repro.experiments.parallel import PersistentWorker
+from repro.serve.worker import worker_main
+
+worker = PersistentWorker(worker_main)
+print(worker._process.pid, flush=True)
+time.sleep(60)
+"""
+
+
+def _exited(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state in ("Z", "X")  # exited; reaping is the new parent's job
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_persistent_worker_exits_when_parent_is_killed():
+    # A SIGKILLed parent runs no cleanup, so the only signal its worker
+    # gets is EOF on the pipe — which never arrives if the forked child
+    # still holds the parent's end of that pipe itself.
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_PARENT],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    pid = None
+    try:
+        pid = int(parent.stdout.readline())
+        parent.kill()
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while not _exited(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _exited(pid), "worker outlived its SIGKILLed parent"
+    finally:
+        parent.kill()
+        parent.wait(timeout=10)
+        parent.stdout.close()
+        if pid is not None and not _exited(pid):
+            os.kill(pid, signal.SIGKILL)
