@@ -31,15 +31,13 @@ from typing import Callable, Dict, List, Optional
 
 from repro.arch.bus import EventBus
 from repro.arch.description import ArchitectureDescription, UnsupportedEventError
-from repro.arch.events import Event, EventType
+from repro.arch.events import PIPELINE_PACKET_EVENTS, Event, EventType
 from repro.arch.program import P4Program, ProgramContext
 from repro.packet.packet import Packet
 from repro.packet.parser import Parser, standard_parser
-from repro.pisa.compile import compile_switch
-from repro.pisa.compile import env_enabled as compile_env_enabled
-from repro.pisa.fastpath import FlowFastpath
-from repro.pisa.fastpath import env_enabled as fastpath_env_enabled
-from repro.pisa.flowcache import UNCACHEABLE, FlowCache, env_enabled
+from repro.pisa.compile import PIPELINE_COMPILE_ENV, make_walk
+from repro.pisa.fastpath import FLOW_FASTPATH_ENV, FlowFastpath
+from repro.pisa.flowcache import FLOW_CACHE_ENV, UNCACHEABLE, FlowCache, env_enabled
 from repro.pisa.metadata import MetadataPool, StandardMetadata
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicProcess
@@ -138,9 +136,13 @@ class SwitchContext(ProgramContext):
 class SwitchBase:
     """Base switch: ports, parser, traffic manager, program, accounting."""
 
-    #: Dispatches interpreted before the pipeline specializer kicks in;
-    #: roughly the packet count where the compiled walk's savings repay
-    #: the exec() cost of generating it.
+    #: Full walks of one packet-event kind interpreted before the
+    #: pipeline specializer compiles that kind's walk; roughly the
+    #: packet count where the compiled walk's savings repay the exec()
+    #: cost of generating it.  Keeps fleet-scale topologies (a sharded
+    #: fat tree loads dozens of switches) from paying compile cost on
+    #: nearly-idle nodes, and a switch whose flows all hit the flow
+    #: cache from paying it at all.
     COMPILE_WARMUP = 16
 
     def __init__(
@@ -214,21 +216,19 @@ class SwitchBase:
         # detection.  ``flow_cache=`` overrides the REPRO_FLOW_CACHE
         # environment default (on); see _seat_flow_cache for parking.
         if flow_cache is None:
-            flow_cache = env_enabled()
+            flow_cache = env_enabled(FLOW_CACHE_ENV)
         self.flow_cache: Optional[FlowCache] = (
             FlowCache(sim, name=name) if flow_cache else None
         )
         self._parked_flow_cache: Optional[FlowCache] = None
-        # Compiled pipeline specialization (repro.pisa.compile): the
-        # packet-event dispatch is exec-generated against the loaded
-        # program on the first dispatch after a load.  ``compile=``
-        # overrides the REPRO_PIPELINE_COMPILE environment default (on).
-        # ``_compiled`` is the per-kind dispatch table, None while a
-        # (re)compile is pending, or False when compilation is off.
+        # Compiled pipeline specialization (repro.pisa.compile): each
+        # packet-event runner swaps its interpreted walk for the
+        # program's compiled PipelineSpec walk after COMPILE_WARMUP
+        # full walks.  ``compile=`` overrides the REPRO_PIPELINE_COMPILE
+        # environment default (on).
         if compile is None:
-            compile = compile_env_enabled()
+            compile = env_enabled(PIPELINE_COMPILE_ENV)
         self.pipeline_compile = bool(compile)
-        self._compiled = None if self.pipeline_compile else False
         # The end-to-end flow fastpath (repro.pisa.fastpath): fuses a
         # fully cached multi-hop delivery into one kernel event.
         # ``fastpath=`` overrides the REPRO_FLOW_FASTPATH environment
@@ -236,17 +236,10 @@ class SwitchBase:
         # the registry lives here so interior hops carry their own
         # stats and fused-window watermark.
         if fastpath is None:
-            fastpath = fastpath_env_enabled()
+            fastpath = env_enabled(FLOW_FASTPATH_ENV)
         self.flow_fastpath: Optional[FlowFastpath] = (
             FlowFastpath(sim, self, name=name) if fastpath else None
         )
-        # Generating the specialized code costs a couple of exec()s per
-        # switch (~0.5 ms), which only pays for itself on switches that
-        # actually process packets: interpret the first COMPILE_WARMUP
-        # dispatches, then compile.  Keeps fleet-scale topologies (a
-        # sharded fat tree compiles dozens of switches) from paying
-        # compile cost on nearly-idle nodes.
-        self._compile_countdown = self.COMPILE_WARMUP
 
     # ------------------------------------------------------------------
     # Program lifecycle
@@ -268,11 +261,6 @@ class SwitchBase:
             )
         self.program = program
         self._bind_handlers()
-        # A (re)load voids any compiled dispatch; warm-up restarts and
-        # the dispatch regenerates against the new program.
-        if self.pipeline_compile:
-            self._compiled = None
-            self._compile_countdown = self.COMPILE_WARMUP
         self._seat_flow_cache()
         if self.flow_fastpath is not None:
             # Fused paths memoize this switch's cached decisions; a new
@@ -475,7 +463,10 @@ class SwitchBase:
 
     def _bind_handlers(self) -> None:
         """Snapshot the program's shared registers and its ``kind →
-        (handler, thread tag)`` table, read by :meth:`_run_handler`."""
+        (handler, thread tag)`` table, read by :meth:`_run_handler`, and
+        void the packet-event runners; :meth:`_dispatch_packet_event`
+        rebinds them on its next call."""
+        self._runners = None
         program = self.program
         if program is None:
             self._shared_regs, self._event_handlers = (), {}
@@ -515,84 +506,108 @@ class SwitchBase:
         description gate does not apply (handler sets were validated at
         program load).
         """
-        program = self.program
-        if program is None:
-            return
+        runners = self._runners
+        if runners is None:
+            if self.program is None:
+                return
+            runners = self._bind_runners()
+        run = runners.get(kind)
         bus = self.bus
         if not bus._observers:
             # Pipeline handlers receive (ctx, pkt, meta), never the
             # Event record itself, so with nobody watching the bus only
             # the counters matter — skip building the Event.
-            compiled = self._compiled
-            if compiled is None:
-                self._compile_countdown -= 1
-                if self._compile_countdown < 0:
-                    compiled = self._maybe_compile()
-            if compiled:
-                compiled[kind](pkt, meta)
-                return
             bus.fired[kind] += 1
-            fn = program.handler_for(kind)
-            if fn is not None:
-                self._run_walk(fn, kind, pkt, meta)
+            if run is not None:
+                run(pkt, meta)
                 bus.handled[kind] += 1
             return
         event = Event(kind=kind, time_ps=self.sim.now_ps, pkt=pkt)
         bus.publish(event, route=False, gated=False)
-        fn = program.handler_for(kind)
-        if fn is not None:
-            # Observers still see every publish/delivery; only the
-            # behavioral walk may be answered from the memo.
-            self._run_walk(fn, kind, pkt, meta)
-        bus.delivered(event, handled=fn is not None)
+        if run is not None:
+            run(pkt, meta)
+        bus.delivered(event, handled=run is not None)
 
-    def _run_walk(
-        self, fn, kind: EventType, pkt: Packet, meta: StandardMetadata
-    ) -> None:
-        """Run one packet-event handler, through the flow-decision cache
-        when one is attached."""
-        cache = self.flow_cache
-        if cache is not None:
-            key = cache.flow_key(kind, pkt, meta)
-            entry = cache.lookup(key)
-            if entry is None:
-                # First traversal of this flow: run it under the
-                # recording harness and memoize the decision.
-                rec, rctx, rmeta = cache.begin(self.ctx, pkt, meta)
-                self._set_thread(kind.value)
-                try:
-                    fn(rctx, pkt, rmeta)
-                except BaseException:
-                    cache.abort(rec)
-                    raise
-                finally:
-                    self._set_thread(None)
-                cache.commit(rec, key, pkt, meta)
-                return
-            if entry is not UNCACHEABLE:
-                cache.replay(entry, pkt, meta)
-                pipeline = self._pipeline_for_kind(kind)
-                if pipeline is not None:
-                    pipeline.walks_elided += 1
-                return
-        # No cache, or a known-impure flow: the walk runs in full.
-        self._set_thread(kind.value)
-        try:
-            fn(self.ctx, pkt, meta)
-        finally:
-            self._set_thread(None)
+    def _bind_runners(self, compile_now: bool = False):
+        """Bind one runner per pipeline packet event the loaded program
+        handles and return the ``kind → runner`` table.
 
-    def _maybe_compile(self):
-        """Resolve a pending compile: specialize the dispatch for the
-        loaded program, or mark compilation off.  Runs on the first
-        dispatch after construction, a program load, or an unpickle
-        (exec-generated closures don't survive checkpoints)."""
-        if self.pipeline_compile and self.program is not None:
-            compiled = compile_switch(self)
-            self._compiled = compiled if compiled else False
-        else:
-            self._compiled = False
-        return self._compiled
+        Runs on the first dispatch after construction, a program load,
+        or an unpickle (closures don't survive checkpoints).  With
+        ``compile_now`` every compilable walk is generated here instead
+        of after its warm-up."""
+        program = self.program
+        self._runners = runners = {}
+        for kind in PIPELINE_PACKET_EVENTS:
+            fn = program.handler_for(kind)
+            if fn is not None:
+                runners[kind] = self._runner(kind, fn, compile_now)
+        return runners
+
+    def _runner(self, kind: EventType, fn, compile_now: bool):
+        """The ``(pkt, meta)`` runner for one packet-event kind.
+
+        A flow the attached flow cache holds is replayed; a new flow is
+        recorded with the interpreted handler; anything else (no cache,
+        a known-impure flow) runs the full walk in ``cell[0]``.  The
+        cell starts as the handler and becomes the program's compiled
+        :class:`~repro.pisa.compile.PipelineSpec` walk after
+        :attr:`COMPILE_WARMUP` full walks of this kind; the walk's
+        generation guard swaps it again through the same cell.  The
+        cache is read live, so parking and re-attach need no rebind."""
+        switch, ctx, program = self, self.ctx, self.program
+        regs, thread = self._shared_regs, kind.value
+        pipeline = self._pipeline_for_kind(kind)
+        cell = [fn]
+        warmup = self.COMPILE_WARMUP if self.pipeline_compile else -1
+        if compile_now:
+            cell[0] = make_walk(program, kind, cell) or fn
+            warmup = -1
+
+        def run(pkt: Packet, meta: StandardMetadata) -> None:
+            nonlocal warmup
+            cache = switch.flow_cache
+            if cache is not None:
+                key = cache.flow_key(kind, pkt, meta)
+                entry = cache.lookup(key)
+                if entry is None:
+                    # First traversal of this flow: run it under the
+                    # recording harness and memoize the decision.
+                    rec, rctx, rmeta = cache.begin(ctx, pkt, meta)
+                    for reg in regs:
+                        reg._thread = thread
+                    try:
+                        fn(rctx, pkt, rmeta)
+                    except BaseException:
+                        cache.abort(rec)
+                        raise
+                    finally:
+                        for reg in regs:
+                            reg._thread = None
+                    cache.commit(rec, key, pkt, meta)
+                    return
+                if entry is not UNCACHEABLE:
+                    cache.replay(entry, pkt, meta)
+                    if pipeline is not None:
+                        pipeline.walks_elided += 1
+                    return
+            # No cache, or a known-impure flow: the walk runs in full.
+            if warmup >= 0:
+                if not warmup:
+                    cell[0] = make_walk(program, kind, cell) or fn
+                warmup -= 1
+            if not regs:
+                cell[0](ctx, pkt, meta)
+                return
+            for reg in regs:
+                reg._thread = thread
+            try:
+                cell[0](ctx, pkt, meta)
+            finally:
+                for reg in regs:
+                    reg._thread = None
+
+        return run
 
     def _pipeline_for_kind(self, kind: EventType):
         """The :class:`~repro.pisa.pipeline.Pipeline` a packet event of
@@ -609,10 +624,6 @@ class SwitchBase:
         all of them — the paper's motivating gap).
         """
         return _TmEventHook(self, kind)
-
-    def _set_thread(self, thread: Optional[str]) -> None:
-        for reg in self._shared_regs:
-            reg._thread = thread
 
     # ------------------------------------------------------------------
     # State introspection (checkpoint manifests and reports)
@@ -657,17 +668,18 @@ class SwitchBase:
     # ------------------------------------------------------------------
     def __getstate__(self):
         state = self.__dict__.copy()
-        # Exec-generated dispatch closures don't pickle; a restored
-        # switch recompiles lazily on its first dispatch.
-        if state.get("_compiled"):
-            state["_compiled"] = None
-        # Derived from the program; rebuilt by __setstate__.
-        del state["_event_handlers"]
+        # Derived from the program: the handler table is rebuilt by
+        # __setstate__, the runners (closures don't pickle) on the
+        # first dispatch after restore.
+        del state["_event_handlers"], state["_runners"]
         return state
 
     def __setstate__(self, state) -> None:
         # Older checkpoints hold the raw handler dict and no parked
-        # cache, maybe with a shared_register program's cache attached.
+        # cache, maybe with a shared_register program's cache attached,
+        # and the retired generated dispatch's compile state.
+        state.pop("_compiled", None)
+        state.pop("_compile_countdown", None)
         self.__dict__.update(state)
         self._bind_handlers()
         self.__dict__.setdefault("_parked_flow_cache", None)

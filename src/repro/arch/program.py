@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.arch.events import Event, EventType, PIPELINE_PACKET_EVENTS
+from repro.arch.events import Event, EventType
 from repro.packet.packet import Packet
 from repro.pisa.externs.register import Register, SharedRegister
 from repro.pisa.metadata import StandardMetadata
@@ -196,29 +196,6 @@ class P4Program:
     # ------------------------------------------------------------------
     def on_load(self, ctx: ProgramContext) -> None:
         """Called once when the program is loaded onto an architecture."""
-
-    # ------------------------------------------------------------------
-    # Dispatch (called by architectures)
-    # ------------------------------------------------------------------
-    def dispatch_packet_event(
-        self,
-        kind: EventType,
-        ctx: ProgramContext,
-        pkt: Packet,
-        meta: StandardMetadata,
-    ) -> None:
-        """Run the packet-event handler for ``kind`` if present."""
-        if kind not in PIPELINE_PACKET_EVENTS:
-            raise ValueError(f"{kind} is not a pipeline packet event")
-        fn = self._handlers.get(kind)
-        if fn is not None:
-            fn(ctx, pkt, meta)
-
-    def dispatch_event(self, ctx: ProgramContext, event: Event) -> None:
-        """Run the non-packet event handler for ``event`` if present."""
-        fn = self._handlers.get(event.kind)
-        if fn is not None:
-            fn(ctx, event)
 
     def __repr__(self) -> str:
         events = ", ".join(sorted(k.value for k in self._handlers))

@@ -1,18 +1,14 @@
-"""Compiled pipeline specialization: exec-generated dispatch and walks.
+"""Compiled pipeline specialization: exec-generated table walks.
 
-The interpreter dispatches every pipeline packet event through a chain
-of per-packet decisions — handler lookup, shared-register thread
-tagging, flow-cache plumbing, event accounting — and every table-driven
-program re-walks its match-action graph per packet through ``apply``'s
-generic machinery.  All of those decisions are fixed at program-load
-time.  :func:`compile_switch` folds them: for each pipeline packet
-event it exec-generates one flat dispatch function with the load-time
-constants (handler, kind value, shared registers, elision pipeline)
-closed over, and — when the program describes its control flow with a
-:class:`PipelineSpec` — a fused pipeline *walk* with table lookups
-inlined against the concrete match kinds and currently installed
-entries, action bodies fused into the caller, and constant branches
-folded away.
+Every table-driven program re-walks its match-action graph per packet
+through ``apply``'s generic machinery, although the graph is fixed at
+program-load time.  When the program describes its control flow with a
+:class:`PipelineSpec`, :func:`make_walk` folds it: one fused pipeline
+*walk* with table lookups inlined against the concrete match kinds and
+currently installed entries, action bodies fused into the caller, and
+constant branches folded away.  A switch's packet-event runner
+(:meth:`repro.arch.base.SwitchBase._runner`) swaps its interpreted
+walk for the compiled one after a warm-up.
 
 Invalidation reuses the generation vectors the flow-decision cache
 (:mod:`repro.pisa.flowcache`) relies on: a compiled walk embeds the
@@ -36,11 +32,10 @@ with such actions must not provide a :class:`PipelineSpec`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.arch.events import PIPELINE_PACKET_EVENTS, EventType
+from repro.arch.events import EventType
 from repro.pisa.action import (
     DROP,
     FORWARD,
@@ -53,16 +48,9 @@ from repro.pisa.action import (
 from repro.pisa.metadata import CPU_PORT, DROP_PORT
 from repro.pisa.table import ExactTable, LpmTable, Table, TernaryTable
 
-#: Environment toggle: ``0``/``false``/``off`` disables compilation.
+#: Environment toggle: ``0``/``false``/``off`` disables compilation
+#: (parsed by :func:`repro.pisa.flowcache.env_enabled`).
 PIPELINE_COMPILE_ENV = "REPRO_PIPELINE_COMPILE"
-
-
-def env_enabled(default: bool = True) -> bool:
-    """The process-wide default from :data:`PIPELINE_COMPILE_ENV`."""
-    raw = os.environ.get(PIPELINE_COMPILE_ENV)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no", "")
 
 
 class CompileSkip(Exception):
@@ -354,7 +342,7 @@ def _generate_walk(spec: PipelineSpec, stale: Callable) -> Callable:
     return fn
 
 
-def _make_walk(program, kind: EventType, cell: List) -> Optional[Callable]:
+def make_walk(program, kind: EventType, cell: List) -> Optional[Callable]:
     """The compiled walk for ``kind`` (self-invalidating via ``cell``),
     or None when the program offers no compilable spec."""
     spec_fn = getattr(program, "pipeline_spec", None)
@@ -387,132 +375,11 @@ def _make_walk(program, kind: EventType, cell: List) -> Optional[Callable]:
         return None
 
 
-# ----------------------------------------------------------------------
-# Dispatch generation (per-event flat dispatch functions)
-# ----------------------------------------------------------------------
-def _gen_dispatch(switch, kind: EventType, cell: List) -> Callable:
-    """One flat dispatch function for ``kind`` with the interpreter's
-    per-packet decisions folded: handler presence, shared-register
-    tagging (omitted entirely when the program has none), elision
-    pipeline, and the kind's accounting all become closed-over
-    constants.  ``switch.flow_cache`` stays a live read so cache
-    enable/disable needs no recompile."""
-    from repro.pisa.flowcache import UNCACHEABLE
-
-    program = switch.program
-    fn = program.handler_for(kind)
-    ns: Dict[str, object] = {
-        "fired": switch.bus.fired,
-        "handled": switch.bus.handled,
-        "KIND": kind,
-        "switch": switch,
-        "ctx": switch.ctx,
-        "cell": cell,
-        "fn": fn,
-        "UNCACHEABLE": UNCACHEABLE,
-    }
-    if fn is None:
-        # No handler for this kind: the whole dispatch is one counter
-        # bump.  A plain closure is identical to what exec() would
-        # build, and skipping the compile keeps handler-less kinds
-        # (EGRESS on most L3 programs) free on cold switches.
-        fired = switch.bus.fired
-
-        def _dispatch(pkt, meta, _fired=fired, _kind=kind):
-            _fired[_kind] += 1
-
-        _dispatch.__repro_source__ = "def _dispatch(pkt, meta):\n    fired[KIND] += 1"
-        return _dispatch
-    regs = switch._shared_regs
-    if regs:
-        ns["_st"] = switch._set_thread
-        ns["KV"] = kind.value
-        enter, leave = ["_st(KV)", "try:"], ["finally:", "    _st(None)"]
-    else:
-        enter, leave = [], []
-
-    def guarded(call: str) -> List[str]:
-        if not regs:
-            return [call]
-        return ["_st(KV)", "try:", f"    {call}", "finally:", "    _st(None)"]
-
-    pipeline = switch._pipeline_for_kind(kind)
-    if pipeline is not None:
-        ns["pipeline"] = pipeline
-        elide = ["pipeline.walks_elided += 1"]
-    else:
-        elide = []
-    lines = [
-        "def _dispatch(pkt, meta):",
-        "    fired[KIND] += 1",
-        "    cache = switch.flow_cache",
-        "    if cache is None:",
-        *[f"        {ln}" for ln in guarded("cell[0](ctx, pkt, meta)")],
-        "        handled[KIND] += 1",
-        "        return",
-        "    key = cache.flow_key(KIND, pkt, meta)",
-        "    entry = cache.lookup(key)",
-        "    if entry is not None:",
-        "        if entry is UNCACHEABLE:",
-        *[f"            {ln}" for ln in guarded("cell[0](ctx, pkt, meta)")],
-        "        else:",
-        "            cache.replay(entry, pkt, meta)",
-        *[f"            {ln}" for ln in elide],
-        "        handled[KIND] += 1",
-        "        return",
-        "    rec, rctx, rmeta = cache.begin(ctx, pkt, meta)",
-        *[f"    {ln}" for ln in enter],
-        f"    {'    ' if regs else ''}try:",
-        f"    {'    ' if regs else ''}    fn(rctx, pkt, rmeta)",
-        f"    {'    ' if regs else ''}except BaseException:",
-        f"    {'    ' if regs else ''}    cache.abort(rec)",
-        f"    {'    ' if regs else ''}    raise",
-        *[f"    {ln}" for ln in leave],
-        "    cache.commit(rec, key, pkt, meta)",
-        "    handled[KIND] += 1",
-    ]
-    src = "\n".join(lines)
-    exec(src, ns)
-    dispatch = ns["_dispatch"]
-    dispatch.__repro_source__ = src
-    return dispatch
-
-
-def _compile_kind(switch, kind: EventType) -> Callable:
-    """Generate the specialized dispatch function for one event kind."""
-    program = switch.program
-    fn = program.handler_for(kind)
-    cell: List = [None]
-    if fn is not None:
-        walk = _make_walk(program, kind, cell)
-        cell[0] = walk if walk is not None else fn
-    return _gen_dispatch(switch, kind, cell)
-
-
 def compile_switch(switch) -> Optional[Dict[EventType, Callable]]:
-    """Specialize ``switch``'s packet-event dispatch for its loaded
-    program: one exec-generated dispatch function per pipeline packet
-    event, each driving the program's fused walk when it has one (the
-    interpreted handler otherwise).  Returns None with no program.
-
-    Generation is lazy per kind: each entry starts as a trampoline that
-    compiles the real function on that kind's first packet and swaps
-    itself out of the dict — a switch that only ever sees INGRESS
-    packets pays for one generated function, not four.  (This matters
-    at fleet scale: a sharded fat tree compiles dozens of switches
-    whose per-switch packet counts are small.)"""
+    """Bind ``switch``'s packet-event runners with each compilable walk
+    generated at once instead of after its warm-up.  Returns the
+    ``kind → runner(pkt, meta)`` table (runners do no bus accounting),
+    or None with no program."""
     if switch.program is None:
         return None
-    dispatch: Dict[EventType, Callable] = {}
-
-    def lazy(kind: EventType) -> Callable:
-        def trampoline(pkt, meta):
-            fn = _compile_kind(switch, kind)
-            dispatch[kind] = fn
-            return fn(pkt, meta)
-
-        return trampoline
-
-    for kind in sorted(PIPELINE_PACKET_EVENTS, key=lambda k: k.value):
-        dispatch[kind] = lazy(kind)
-    return dispatch
+    return switch._bind_runners(compile_now=True)

@@ -67,7 +67,6 @@ cache's lifecycle rules: checkpoints, ``Simulator.fork()``, and
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -82,19 +81,11 @@ __all__ = [
     "FlowFastpath",
     "FastpathStats",
     "collecting_fastpaths",
-    "env_enabled",
 ]
 
-#: Environment toggle: ``0``/``false``/``off`` disables the fastpath.
+#: Environment toggle: ``0``/``false``/``off`` disables the fastpath
+#: (parsed by :func:`repro.pisa.flowcache.env_enabled`).
 FLOW_FASTPATH_ENV = "REPRO_FLOW_FASTPATH"
-
-
-def env_enabled(default: bool = True) -> bool:
-    """The process-wide default from :data:`FLOW_FASTPATH_ENV`."""
-    raw = os.environ.get(FLOW_FASTPATH_ENV)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no", "")
 
 
 #: TM transition kinds the fused delivery accounts as suppressed; a

@@ -80,9 +80,12 @@ __all__ = [
 FLOW_CACHE_ENV = "REPRO_FLOW_CACHE"
 
 
-def env_enabled(default: bool = True) -> bool:
-    """The process-wide default from :data:`FLOW_CACHE_ENV`."""
-    raw = os.environ.get(FLOW_CACHE_ENV)
+def env_enabled(name: str, default: bool = True) -> bool:
+    """The process-wide default from the on/off environment toggle
+    ``name`` (:data:`FLOW_CACHE_ENV` and its siblings
+    :data:`~repro.pisa.compile.PIPELINE_COMPILE_ENV` and
+    :data:`~repro.pisa.fastpath.FLOW_FASTPATH_ENV`)."""
+    raw = os.environ.get(name)
     if raw is None:
         return default
     return raw.strip().lower() not in ("0", "false", "off", "no", "")

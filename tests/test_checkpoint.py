@@ -397,10 +397,13 @@ def test_legacy_packet_carrier_in_flight_resumes_identically():
 # ----------------------------------------------------------------------
 def _reduce_to_raw_dict(obj):
     """Pickle ``obj`` as its raw ``__dict__``, as builds without the
-    derived tables did (no ``__getstate__`` dropping them)."""
+    derived tables did (no ``__getstate__`` dropping them).  A switch
+    carries those builds' pending compile of the generated dispatch in
+    place of packet-event runners."""
     state = dict(obj.__dict__)
-    if state.get("_compiled"):
-        state["_compiled"] = None
+    if "_runners" in state:
+        del state["_runners"]
+        state.update(_compiled=None, _compile_countdown=5)
     return copyreg.__newobj__, (type(obj),), state
 
 
@@ -469,3 +472,77 @@ def test_checkpoint_without_bound_tables_resumes_identically():
     straight = _microburst_outcome(straight_setup, finish_event_driven(straight_setup))
     assert resumed == straight
     assert resumed["result"].detections_total > 0
+
+
+# ----------------------------------------------------------------------
+# An L3 chain as pickled by builds with the exec-generated dispatch
+# ----------------------------------------------------------------------
+def _reduce_as_the_generated_dispatch_did(switch):
+    """Switch pickle state with a compile pending part-way through the
+    switch-wide warm-up, and no runner table."""
+    state = dict(switch.__getstate__(), _compiled=None, _compile_countdown=7)
+    return copyreg.__newobj__, (type(switch),), state
+
+
+def _l3_chain():
+    from repro.apps.l3fwd import L3Router
+    from repro.experiments.factories import make_baseline_switch
+    from repro.net.topology import build_linear
+    from repro.packet.builder import make_udp_packet
+
+    h0_ip, h1_ip = 0x0A00_0001, 0x0A00_0002
+    network = build_linear(
+        make_baseline_switch(flow_cache=False, compile=True), switch_count=3
+    )
+    for name in sorted(network.switches):
+        program = L3Router()
+        program.install_host_routes({h0_ip: 0, h1_ip: 1})
+        network.switches[name].load_program(program)
+    for i in range(48):
+        network.sim.call_at(
+            1_000 + i * 200_000,
+            network.hosts["h0"].send,
+            make_udp_packet(h0_ip + i % 3, h1_ip, payload_len=200),
+        )
+    return network
+
+
+def _l3_outcome(network):
+    switches = network.switches.values()
+    return {
+        "now_ps": network.sim.now_ps,
+        "events": network.sim.events_executed,
+        "received": network.hosts["h1"].received_packets,
+        "handled": [dict(sw.bus.handled) for sw in switches],
+        "tables": [
+            (table.hit_count, table.miss_count)
+            for sw in switches
+            for table in (sw.program.acl, sw.program.routes, sw.program.nexthops)
+        ],
+        "next_hops": [list(sw.program.next_hop_stats()) for sw in switches],
+    }
+
+
+def test_checkpoint_with_pending_generated_dispatch_resumes_identically():
+    from repro.arch.baseline import BaselinePsaSwitch
+
+    network = _l3_chain()
+    network.run(until_ps=3_000_000)  # a few packets in: inside the warm-up
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=4)
+    pickler.dispatch_table = {BaselinePsaSwitch: _reduce_as_the_generated_dispatch_did}
+    pickler.dump({"sim": network.sim, "state": network})
+    assert b"_compile_countdown" in buffer.getvalue()
+    header = pickle.dumps(
+        {"format": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION}, protocol=4
+    )
+    _sim, restored, _header = loads_checkpoint(header + buffer.getvalue())
+    for switch in restored.switches.values():
+        assert "_compiled" not in vars(switch)
+        assert "_compile_countdown" not in vars(switch)
+        assert switch._runners is None  # bound on the first dispatch
+    restored.run()
+    straight = _l3_chain()
+    straight.run()
+    assert _l3_outcome(restored) == _l3_outcome(straight)
+    assert _l3_outcome(restored)["received"] == 48

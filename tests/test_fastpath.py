@@ -30,7 +30,6 @@ from repro.pisa.fastpath import (
     _Flight,
     _PathEntry,
     _Unfusable,
-    env_enabled,
 )
 from repro.sim.rng import SeededRng
 from repro.sim.shard import BoundaryLink
@@ -132,16 +131,6 @@ def _fastpath_totals(network):
 # ----------------------------------------------------------------------
 # Env toggle / constructor plumbing
 # ----------------------------------------------------------------------
-def test_env_enabled_parsing(monkeypatch):
-    monkeypatch.delenv(FLOW_FASTPATH_ENV, raising=False)
-    assert env_enabled() is True
-    for off in ("0", "false", "OFF", "no", ""):
-        monkeypatch.setenv(FLOW_FASTPATH_ENV, off)
-        assert env_enabled() is False
-    monkeypatch.setenv(FLOW_FASTPATH_ENV, "1")
-    assert env_enabled() is True
-
-
 def test_constructor_and_env_toggles(monkeypatch):
     network = build_linear(make_baseline_switch(fastpath=False), switch_count=1)
     assert network.switches["s0"].flow_fastpath is None

@@ -19,6 +19,8 @@ from repro.net.topology import build_linear
 from repro.packet.builder import make_udp_packet
 from repro.packet.headers import Ipv4
 from repro.pisa.action import Action
+from repro.pisa.compile import PIPELINE_COMPILE_ENV
+from repro.pisa.fastpath import FLOW_FASTPATH_ENV
 from repro.pisa.flowcache import (
     FLOW_CACHE_ENV,
     FlowCache,
@@ -108,14 +110,19 @@ def test_versioned_dict_survives_pickle_with_generation():
     assert clone.generation == d.generation
 
 
-def test_env_enabled_parsing(monkeypatch):
-    monkeypatch.delenv(FLOW_CACHE_ENV, raising=False)
-    assert env_enabled() is True
+@pytest.mark.parametrize(
+    "name", [FLOW_CACHE_ENV, PIPELINE_COMPILE_ENV, FLOW_FASTPATH_ENV]
+)
+def test_env_enabled_parsing(monkeypatch, name):
+    # One parser serves all three accelerator toggles.
+    monkeypatch.delenv(name, raising=False)
+    assert env_enabled(name) is True
+    assert env_enabled(name, default=False) is False
     for off in ("0", "false", "OFF", "no", ""):
-        monkeypatch.setenv(FLOW_CACHE_ENV, off)
-        assert env_enabled() is False
-    monkeypatch.setenv(FLOW_CACHE_ENV, "1")
-    assert env_enabled() is True
+        monkeypatch.setenv(name, off)
+        assert env_enabled(name) is False
+    monkeypatch.setenv(name, "1")
+    assert env_enabled(name) is True
 
 
 def test_constructor_and_env_toggles(monkeypatch):

@@ -222,7 +222,7 @@ class TestExecution:
         from repro.arch.events import Event
 
         with pytest.raises(LangRuntimeError):
-            program.dispatch_event(
+            program.handler_for(EventType.ENQUEUE)(
                 switch.ctx, Event(EventType.ENQUEUE, 0, meta={"pkt_len": 1})
             )
 

@@ -79,16 +79,10 @@ def test_one_method_cannot_handle_two_events():
                 pass
 
 
-def test_dispatch_packet_event_guards_kind():
-    program = TinyProgram()
-    with pytest.raises(ValueError):
-        program.dispatch_packet_event(EventType.TIMER, ProgramContext(), None, None)
-
-
 def test_dispatch_event_runs_handler():
     program = TinyProgram()
     event = Event(kind=EventType.TIMER, time_ps=5, meta={"timer_id": 1})
-    program.dispatch_event(ProgramContext(), event)
+    program.handler_for(event.kind)(ProgramContext(), event)
     assert program.timer_events == [event]
 
 
