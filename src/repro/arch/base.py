@@ -465,8 +465,13 @@ class SwitchBase:
         """Snapshot the program's shared registers and its ``kind →
         (handler, thread tag)`` table, read by :meth:`_run_handler`, and
         void the packet-event runners; :meth:`_dispatch_packet_event`
-        rebinds them on its next call."""
+        rebinds them on its next call.
+
+        Also empties ``_ingress_key``, the slot in which an
+        architecture's receive path hands an ingress walk's flow key to
+        the INGRESS_PACKET runner (which consumes it)."""
         self._runners = None
+        self._ingress_key = None
         program = self.program
         if program is None:
             self._shared_regs, self._event_handlers = (), {}
@@ -550,6 +555,8 @@ class SwitchBase:
         A flow the attached flow cache holds is replayed; a new flow is
         recorded with the interpreted handler; anything else (no cache,
         a known-impure flow) runs the full walk in ``cell[0]``.  The
+        ingress runner takes its flow key from ``_ingress_key`` when the
+        receive path left one there, and computes it otherwise.  The
         cell starts as the handler and becomes the program's compiled
         :class:`~repro.pisa.compile.PipelineSpec` walk after
         :attr:`COMPILE_WARMUP` full walks of this kind; the walk's
@@ -557,6 +564,7 @@ class SwitchBase:
         cache is read live, so parking and re-attach need no rebind."""
         switch, ctx, program = self, self.ctx, self.program
         regs, thread = self._shared_regs, kind.value
+        keyed = kind is EventType.INGRESS_PACKET
         pipeline = self._pipeline_for_kind(kind)
         cell = [fn]
         warmup = self.COMPILE_WARMUP if self.pipeline_compile else -1
@@ -568,7 +576,11 @@ class SwitchBase:
             nonlocal warmup
             cache = switch.flow_cache
             if cache is not None:
-                key = cache.flow_key(kind, pkt, meta)
+                key = switch._ingress_key if keyed else None
+                if key is None:
+                    key = cache.flow_key(kind, pkt, meta)
+                else:
+                    switch._ingress_key = None
                 entry = cache.lookup(key)
                 if entry is None:
                     # First traversal of this flow: run it under the
@@ -670,8 +682,9 @@ class SwitchBase:
         state = self.__dict__.copy()
         # Derived from the program: the handler table is rebuilt by
         # __setstate__, the runners (closures don't pickle) on the
-        # first dispatch after restore.
-        del state["_event_handlers"], state["_runners"]
+        # first dispatch after restore.  The ingress key lives for one
+        # dispatch only.
+        del state["_event_handlers"], state["_runners"], state["_ingress_key"]
         return state
 
     def __setstate__(self, state) -> None:

@@ -12,7 +12,7 @@ close.
 from __future__ import annotations
 
 from sys import getrefcount
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.arch.base import SwitchBase
 from repro.arch.description import BASELINE_PSA, ArchitectureDescription
@@ -21,6 +21,8 @@ from repro.packet.packet import Packet
 from repro.pisa.metadata import StandardMetadata
 from repro.pisa.pipeline import Pipeline
 from repro.sim.kernel import Simulator
+
+_EGRESS = EventType.EGRESS_PACKET
 
 
 class BaselinePsaSwitch(SwitchBase):
@@ -64,19 +66,19 @@ class BaselinePsaSwitch(SwitchBase):
             self.stalled_rx_drops += 1
             return
         fastpath = self.flow_fastpath
-        if (
-            fastpath is not None
-            and not pkt.recirculated
-            and not pkt.generated
-            and fastpath.handle(pkt, port)
-        ):
-            # The whole multi-hop delivery was fused into one event; all
-            # per-hop bookkeeping (rx_packets included) lands at arrival.
-            return
+        key = None
+        if fastpath is not None and not pkt.recirculated and not pkt.generated:
+            key = fastpath.handle(pkt, port)
+            if key is None:
+                # The whole multi-hop delivery was fused into one event;
+                # all per-hop bookkeeping (rx_packets included) lands at
+                # arrival.
+                return
         self.rx_packets += 1
         pkt.ingress_port = port
+        # A declined packet's flow key rides along to its ingress walk.
         self.sim.call_after(
-            self.ingress_pipeline.latency_ps, self._ingress_done, pkt, port
+            self.ingress_pipeline.latency_ps, self._ingress_done, pkt, port, key
         )
 
     def inject_generated(self, pkt: Packet) -> None:
@@ -92,12 +94,19 @@ class BaselinePsaSwitch(SwitchBase):
             self.ingress_pipeline.latency_ps, self._ingress_done, pkt, pkt.ingress_port
         )
 
-    def _ingress_done(self, pkt: Packet, port: int) -> None:
+    def _ingress_done(
+        self, pkt: Packet, port: int, key: Optional[tuple] = None
+    ) -> None:
+        """The ingress walk, after the pipeline latency.  ``key`` is the
+        packet's ingress flow key when the fastpath declined it; other
+        packets (materialized, recirculated, generated, or arriving
+        with no fastpath) carry none."""
         meta = self.meta_pool.acquire(
             ingress_port=port,
             packet_length=pkt.total_len,
             ingress_timestamp_ps=self.sim.now_ps,
         )
+        self._ingress_key = key
         self.ingress_pipeline.process(pkt, meta)
         self._steer(pkt, meta)
         if getrefcount(meta) == 2:
@@ -148,6 +157,20 @@ class BaselinePsaSwitch(SwitchBase):
 
     def _after_tm(self, pkt: Packet, port: int) -> None:
         """Dequeued and serialized: run the egress pipeline, then transmit."""
+        runners = self._runners
+        if (
+            runners is not None
+            and _EGRESS not in runners
+            and not self.bus._observers
+        ):
+            # An empty egress walk nobody watches: only its counters are
+            # observable, so skip the metadata and the queue depth.
+            self.egress_pipeline.packets_processed += 1
+            self.bus.fired[_EGRESS] += 1
+            self.sim.call_after(
+                self.egress_pipeline.latency_ps, self._transmit, pkt, port
+            )
+            return
         meta = self.meta_pool.acquire(
             ingress_port=pkt.ingress_port,
             egress_port=port,

@@ -41,7 +41,7 @@ class ArchitectureDescription:
 
     def supports(self, kind: EventType) -> bool:
         """True when programs may handle ``kind`` on this target."""
-        return kind in self.all_events
+        return kind in self.native_events or kind in self.emulated_events
 
     def validate_events(self, handled: Iterable[EventType]) -> None:
         """Raise :class:`UnsupportedEventError` for unsupported handlers."""

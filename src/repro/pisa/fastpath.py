@@ -239,6 +239,8 @@ class _Hop:
     per-packet validate/deliver steps touch (stat dicts, pipelines,
     buffer, queue stats) so the fused path never re-walks attribute
     chains — the per-hop cost is the counter bumps, nothing else.
+    Built from one row of :meth:`FlowFastpath._build`'s walk, once the
+    walk has reached a host (nothing it reads can change mid-walk).
     """
 
     __slots__ = (
@@ -277,6 +279,59 @@ class _Hop:
         "incident_links",
         "neighbor_hosts",
     )
+
+    def __init__(
+        self,
+        sw,
+        rx_port,
+        ingress_key,
+        ingress_entry,
+        egress_key,
+        egress_entry,
+        port_obj,
+        link,
+        genvec,
+        queue_id,
+        tx_time_ps,
+        length,
+        d_enq,
+        nbhd,
+    ) -> None:
+        bus = sw.bus
+        cache = sw.flow_cache
+        self.switch = sw
+        self.cache = cache
+        self.fp = sw.flow_fastpath
+        self.rx_port = rx_port
+        self.ingress_key = ingress_key
+        self.ingress_entry = ingress_entry
+        self.egress_key = egress_key
+        self.egress_entry = egress_entry
+        self.egress_spec = ingress_entry.egress_spec
+        self.port_obj = port_obj
+        self.link = link
+        self.link_epoch = link.epoch
+        self.rate_gbps = port_obj.rate_gbps
+        self.genvec = genvec
+        self.dep_gens = tuple((dep, dep.generation) for dep in cache._deps)
+        self.entries = cache._entries
+        self.bus = bus
+        self.fired = bus.fired
+        self.handled = bus.handled
+        self.suppressed = bus.suppressed
+        self.cache_stats = cache.stats
+        self.ingress_pipeline = sw.ingress_pipeline
+        self.egress_pipeline = sw.egress_pipeline
+        self.tm = sw.tm
+        self.buffer = sw.tm.buffer
+        self.qstats = port_obj.queues[queue_id].stats
+        self.observer_epoch = bus.observer_epoch
+        self.tx_time_ps = tx_time_ps
+        self.length = length
+        self.d_enq = d_enq
+        self.d_leave = d_enq + tx_time_ps + sw.egress_pipeline.latency_ps
+        self.d_exit = self.d_leave + link.latency_ps
+        self.incident_links, self.neighbor_hosts = nbhd
 
 
 class _Flight:
@@ -326,6 +381,7 @@ class FlowFastpath:
         "_quiet_until_ps",
         "_registered",
         "_nbhd",
+        "_verdict",
         "__weakref__",
     )
 
@@ -346,6 +402,8 @@ class FlowFastpath:
         self._registered = False
         #: ``(network, link count, neighborhood)`` — see :meth:`_neighborhood`.
         self._nbhd: Optional[tuple] = None
+        #: ``(program, description, reason)`` — see :meth:`_program_verdict`.
+        self._verdict: Optional[tuple] = None
         for collector in _COLLECTORS:
             collector.append(self)
 
@@ -395,18 +453,18 @@ class FlowFastpath:
         self._quiet_until_ps = 0
         self._registered = False
         self._nbhd = None
+        self._verdict = None
 
     # ------------------------------------------------------------------
     # Entry point (called by the owning switch's receive path)
     # ------------------------------------------------------------------
-    def handle(self, pkt, port: int) -> bool:
-        """Try to fuse the delivery of ``pkt``; True when one event was
-        scheduled and the caller must not run the per-hop path."""
-        if self.switch.bus._observers:
-            # Observers need per-hop event visibility; skip before the
-            # path build so an instrumented run never thrashes entries.
-            self.stats.fallback("observer")
-            return False
+    def handle(self, pkt, port: int) -> Optional[tuple]:
+        """Try to fuse the delivery of ``pkt``; None when one event was
+        scheduled and the caller must not run the per-hop path, else the
+        declined packet's ingress flow key for that path to reuse.
+
+        The key has :meth:`FlowCache.flow_key`'s layout and value for
+        the packet's ingress walk at this switch and ``port``."""
         parts: List[object] = [_INGRESS, port, pkt.payload_len]
         append = parts.append
         extend = parts.extend
@@ -419,20 +477,36 @@ class FlowFastpath:
                 getter = field_getter(cls)
             extend(getter(header))
         key = tuple(parts)
+        sw = self.switch
+        if sw.bus._observers:
+            # Observers need per-hop event visibility; skip before the
+            # path build so an instrumented run never thrashes entries.
+            self.stats.fallback("observer")
+            return key
         path = self._paths.get(key)
         if path is None:
+            cache = sw.flow_cache
+            if (
+                cache is not None
+                and key not in cache._entries
+                and self._entry_switch_eligible()
+            ):
+                # _build's answer once hop 0 passes its structural
+                # checks: hop 0 is not recorded yet (transient).
+                self._ensure_registered()
+                return key
             path = self._build(pkt, port, key)
             if path is None:
-                return False
+                return key
         elif type(path) is _Unfusable:
             if path.sig == self._hop1_sig():
                 self.stats.fallback(path.reason)
-                return False
+                return key
             del self._paths[key]
             self.stats.invalidations += 1
             path = self._build(pkt, port, key)
             if path is None:
-                return False
+                return key
         now = self.sim.now_ps
         verdict = self._validate(path, now)
         if verdict is not None:
@@ -441,7 +515,7 @@ class FlowFastpath:
             if stale:
                 del self._paths[key]
                 self.stats.invalidations += 1
-            return False
+            return key
         flight = _Flight()
         flight.path = path
         flight.pkt = pkt
@@ -453,7 +527,36 @@ class FlowFastpath:
             fp._quiet_until_ps = now + hop.d_leave
             fp._active.append(flight)
         self.stats.fused += 1
-        return True
+        return None
+
+    def _entry_switch_eligible(self) -> bool:
+        """Whether this switch passes every structural check
+        :meth:`_build` makes at hop 0 before its first cache probe (an
+        observed packet never gets here)."""
+        sw = self.switch
+        program = sw.program
+        return (
+            type(sw) is _baseline_cls()
+            and sw.flow_fastpath is self
+            and program is not None
+            and self._program_verdict(program, sw.description) is None
+        )
+
+    def _program_verdict(self, program, description) -> Optional[str]:
+        """The negative reason :meth:`_build` records at this switch for
+        its program and description, or None: ``"architecture"`` when
+        the description admits a TM event kind, ``"steer"`` when the
+        program handles no ingress packets.  Memoised per ``(program,
+        description)``."""
+        memo = self._verdict
+        if memo is None or memo[0] is not program or memo[1] is not description:
+            reason = None
+            if any(description.supports(kind) for kind in _TM_EVENT_KINDS):
+                reason = "architecture"
+            elif program.handler_for(_INGRESS) is None:
+                reason = "steer"
+            memo = self._verdict = (program, description, reason)
+        return memo[2]
 
     # ------------------------------------------------------------------
     # Fuse-time validation
@@ -738,11 +841,13 @@ class FlowFastpath:
         baseline = _baseline_cls()
         link_cls = _link_cls()
         host_cls = _host_cls()
-        hops: List[_Hop] = []
+        # One row of _Hop.__init__ arguments per switch walked; the hops
+        # themselves are built only once the walk reaches a host.
+        walked: List[tuple] = []
         clock = 0
         seen = set()
         while True:
-            if len(hops) >= _MAX_HOPS or id(sw) in seen:
+            if len(walked) >= _MAX_HOPS or id(sw) in seen:
                 return self._negative(key, "loop")
             seen.add(id(sw))
             if type(sw) is not baseline:
@@ -757,12 +862,9 @@ class FlowFastpath:
             program = sw.program
             if program is None:
                 return None  # transient: nothing loaded yet
-            description = sw.description
-            for kind in _TM_EVENT_KINDS:
-                if description.supports(kind):
-                    return self._negative(key, "architecture")
-            if program.handler_for(_INGRESS) is None:
-                return self._negative(key, "steer")
+            reason = sw.flow_fastpath._program_verdict(program, sw.description)
+            if reason is not None:
+                return self._negative(key, reason)
             if classes is None:
                 ikey = key
             else:
@@ -831,42 +933,25 @@ class FlowFastpath:
             nbhd = fp._neighborhood(network)
             if nbhd is None:
                 return self._negative(key, "boundary")
-            bus = sw.bus
-            hop = _Hop()
-            hop.switch = sw
-            hop.cache = cache
-            hop.fp = fp
-            hop.rx_port = rx_port
-            hop.ingress_key = ikey
-            hop.ingress_entry = entry
-            hop.egress_key = egress_key
-            hop.egress_entry = egress_entry
-            hop.egress_spec = spec
-            hop.port_obj = port_obj
-            hop.link = link
-            hop.link_epoch = link.epoch
-            hop.rate_gbps = port_obj.rate_gbps
-            hop.genvec = genvec
-            hop.dep_gens = tuple((dep, dep.generation) for dep in cache._deps)
-            hop.entries = cache._entries
-            hop.bus = bus
-            hop.fired = bus.fired
-            hop.handled = bus.handled
-            hop.suppressed = bus.suppressed
-            hop.cache_stats = cache.stats
-            hop.ingress_pipeline = sw.ingress_pipeline
-            hop.egress_pipeline = sw.egress_pipeline
-            hop.tm = sw.tm
-            hop.buffer = sw.tm.buffer
-            hop.qstats = port_obj.queues[queue_id].stats
-            hop.observer_epoch = bus.observer_epoch
-            hop.tx_time_ps = tx_time
-            hop.length = length
-            hop.d_enq = clock + sw.ingress_pipeline.latency_ps
-            hop.d_leave = hop.d_enq + tx_time + sw.egress_pipeline.latency_ps
-            hop.d_exit = hop.d_leave + link.latency_ps
-            hop.incident_links, hop.neighbor_hosts = nbhd
-            hops.append(hop)
+            d_enq = clock + sw.ingress_pipeline.latency_ps
+            walked.append(
+                (
+                    sw,
+                    rx_port,
+                    ikey,
+                    entry,
+                    egress_key,
+                    egress_entry,
+                    port_obj,
+                    link,
+                    genvec,
+                    queue_id,
+                    tx_time,
+                    length,
+                    d_enq,
+                    nbhd,
+                )
+            )
             if egress_entry is not None:
                 # Egress rewrites land before the next hop sees the bits.
                 for idx, pairs in egress_entry.rewrites:
@@ -876,13 +961,14 @@ class FlowFastpath:
                         row[index[name]] = value
                 if egress_entry.payload_len is not None:
                     payload = egress_entry.payload_len
-            clock = hop.d_exit
+            clock = d_enq + tx_time + sw.egress_pipeline.latency_ps + link.latency_ps
             if link.node_a is sw:
                 receiver, next_port = link.node_b, link.port_b
             else:
                 receiver, next_port = link.node_a, link.port_a
             if isinstance(receiver, host_cls):
-                path = _PathEntry(tuple(hops), receiver, next_port, clock)
+                hops = tuple(_Hop(*row) for row in walked)
+                path = _PathEntry(hops, receiver, next_port, clock)
                 self._store(key, path)
                 self.stats.paths_built += 1
                 return path
@@ -926,18 +1012,9 @@ class FlowFastpath:
     # Keys and negative entries
     # ------------------------------------------------------------------
     @staticmethod
-    def _flow_key(kind, port: int, payload_len: int, headers) -> tuple:
-        """Identical layout to :meth:`FlowCache.flow_key`."""
-        parts: List[object] = [kind, port, payload_len]
-        for header in headers:
-            cls = header.__class__
-            parts.append(cls)
-            parts.extend(field_getter(cls)(header))
-        return tuple(parts)
-
-    @staticmethod
     def _flow_key_flat(kind, port: int, payload_len: int, classes, values) -> tuple:
-        """`_flow_key` over the walk's flat value rows instead of headers."""
+        """:meth:`FlowCache.flow_key`'s layout over the walk's flat value
+        rows instead of headers."""
         parts: List[object] = [kind, port, payload_len]
         for cls, row in zip(classes, values):
             parts.append(cls)

@@ -352,6 +352,42 @@ class _ShimImpure:
         return self.orig(*args, **kwargs)
 
 
+def _shim_plan(externs) -> Tuple[Tuple[object, str, type], ...]:
+    """``(extern, method, shim class)`` for every method a recording
+    shims, in install order.  Recordable methods come first on each
+    extern, so a method both tables name is shimmed as recordable."""
+    plan: List[Tuple[object, str, type]] = []
+    for extern in externs:
+        for klass, names in RECORDABLE_METHODS.items():
+            if isinstance(extern, klass):
+                for name in names:
+                    if hasattr(extern, name):
+                        plan.append((extern, name, _ShimOp))
+        for klass, names in IMPURE_METHODS.items():
+            if isinstance(extern, klass):
+                for name in names:
+                    if hasattr(extern, name) and not any(
+                        e is extern and n == name for e, n, _s in plan
+                    ):
+                        plan.append((extern, name, _ShimImpure))
+    return tuple(plan)
+
+
+#: How :meth:`FlowCache._fingerprint` records one program attribute,
+#: decided once per attribute class.
+_FP_VALUE, _FP_SKIP, _FP_SIZED, _FP_ID = range(4)
+
+
+def _fingerprint_verdict(cls: type) -> int:
+    if issubclass(cls, (int, float, str, bool, type(None))):
+        return _FP_VALUE
+    if issubclass(cls, (Table, VersionedDict)):
+        return _FP_SKIP  # the generation vector covers these
+    if issubclass(cls, (dict, list, set, tuple)):
+        return _FP_SIZED
+    return _FP_ID
+
+
 class _Recording:
     """State captured across one recorded traversal."""
 
@@ -373,7 +409,7 @@ class _Recording:
         self.pkt_meta_snapshot: Dict[str, object] = {}
         self.payload_len = 0
         self.vars_fingerprint: Dict[str, object] = {}
-        self.shimmed: List[Tuple[object, str]] = []
+        self.shimmed: Tuple[Tuple[object, str, type], ...] = ()
         self.genvec: tuple = ()
 
 
@@ -410,7 +446,8 @@ class FlowCache:
         "stats",
         "_entries",
         "_deps",
-        "_externs",
+        "_shim_plan",
+        "_fp_verdicts",
         "_program",
         "_registered",
         "name",
@@ -427,7 +464,8 @@ class FlowCache:
         self.stats = FlowCacheStats()
         self._entries: Dict[tuple, object] = {}
         self._deps: List[object] = []
-        self._externs: List[object] = []
+        self._shim_plan: Tuple[Tuple[object, str, type], ...] = ()
+        self._fp_verdicts: Dict[type, int] = {}
         self._program = None
         self._registered = False
         self.attach_epoch = 0
@@ -438,7 +476,8 @@ class FlowCache:
     # Lifecycle
     # ------------------------------------------------------------------
     def attach(self, program) -> None:
-        """Bind to a loaded program: discover versioned deps and externs."""
+        """Bind to a loaded program: discover versioned deps and plan the
+        extern shims every recording installs."""
         self._program = program
         self._entries.clear()
         # Bumped so path-level consumers (the flow fastpath) can tell a
@@ -450,10 +489,11 @@ class FlowCache:
             for _name, value in sorted(vars(program).items()):
                 if isinstance(value, (Table, VersionedDict)):
                     deps.append(value)
-            for _name, ext in program.externs():
-                externs.append(ext)
+            for _name, extern in program.externs():
+                externs.append(extern)
         self._deps = deps
-        self._externs = externs
+        self._shim_plan = _shim_plan(externs)
+        self._fp_verdicts = {}
 
     def clear(self) -> None:
         """Drop every cached flow (entries only; stats survive)."""
@@ -492,7 +532,8 @@ class FlowCache:
         self.stats = FlowCacheStats()
         self._entries = {}
         self._deps = []
-        self._externs = []
+        self._shim_plan = ()
+        self._fp_verdicts = {}
         self._program = None
         self._registered = False
         self.attach_epoch = 0
@@ -606,21 +647,9 @@ class FlowCache:
         ]
         rec.pkt_meta_snapshot = dict(pkt.meta)
         rec.vars_fingerprint = self._fingerprint()
-        for extern in self._externs:
-            for klass, names in RECORDABLE_METHODS.items():
-                if isinstance(extern, klass):
-                    for name in names:
-                        if hasattr(extern, name):
-                            setattr(extern, name, _ShimOp(rec, extern, name))
-                            rec.shimmed.append((extern, name))
-            for klass, names in IMPURE_METHODS.items():
-                if isinstance(extern, klass):
-                    for name in names:
-                        if hasattr(extern, name) and not any(
-                            e is extern and n == name for e, n in rec.shimmed
-                        ):
-                            setattr(extern, name, _ShimImpure(rec, extern, name))
-                            rec.shimmed.append((extern, name))
+        plan = rec.shimmed = self._shim_plan
+        for extern, name, shim in plan:
+            setattr(extern, name, shim(rec, extern, name))
         return rec, _RecordingContext(ctx, rec), _RecordingMeta(meta, rec)
 
     def abort(self, rec: "_Recording") -> None:
@@ -697,7 +726,7 @@ class FlowCache:
         entries[key] = value
 
     def _unshim(self, rec: "_Recording") -> None:
-        for extern, name in rec.shimmed:
+        for extern, name, _shim in rec.shimmed:
             try:
                 delattr(extern, name)
             except AttributeError:
@@ -714,16 +743,19 @@ class FlowCache:
         fp: Dict[str, object] = {}
         if program is None:
             return fp
+        verdicts = self._fp_verdicts
         for name, value in vars(program).items():
             if name.startswith("_"):
                 continue
-            if isinstance(value, (int, float, str, bool, type(None))):
+            cls = type(value)
+            verdict = verdicts.get(cls)
+            if verdict is None:
+                verdict = verdicts[cls] = _fingerprint_verdict(cls)
+            if verdict == _FP_VALUE:
                 fp[name] = value
-            elif isinstance(value, (Table, VersionedDict)):
-                continue  # generation vector covers these
-            elif isinstance(value, (dict, list, set, tuple)):
+            elif verdict == _FP_SIZED:
                 fp[name] = (id(value), len(value))
-            else:
+            elif verdict == _FP_ID:
                 fp[name] = id(value)
         return fp
 

@@ -1,5 +1,7 @@
 """Unit tests for the baseline PSA switch (paper Figure 1)."""
 
+import hashlib
+
 import pytest
 
 from repro.arch.baseline import BaselinePsaSwitch
@@ -7,6 +9,7 @@ from repro.arch.description import UnsupportedEventError
 from repro.arch.events import EventType
 from repro.arch.program import P4Program, handler
 from repro.packet.builder import make_udp_packet
+from repro.packet.headers import Ipv4
 from repro.pisa.externs.register import SharedRegister
 from repro.sim.kernel import Simulator
 
@@ -208,3 +211,195 @@ def test_require_program():
     sim, switch = make_switch()
     with pytest.raises(RuntimeError):
         switch.require_program()
+
+
+# ----------------------------------------------------------------------
+# The egress walk: skipped work must not show in any counter
+# ----------------------------------------------------------------------
+class _IngressOnly(P4Program):
+    """Drops every third packet and recirculates every fourth at ingress;
+    no egress handler, so the egress walk is empty."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = 0
+
+    @handler(EventType.INGRESS_PACKET)
+    def ingress(self, ctx, pkt, meta):
+        self.seen += 1
+        if self.seen % 3 == 0:
+            meta.drop()
+        elif self.seen % 4 == 0:
+            meta.request_recirculation()
+        else:
+            meta.send_to_port(1 + self.seen % 2)
+
+    @handler(EventType.RECIRCULATED_PACKET)
+    def recirculated(self, ctx, pkt, meta):
+        # Marks the second pass in the header, so every decision stays a
+        # function of the bits the flow cache keys on.
+        pkt.get(Ipv4).set(dscp=1)
+        meta.send_to_port(3)
+
+
+class _EgressDrops(_IngressOnly):
+    @handler(EventType.EGRESS_PACKET)
+    def egress(self, ctx, pkt, meta):
+        if pkt.payload_len % 2:
+            meta.drop()
+
+
+class _EgressRecirculates(_IngressOnly):
+    @handler(EventType.EGRESS_PACKET)
+    def egress(self, ctx, pkt, meta):
+        if pkt.payload_len % 5 == 0 and not pkt.get(Ipv4).dscp:
+            meta.request_recirculation()
+
+
+#: Every kind a baseline switch can fire, in the order outcomes list them.
+_KINDS = (
+    EventType.INGRESS_PACKET,
+    EventType.EGRESS_PACKET,
+    EventType.RECIRCULATED_PACKET,
+    EventType.ENQUEUE,
+    EventType.DEQUEUE,
+    EventType.BUFFER_OVERFLOW,
+    EventType.BUFFER_UNDERFLOW,
+    EventType.PACKET_TRANSMITTED,
+)
+
+
+def _egress_run(program_cls, observe_at_ps=None):
+    """Twenty packets through one switch; the outcome in run-stable terms
+    (transmissions as packet ordinals, not process-global ids, hashed)."""
+    from repro.obs import EventCounters
+
+    sim, switch = make_switch(program_cls())
+    ordinal = {}
+    sent = []
+    switch.set_tx_callback(
+        lambda pkt, port: sent.append((ordinal[pkt.pkt_id], port, sim.now_ps))
+    )
+    for i in range(20):
+        pkt = make_udp_packet(1 + i % 4, 2, payload_len=100 + i)
+        ordinal[pkt.pkt_id] = i
+        sim.call_at(1_000 + i * 50_000, switch.receive, pkt, 0)
+    counters = EventCounters()
+    if observe_at_ps is not None:
+        sim.call_at(observe_at_ps, switch.bus.add_observer, counters)
+    sim.run()
+
+    def kinds(counts):
+        assert not any(counts[kind] for kind in EventType if kind not in _KINDS)
+        return tuple(counts[kind] for kind in _KINDS)
+
+    return {
+        "sent": hashlib.sha256(repr(sent).encode()).hexdigest()[:16],
+        "fired": kinds(switch.bus.fired),
+        "handled": kinds(switch.bus.handled),
+        "suppressed": kinds(switch.bus.suppressed),
+        "ingress": switch.ingress_pipeline.packets_processed,
+        "egress": switch.egress_pipeline.packets_processed,
+        "dropped_by_program": switch.dropped_by_program,
+        "recirculations": switch.recirculations,
+        "observed": [kinds(counters.published), kinds(counters.handled)],
+    }
+
+
+#: Outcomes recorded when every egress walk acquired metadata and ran
+#: the dispatch: a walk that is skipped must leave all of them as-is.
+_EGRESS_GOLDEN = {
+    ("_IngressOnly", None): {
+        "sent": "fda4fe4a8a369280",
+        "fired": (20, 14, 4, 0, 0, 0, 0, 0),
+        "handled": (20, 0, 4, 0, 0, 0, 0, 0),
+        "suppressed": (0, 0, 0, 14, 14, 0, 14, 14),
+        "ingress": 24,
+        "egress": 14,
+        "dropped_by_program": 6,
+        "recirculations": 4,
+        "observed": [(0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0)],
+    },
+    ("_IngressOnly", 500_000): {
+        "sent": "fda4fe4a8a369280",
+        "fired": (20, 14, 4, 0, 0, 0, 0, 0),
+        "handled": (20, 0, 4, 0, 0, 0, 0, 0),
+        "suppressed": (0, 0, 0, 14, 14, 0, 14, 14),
+        "ingress": 24,
+        "egress": 14,
+        "dropped_by_program": 6,
+        "recirculations": 4,
+        "observed": [(10, 10, 2, 7, 7, 0, 7, 10), (10, 0, 2, 0, 0, 0, 0, 0)],
+    },
+    ("_EgressDrops", None): {
+        "sent": "50ebd90a5a972a5b",
+        "fired": (20, 14, 4, 0, 0, 0, 0, 0),
+        "handled": (20, 14, 4, 0, 0, 0, 0, 0),
+        "suppressed": (0, 0, 0, 14, 14, 0, 14, 14),
+        "ingress": 24,
+        "egress": 14,
+        "dropped_by_program": 13,
+        "recirculations": 4,
+        "observed": [(0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0)],
+    },
+    ("_EgressDrops", 500_000): {
+        "sent": "50ebd90a5a972a5b",
+        "fired": (20, 14, 4, 0, 0, 0, 0, 0),
+        "handled": (20, 14, 4, 0, 0, 0, 0, 0),
+        "suppressed": (0, 0, 0, 14, 14, 0, 14, 14),
+        "ingress": 24,
+        "egress": 14,
+        "dropped_by_program": 13,
+        "recirculations": 4,
+        "observed": [(10, 10, 2, 7, 7, 0, 7, 10), (10, 10, 2, 0, 0, 0, 0, 0)],
+    },
+    ("_EgressRecirculates", None): {
+        "sent": "ac766fd428c6b0c6",
+        "fired": (20, 16, 6, 0, 0, 0, 0, 0),
+        "handled": (20, 16, 6, 0, 0, 0, 0, 0),
+        "suppressed": (0, 0, 0, 16, 16, 0, 16, 16),
+        "ingress": 26,
+        "egress": 16,
+        "dropped_by_program": 6,
+        "recirculations": 6,
+        "observed": [(0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0)],
+    },
+    ("_EgressRecirculates", 500_000): {
+        "sent": "ac766fd428c6b0c6",
+        "fired": (20, 16, 6, 0, 0, 0, 0, 0),
+        "handled": (20, 16, 6, 0, 0, 0, 0, 0),
+        "suppressed": (0, 0, 0, 16, 16, 0, 16, 16),
+        "ingress": 26,
+        "egress": 16,
+        "dropped_by_program": 6,
+        "recirculations": 6,
+        "observed": [(10, 11, 3, 8, 8, 0, 8, 11), (10, 11, 3, 0, 0, 0, 0, 0)],
+    },
+}
+
+
+@pytest.mark.parametrize("observe_at_ps", [None, 500_000])
+@pytest.mark.parametrize(
+    "program_cls", [_IngressOnly, _EgressDrops, _EgressRecirculates]
+)
+def test_egress_walk_counters_match_golden(program_cls, observe_at_ps):
+    outcome = _egress_run(program_cls, observe_at_ps)
+    assert outcome == _EGRESS_GOLDEN[program_cls.__name__, observe_at_ps]
+
+
+def test_empty_egress_walk_reads_no_queue_depth(monkeypatch):
+    # With no egress handler and nobody observing, the walk's metadata
+    # (deq_qdepth_bytes included) is never built.
+    from repro.tm.traffic_manager import TrafficManager
+
+    reads = []
+    depth = TrafficManager.port_depth_bytes
+    monkeypatch.setattr(
+        TrafficManager,
+        "port_depth_bytes",
+        lambda tm, port: reads.append(port) or depth(tm, port),
+    )
+    _egress_run(_IngressOnly)
+    assert reads == []
+    _egress_run(_EgressDrops)
+    assert len(reads) == 14

@@ -484,7 +484,7 @@ def _reduce_as_the_generated_dispatch_did(switch):
     return copyreg.__newobj__, (type(switch),), state
 
 
-def _l3_chain():
+def _l3_chain(flow_cache=False, fastpath=None):
     from repro.apps.l3fwd import L3Router
     from repro.experiments.factories import make_baseline_switch
     from repro.net.topology import build_linear
@@ -492,7 +492,8 @@ def _l3_chain():
 
     h0_ip, h1_ip = 0x0A00_0001, 0x0A00_0002
     network = build_linear(
-        make_baseline_switch(flow_cache=False, compile=True), switch_count=3
+        make_baseline_switch(flow_cache=flow_cache, compile=True, fastpath=fastpath),
+        switch_count=3,
     )
     for name in sorted(network.switches):
         program = L3Router()
@@ -546,3 +547,48 @@ def test_checkpoint_with_pending_generated_dispatch_resumes_identically():
     straight.run()
     assert _l3_outcome(restored) == _l3_outcome(straight)
     assert _l3_outcome(restored)["received"] == 48
+
+
+# ----------------------------------------------------------------------
+# A pending ingress walk that carries its flow key, and one without
+# ----------------------------------------------------------------------
+def _checkpoint_mid_ingress_walk(strip_keys):
+    """Run a cached, fastpath-enabled L3 chain until packets sit in an
+    ingress pipe with the flow keys their fuse attempts built, then
+    checkpoint it, with the keys or (as builds that never handed keys
+    over wrote it) without, and run the restored copy to the end."""
+    from repro.arch.baseline import BaselinePsaSwitch
+
+    network = _l3_chain(flow_cache=True, fastpath=True)
+    sim = network.sim
+    until = 0
+    while True:
+        until += 10_000
+        network.run(until_ps=until)
+        pending = [
+            event
+            for event in sim._queue
+            if getattr(event.callback, "__func__", None)
+            is BaselinePsaSwitch._ingress_done
+        ]
+        if pending and all(event.args[2] is not None for event in pending):
+            break
+    if strip_keys:
+        for event in pending:
+            event[4] = event.args[:2]  # the older (pkt, port) shape
+    blob = dumps_checkpoint(sim, state=network)
+    _sim, restored, _header = loads_checkpoint(blob)
+    for switch in restored.switches.values():
+        assert switch._ingress_key is None
+    restored.run()
+    return restored
+
+
+def test_checkpoint_with_pending_keyed_ingress_walk_resumes_identically():
+    keyed = _checkpoint_mid_ingress_walk(strip_keys=False)
+    keyless = _checkpoint_mid_ingress_walk(strip_keys=True)
+    straight = _l3_chain(flow_cache=True, fastpath=True)
+    straight.run()
+    assert _l3_outcome(keyed) == _l3_outcome(keyless) == _l3_outcome(straight)
+    assert _l3_outcome(keyed)["received"] == 48
+    assert CHECKPOINT_VERSION == 1

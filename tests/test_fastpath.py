@@ -31,6 +31,7 @@ from repro.pisa.fastpath import (
     _PathEntry,
     _Unfusable,
 )
+from repro.pisa.flowcache import FlowCache
 from repro.sim.rng import SeededRng
 from repro.sim.shard import BoundaryLink
 
@@ -339,6 +340,42 @@ def test_disruption_materializes_byte_identically(fault):
     assert materialized >= 1
 
 
+def _spy_ingress_keys(monkeypatch):
+    """Count ingress walks entered with and without a handed-over flow
+    key, and every flow key the cache computes itself."""
+    from repro.arch.baseline import BaselinePsaSwitch
+
+    counts = {"keyed": 0, "keyless": 0, "computed": 0}
+    ingress_done = BaselinePsaSwitch._ingress_done
+    flow_key = FlowCache.flow_key
+
+    def spied_ingress_done(switch, pkt, port, key=None):
+        counts["keyless" if key is None else "keyed"] += 1
+        ingress_done(switch, pkt, port, key)
+
+    def spied_flow_key(cache, kind, pkt, meta):
+        counts["computed"] += 1
+        return flow_key(cache, kind, pkt, meta)
+
+    monkeypatch.setattr(BaselinePsaSwitch, "_ingress_done", spied_ingress_done)
+    monkeypatch.setattr(FlowCache, "flow_key", spied_flow_key)
+    return counts
+
+
+def test_materialized_packet_computes_its_own_ingress_key(monkeypatch):
+    # The flap lands while a fused packet is still in s0's ingress pipe
+    # (1.21-1.24 us after its send): it re-enters _ingress_done without
+    # the key its fuse attempt built.
+    offset = 1_220_000
+    reference, _ = _run_faulted(False, "flap", offset)
+    counts = _spy_ingress_keys(monkeypatch)
+    fused, totals = _run_faulted(True, "flap", offset)
+    assert totals["materialized"] == 1
+    assert counts["keyless"] == counts["computed"] >= 1
+    assert counts["keyed"] > 0
+    assert fused == reference
+
+
 # ----------------------------------------------------------------------
 # Flight lifetime: a fused delivery is freed by refcount, not by the GC
 # ----------------------------------------------------------------------
@@ -569,6 +606,33 @@ def test_fat_tree_zipf_fuse_decisions_pinned(monkeypatch, seed):
         add("reasons", reasons)
         add("flowcache", switch.flow_cache.stats.as_dict())
     assert totals == _K4_ZIPF_DECISIONS[seed]
+
+
+def test_fat_tree_zipf_ingress_runner_keys_equal_flow_key(monkeypatch):
+    # Each declined packet's ingress walk looks the cache up under the
+    # key its fuse attempt built; it must be the key the cache computes.
+    from repro.arch.base import SwitchBase
+
+    expected, used = [], []
+    dispatch = SwitchBase._dispatch_packet_event
+    lookup = FlowCache.lookup
+
+    def checked_dispatch(switch, kind, pkt, meta):
+        cache = switch.flow_cache
+        if cache is not None and switch.program.handler_for(kind) is not None:
+            expected.append(cache.flow_key(kind, pkt, meta))
+        dispatch(switch, kind, pkt, meta)
+
+    def recorded_lookup(cache, key):
+        used.append(key)
+        return lookup(cache, key)
+
+    counts = _spy_ingress_keys(monkeypatch)
+    monkeypatch.setattr(SwitchBase, "_dispatch_packet_event", checked_dispatch)
+    monkeypatch.setattr(FlowCache, "lookup", recorded_lookup)
+    _fat_tree_zipf_runtime(monkeypatch, 1, "1")
+    assert used == expected
+    assert counts["keyed"] == len(used) > 0
 
 
 @pytest.mark.xfail(

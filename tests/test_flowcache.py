@@ -23,6 +23,7 @@ from repro.pisa.compile import PIPELINE_COMPILE_ENV
 from repro.pisa.fastpath import FLOW_FASTPATH_ENV
 from repro.pisa.flowcache import (
     FLOW_CACHE_ENV,
+    UNCACHEABLE,
     FlowCache,
     VersionedDict,
     env_enabled,
@@ -518,3 +519,232 @@ def test_observed_dispatch_still_counts_and_traces_identically():
     assert sw_on.flow_cache.stats.hits > 0  # cache active under observers
     assert _delivery_fingerprint(recv_on) == _delivery_fingerprint(recv_off)
     assert obs_on.normalized() == obs_off.normalized()
+
+
+# ----------------------------------------------------------------------
+# Recording verdicts: which flows are stored, and which ops they replay
+# ----------------------------------------------------------------------
+def _inc(value):
+    return value + 1
+
+
+def _call(name, *args):
+    def act(program, pkt):
+        extern, method = name.split(".")
+        getattr(getattr(program, extern), method)(*args)
+
+    return act
+
+
+def _rebind(program, pkt):
+    program.seen += 1
+
+
+def _append(program, pkt):
+    program.log.append(pkt.payload_len)
+
+
+def _new_attr(program, pkt):
+    program.extra = 1
+
+
+def _read_scalar(program, pkt):
+    if program.seen < 0:
+        raise AssertionError("unreachable")
+
+
+#: One ingress side effect per case; every program declares all eight
+#: extern kinds, so each case also checks the untouched ones stay quiet.
+_MATRIX_ACTIONS = {
+    "plain": None,
+    "scalar-read": _read_scalar,
+    "attr-rebind": _rebind,
+    "list-append": _append,
+    "new-attr": _new_attr,
+    "counter.count": _call("counter.count", 0, 100),
+    "cms.update": _call("cms.update", b"k"),
+    "cms.add_signed": _call("cms.add_signed", b"k", 2),
+    "bloom.insert": _call("bloom.insert", b"k"),
+    "shreg.accumulate": _call("shreg.accumulate", 3),
+    "swin.accumulate": _call("swin.accumulate", 1, 5),
+    "swin.shift_all": _call("swin.shift_all"),
+    "reg.read": _call("reg.read", 0),
+    "reg.write": _call("reg.write", 0, 1),
+    "reg.add": _call("reg.add", 0, 1),
+    "reg.sub": _call("reg.sub", 0, 1),
+    "reg.modify": _call("reg.modify", 0, _inc),
+    "reg.clear": _call("reg.clear"),
+    "reg.peek": _call("reg.peek", 0),
+    "counter.read": _call("counter.read", 0),
+    "counter.read_all": _call("counter.read_all"),
+    "counter.clear": _call("counter.clear"),
+    "meter.execute": _call("meter.execute", 0, 100, 0),
+    "meter.tokens": _call("meter.tokens", 0, 0),
+    "cms.query": _call("cms.query", b"k"),
+    "cms.clear": _call("cms.clear"),
+    "bloom.contains": _call("bloom.contains", b"k"),
+    "bloom.clear": _call("bloom.clear"),
+    "shreg.shift": _call("shreg.shift"),
+    "shreg.window_sum": _call("shreg.window_sum"),
+    "shreg.window_max": _call("shreg.window_max"),
+    "shreg.head": _call("shreg.head"),
+    "swin.window_sum": _call("swin.window_sum", 0),
+    "swin.rate_bps": _call("swin.rate_bps", 0, 1_000),
+    "pifo.push": _call("pifo.push", 1, "x"),
+    "pifo.pop": _call("pifo.pop"),
+    "pifo.peek_rank": _call("pifo.peek_rank"),
+    "pifo.drain": _call("pifo.drain"),
+}
+
+
+class _MatrixProgram(ForwardingProgram):
+    """Forwards by IP, then runs one matrix case's side effect."""
+
+    name = "matrix"
+
+    def __init__(self, case):
+        from repro.pisa.externs.counter import Counter
+        from repro.pisa.externs.meter import Meter
+        from repro.pisa.externs.pifo import PifoQueue
+        from repro.pisa.externs.register import Register
+        from repro.pisa.externs.sketch import BloomFilter, CountMinSketch
+        from repro.pisa.externs.window import ShiftRegister, SlidingWindow
+
+        super().__init__()
+        self._act = _MATRIX_ACTIONS[case]
+        self.seen = 0
+        self.log = []
+        self.counter = Counter(4, name="counter")
+        self.cms = CountMinSketch(16, 2, name="cms")
+        self.bloom = BloomFilter(64, name="bloom")
+        self.shreg = ShiftRegister(4, name="shreg")
+        self.swin = SlidingWindow(4, 4, name="swin")
+        self.reg = Register(4, name="reg")
+        self.meter = Meter(4, cir_bps=1e9, cbs_bytes=10_000, name="meter")
+        self.pifo = PifoQueue(64, name="pifo")
+        for rank in range(8):
+            self.pifo.push(rank, rank)  # pops and drains have work to do
+
+    @handler(EventType.INGRESS_PACKET)
+    def ingress(self, ctx, pkt, meta):
+        self.forward_by_ip(pkt, meta)
+        if self._act is not None:
+            self._act(self, pkt)
+
+
+def _recorded(cache):
+    """Every stored verdict in insertion order: ``"uncacheable"``, or
+    the entry's replayed ops as ``(extern, method, repr(args))``."""
+    rows = []
+    for entry in cache._entries.values():
+        if entry is UNCACHEABLE:
+            rows.append("uncacheable")
+            continue
+        for _bound, _args, kwargs in entry.ops:
+            assert not kwargs
+        rows.append(
+            tuple(
+                (bound.__self__.name, bound.__name__, repr(args))
+                for bound, args, _kwargs in entry.ops
+            )
+        )
+    return rows
+
+
+def _matrix_run(cases):
+    """Load each case's program in turn on one switch (a ``load_program``
+    re-attach between cases) and send two packets on each of two flows.
+    Returns what the cache stored after each case, and its counters."""
+    network = build_linear(make_baseline_switch(), switch_count=1)
+    switch = network.switches["s0"]
+    network.hosts["h1"].add_sink(lambda pkt: None)
+    h0 = network.hosts["h0"]
+    rows = []
+    for case in cases:
+        program = _MatrixProgram(case)
+        program.install_routes({H1_IP: 1, H0_IP: 0})
+        switch.load_program(program)
+        start = network.sim.now_ps
+        for i in range(4):
+            network.sim.call_at(
+                start + 1_000 + i * 200_000,
+                h0.send,
+                make_udp_packet(H0_IP + i % 2, H1_IP, payload_len=100 + i % 2),
+            )
+        network.run()
+        rows.append(_recorded(switch.flow_cache))
+    stats = switch.flow_cache.stats
+    counts = (
+        stats.hits,
+        stats.misses,
+        stats.uncacheable,
+        stats.invalidations,
+        stats.evictions,
+    )
+    return rows, counts
+
+
+#: Recorded when every miss looked its shims up afresh:
+#: ``(verdicts per flow, (hits, misses, uncacheable, invalidations,
+#: evictions))``.  Binding the recording plan at attach must not move
+#: a single verdict or op.
+_UNCACHED = (["uncacheable"] * 2, (0, 0, 4, 0, 0))
+
+
+def _replayed(*op):
+    return ([(op,)] * 2, (2, 2, 0, 0, 0))
+
+
+_MATRIX_GOLDEN = {
+    "attr-rebind": _UNCACHED,
+    "bloom.clear": _UNCACHED,
+    "bloom.contains": _UNCACHED,
+    "bloom.insert": _replayed("bloom", "insert", "(b'k',)"),
+    "cms.add_signed": _replayed("cms", "add_signed", "(b'k', 2)"),
+    "cms.clear": _UNCACHED,
+    "cms.query": _UNCACHED,
+    "cms.update": _replayed("cms", "update", "(b'k',)"),
+    "counter.clear": _UNCACHED,
+    "counter.count": _replayed("counter", "count", "(0, 100)"),
+    "counter.read": _UNCACHED,
+    "counter.read_all": _UNCACHED,
+    "list-append": _UNCACHED,
+    "meter.execute": _UNCACHED,
+    "meter.tokens": _UNCACHED,
+    "new-attr": (["uncacheable", ()], (1, 1, 2, 0, 0)),
+    "pifo.drain": _UNCACHED,
+    "pifo.peek_rank": _UNCACHED,
+    "pifo.pop": _UNCACHED,
+    "pifo.push": _UNCACHED,
+    "plain": ([(), ()], (2, 2, 0, 0, 0)),
+    "reg.add": _UNCACHED,
+    "reg.clear": _UNCACHED,
+    "reg.modify": _UNCACHED,
+    "reg.peek": _UNCACHED,
+    "reg.read": _UNCACHED,
+    "reg.sub": _UNCACHED,
+    "reg.write": _UNCACHED,
+    "scalar-read": ([(), ()], (2, 2, 0, 0, 0)),
+    "shreg.accumulate": _replayed("shreg", "accumulate", "(3,)"),
+    "shreg.head": _UNCACHED,
+    "shreg.shift": _UNCACHED,
+    "shreg.window_max": _UNCACHED,
+    "shreg.window_sum": _UNCACHED,
+    "swin.accumulate": _replayed("swin", "accumulate", "(1, 5)"),
+    "swin.rate_bps": _UNCACHED,
+    "swin.shift_all": _replayed("swin", "shift_all", "()"),
+    "swin.window_sum": _UNCACHED,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MATRIX_ACTIONS))
+def test_recording_verdicts_match_golden(case):
+    rows, counts = _matrix_run([case])
+    assert (rows[0], counts) == _MATRIX_GOLDEN[case]
+
+
+def test_recording_verdicts_survive_reattach():
+    cases = ["counter.count", "reg.read", "new-attr", "cms.update", "counter.count"]
+    rows, counts = _matrix_run(cases)
+    assert rows == [_MATRIX_GOLDEN[case][0] for case in cases]
+    assert counts == (7, 7, 6, 0, 0)

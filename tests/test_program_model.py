@@ -4,7 +4,9 @@ import pytest
 
 from repro.arch.description import (
     BASELINE_PSA,
+    FULL_EVENT_SWITCH,
     LOGICAL_EVENT_DRIVEN,
+    STOCK_DESCRIPTIONS,
     SUME_EVENT_SWITCH,
     TOFINO_LIKE,
     UnsupportedEventError,
@@ -120,6 +122,15 @@ class TestDescriptions:
         assert row[EventType.TIMER.value] == "emulated"
         assert row[EventType.INGRESS_PACKET.value] == "native"
         assert row[EventType.USER.value] == "—"
+
+    @pytest.mark.parametrize(
+        "description",
+        [*STOCK_DESCRIPTIONS, FULL_EVENT_SWITCH],
+        ids=lambda description: description.name,
+    )
+    def test_supports_agrees_with_all_events(self, description):
+        for kind in EventType:
+            assert description.supports(kind) == (kind in description.all_events)
 
     def test_sume_matches_paper_section5(self):
         # "regular P4 packet events, plus enqueue, dequeue, and drop
