@@ -556,7 +556,8 @@ class SwitchBase:
         recorded with the interpreted handler; anything else (no cache,
         a known-impure flow) runs the full walk in ``cell[0]``.  The
         ingress runner takes its flow key from ``_ingress_key`` when the
-        receive path left one there, and computes it otherwise.  The
+        receive path left one there, and computes it otherwise; the
+        egress runner's key also carries ``meta.egress_port``.  The
         cell starts as the handler and becomes the program's compiled
         :class:`~repro.pisa.compile.PipelineSpec` walk after
         :attr:`COMPILE_WARMUP` full walks of this kind; the walk's

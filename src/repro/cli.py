@@ -266,14 +266,15 @@ def event_sources() -> List[str]:
 def run_events_stats(source: str = "microburst") -> None:
     """EventBus counters and dispatch-latency histograms for one experiment."""
     from repro.obs import DispatchLatencyHistogram, EventCounters, observing
-    from repro.pisa.fastpath import collecting_fastpaths
-    from repro.pisa.flowcache import collecting_caches
+    from repro.pisa.fastpath import FlowFastpath
+    from repro.pisa.flowcache import FlowCache, collecting
 
     counters = EventCounters()
     histogram = DispatchLatencyHistogram()
-    with observing(counters, histogram), collecting_caches() as caches, \
-            collecting_fastpaths() as fastpaths:
+    with observing(counters, histogram), collecting() as made:
         extras = _run_event_source(source)
+    caches = [memo for memo in made if isinstance(memo, FlowCache)]
+    fastpaths = [memo for memo in made if isinstance(memo, FlowFastpath)]
     _print(f"EventBus counters ({source})", counters.summary_rows())
     _print(
         f"EventBus dispatch latency / staleness ({source})",

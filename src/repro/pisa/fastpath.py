@@ -67,12 +67,11 @@ cache's lifecycle rules: checkpoints, ``Simulator.fork()``, and
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.events import EventType
-from repro.packet.headers import _FIELD_GETTERS, field_getter, field_index
-from repro.pisa.flowcache import UNCACHEABLE
+from repro.packet.headers import field_getter
+from repro.pisa.flowcache import UNCACHEABLE, _flow_key_flat, _FlowMemo, flow_key
 from repro.sim.units import bytes_to_time_ps
 from repro.tm.scheduler import FifoScheduler, StrictPriorityScheduler
 
@@ -80,7 +79,6 @@ __all__ = [
     "FLOW_FASTPATH_ENV",
     "FlowFastpath",
     "FastpathStats",
-    "collecting_fastpaths",
 ]
 
 #: Environment toggle: ``0``/``false``/``off`` disables the fastpath
@@ -104,13 +102,9 @@ _TM_EVENT_KINDS = (
 #: DRR or PIFO port carries scheduling state the fused hop would skip.
 _PURE_SCHEDULERS = (FifoScheduler, StrictPriorityScheduler)
 
-#: Resolved lazily to avoid the base ← fastpath ← baseline/net cycles.
-_BASELINE_CLS: Optional[type] = None
-_LINK_CLS: Optional[type] = None
-_HOST_CLS: Optional[type] = None
-
-#: Active collection scopes (mirrors flowcache's ``collecting_caches``).
-_COLLECTORS: List[List["FlowFastpath"]] = []
+#: ``(BaselinePsaSwitch, Link, Host)``, bound on first use to avoid the
+#: base ← fastpath ← baseline/net import cycles (see :func:`_classes`).
+_CLASSES: Optional[tuple] = None
 
 #: Hop-count safety bound for the path walk.
 _MAX_HOPS = 16
@@ -129,42 +123,15 @@ _STAGE_SWITCH = 1  # plus serialization end + the egress pipeline
 _STAGE_FULL = 2  # plus the link ledger (arrived at the next node)
 
 
-@contextmanager
-def collecting_fastpaths() -> Iterator[List["FlowFastpath"]]:
-    """Collect every :class:`FlowFastpath` created inside the block."""
-    fastpaths: List["FlowFastpath"] = []
-    _COLLECTORS.append(fastpaths)
-    try:
-        yield fastpaths
-    finally:
-        _COLLECTORS.remove(fastpaths)
-
-
-def _baseline_cls() -> type:
-    global _BASELINE_CLS
-    if _BASELINE_CLS is None:
+def _classes() -> tuple:
+    global _CLASSES
+    if _CLASSES is None:
         from repro.arch.baseline import BaselinePsaSwitch
-
-        _BASELINE_CLS = BaselinePsaSwitch
-    return _BASELINE_CLS
-
-
-def _link_cls() -> type:
-    global _LINK_CLS
-    if _LINK_CLS is None:
+        from repro.net.host import Host
         from repro.net.link import Link
 
-        _LINK_CLS = Link
-    return _LINK_CLS
-
-
-def _host_cls() -> type:
-    global _HOST_CLS
-    if _HOST_CLS is None:
-        from repro.net.host import Host
-
-        _HOST_CLS = Host
-    return _HOST_CLS
+        _CLASSES = (BaselinePsaSwitch, Link, Host)
+    return _CLASSES
 
 
 class FastpathStats:
@@ -257,7 +224,6 @@ class _Hop:
         "link",
         "link_epoch",
         "rate_gbps",
-        "genvec",
         "dep_gens",
         "entries",
         "bus",
@@ -290,7 +256,6 @@ class _Hop:
         egress_entry,
         port_obj,
         link,
-        genvec,
         queue_id,
         tx_time_ps,
         length,
@@ -312,7 +277,6 @@ class _Hop:
         self.link = link
         self.link_epoch = link.epoch
         self.rate_gbps = port_obj.rate_gbps
-        self.genvec = genvec
         self.dep_gens = tuple((dep, dep.generation) for dep in cache._deps)
         self.entries = cache._entries
         self.bus = bus
@@ -359,7 +323,7 @@ class _PathEntry:
         self.d_end = d_end
 
 
-class FlowFastpath:
+class FlowFastpath(_FlowMemo):
     """Per-switch registry of fused end-to-end paths, keyed by flow.
 
     Owned by the *entry* switch of each path; interior hops contribute
@@ -369,6 +333,7 @@ class FlowFastpath:
 
     #: Default maximum number of path entries (positive or negative).
     DEFAULT_LIMIT = 1024
+    _NOUN = "fastpath"
 
     __slots__ = (
         "sim",
@@ -386,12 +351,11 @@ class FlowFastpath:
     )
 
     def __init__(self, sim, switch, limit: int = DEFAULT_LIMIT, name: str = "") -> None:
-        if limit <= 0:
-            raise ValueError(f"fastpath limit must be positive, got {limit}")
-        self.sim = sim
         self.switch = switch
-        self.limit = limit
-        self.name = name
+        super().__init__(sim, limit, name)
+
+    def _start_cold(self) -> None:
+        """No paths, flights or memos, and zeroed stats."""
         self.stats = FastpathStats()
         self._paths: Dict[tuple, object] = {}
         #: In-flight fused deliveries crossing this switch (as any hop).
@@ -404,8 +368,6 @@ class FlowFastpath:
         self._nbhd: Optional[tuple] = None
         #: ``(program, description, reason)`` — see :meth:`_program_verdict`.
         self._verdict: Optional[tuple] = None
-        for collector in _COLLECTORS:
-            collector.append(self)
 
     # ------------------------------------------------------------------
     # Lifecycle (same cold-start rules as the flow cache)
@@ -426,34 +388,15 @@ class FlowFastpath:
         self.stats.reset()
         self._quiet_until_ps = 0
 
-    def _ensure_registered(self) -> None:
-        if not self._registered:
-            self._registered = True
-            self.sim.add_reset_listener(self)
-
     # Checkpoints and forks drop the fused paths: a restored simulation
     # starts cold and rebuilds warm, so resumed runs never fuse against
     # pre-checkpoint topology or cache state.
     def __getstate__(self):
-        return {
-            "sim": self.sim,
-            "switch": self.switch,
-            "limit": self.limit,
-            "name": self.name,
-        }
+        return {**super().__getstate__(), "switch": self.switch}
 
     def __setstate__(self, state) -> None:
-        self.sim = state["sim"]
         self.switch = state["switch"]
-        self.limit = state["limit"]
-        self.name = state.get("name", "")
-        self.stats = FastpathStats()
-        self._paths = {}
-        self._active = []
-        self._quiet_until_ps = 0
-        self._registered = False
-        self._nbhd = None
-        self._verdict = None
+        super().__setstate__(state)
 
     # ------------------------------------------------------------------
     # Entry point (called by the owning switch's receive path)
@@ -463,20 +406,9 @@ class FlowFastpath:
         scheduled and the caller must not run the per-hop path, else the
         declined packet's ingress flow key for that path to reuse.
 
-        The key has :meth:`FlowCache.flow_key`'s layout and value for
-        the packet's ingress walk at this switch and ``port``."""
-        parts: List[object] = [_INGRESS, port, pkt.payload_len]
-        append = parts.append
-        extend = parts.extend
-        getters = _FIELD_GETTERS
-        for header in pkt.headers:
-            cls = header.__class__
-            append(cls)
-            getter = getters.get(cls)
-            if getter is None:
-                getter = field_getter(cls)
-            extend(getter(header))
-        key = tuple(parts)
+        The key is :func:`~repro.pisa.flowcache.flow_key` of the
+        packet's ingress walk at this switch and ``port``."""
+        key = flow_key(_INGRESS, port, pkt)
         sw = self.switch
         if sw.bus._observers:
             # Observers need per-hop event visibility; skip before the
@@ -536,7 +468,7 @@ class FlowFastpath:
         sw = self.switch
         program = sw.program
         return (
-            type(sw) is _baseline_cls()
+            type(sw) is _classes()[0]
             and sw.flow_fastpath is self
             and program is not None
             and self._program_verdict(program, sw.description) is None
@@ -635,17 +567,15 @@ class FlowFastpath:
     def _replay_hop(self, hop: _Hop, pkt, t0: int, stage: int) -> None:
         """One hop's bookkeeping and blind writes, up to ``stage``.
 
-        The per-entry replay mirrors :meth:`FlowCache.replay` minus the
-        standard-metadata writes (the fused hop keeps no metadata
-        object; the steering fields come straight from the entry).  The
-        writes are grouped by the per-hop machinery's own timeline so a
-        materialization can truncate the replay mid-hop: everything
-        through :data:`_STAGE_DEQUEUED` lands at TM admission time,
-        the :data:`_STAGE_SWITCH` tail at serialization end, and the
+        Each entry replays through :meth:`_Entry.apply`; the fused hop
+        keeps no standard-metadata object, so the steering fields come
+        straight from the ingress entry.  The writes are grouped by the
+        per-hop machinery's own timeline so a materialization can
+        truncate the replay mid-hop: everything through
+        :data:`_STAGE_DEQUEUED` lands at TM admission time, the
+        :data:`_STAGE_SWITCH` tail at serialization end, and the
         :data:`_STAGE_FULL` link ledger at wire exit."""
-        set_ = object.__setattr__
         pkt_meta = pkt.meta
-        headers = pkt.headers
         sw = hop.switch
         sw.rx_packets += 1
         pkt.ingress_port = hop.rx_port
@@ -656,18 +586,7 @@ class FlowFastpath:
         fired[_INGRESS] += 1
         entry = hop.ingress_entry
         cache_stats.hits += 1
-        rewrites = entry.rewrites
-        if rewrites:
-            for idx, pairs in rewrites:
-                header = headers[idx]
-                for name, value in pairs:
-                    set_(header, name, value)
-        if entry.payload_len is not None:
-            pkt.payload_len = entry.payload_len
-        if entry.pkt_meta_writes:
-            pkt_meta.update(entry.pkt_meta_writes)
-        for bound, args, kwargs in entry.ops:
-            bound(*args, **kwargs)
+        entry.apply(pkt)
         handled[_INGRESS] += 1
         pipeline = hop.ingress_pipeline
         pipeline.packets_processed += 1
@@ -712,18 +631,7 @@ class FlowFastpath:
         entry = hop.egress_entry
         if entry is not None:
             cache_stats.hits += 1
-            rewrites = entry.rewrites
-            if rewrites:
-                for idx, pairs in rewrites:
-                    header = headers[idx]
-                    for name, value in pairs:
-                        set_(header, name, value)
-            if entry.payload_len is not None:
-                pkt.payload_len = entry.payload_len
-            if entry.pkt_meta_writes:
-                pkt_meta.update(entry.pkt_meta_writes)
-            for bound, args, kwargs in entry.ops:
-                bound(*args, **kwargs)
+            entry.apply(pkt)
             pipeline.walks_elided += 1
             handled[_EGRESS] += 1
         if stage == _STAGE_SWITCH:
@@ -838,9 +746,7 @@ class FlowFastpath:
         header_len = pkt.header_len
         sw = self.switch
         rx_port = port
-        baseline = _baseline_cls()
-        link_cls = _link_cls()
-        host_cls = _host_cls()
+        baseline, link_cls, host_cls = _classes()
         # One row of _Hop.__init__ arguments per switch walked; the hops
         # themselves are built only once the walk reaches a host.
         walked: List[tuple] = []
@@ -868,7 +774,7 @@ class FlowFastpath:
             if classes is None:
                 ikey = key
             else:
-                ikey = self._flow_key_flat(_INGRESS, rx_port, payload, classes, values)
+                ikey = _flow_key_flat(_INGRESS, rx_port, payload, classes, values)
             entry = cache._entries.get(ikey)
             if entry is None:
                 return None  # transient: the per-hop run will record it
@@ -884,13 +790,7 @@ class FlowFastpath:
             spec = entry.egress_spec
             if not isinstance(spec, int) or not 0 <= spec < sw.tm.port_count:
                 return self._negative(key, "steer")
-            for idx, pairs in entry.rewrites:
-                index = field_index(classes[idx])
-                row = values[idx]
-                for name, value in pairs:
-                    row[index[name]] = value
-            if entry.payload_len is not None:
-                payload = entry.payload_len
+            payload = entry.apply_rows(classes, values, payload)
             length = header_len + payload
             port_obj = sw.tm.ports[spec]
             if type(port_obj.scheduler) not in _PURE_SCHEDULERS:
@@ -900,8 +800,8 @@ class FlowFastpath:
                 queue_id = port_obj.last_queue
             egress_key = egress_entry = None
             if program.handler_for(_EGRESS) is not None:
-                egress_key = self._flow_key_flat(
-                    _EGRESS, rx_port, payload, classes, values
+                egress_key = _flow_key_flat(
+                    _EGRESS, (rx_port, spec), payload, classes, values
                 )
                 egress_entry = cache._entries.get(egress_key)
                 if egress_entry is None:
@@ -944,7 +844,6 @@ class FlowFastpath:
                     egress_entry,
                     port_obj,
                     link,
-                    genvec,
                     queue_id,
                     tx_time,
                     length,
@@ -954,13 +853,7 @@ class FlowFastpath:
             )
             if egress_entry is not None:
                 # Egress rewrites land before the next hop sees the bits.
-                for idx, pairs in egress_entry.rewrites:
-                    index = field_index(classes[idx])
-                    row = values[idx]
-                    for name, value in pairs:
-                        row[index[name]] = value
-                if egress_entry.payload_len is not None:
-                    payload = egress_entry.payload_len
+                payload = egress_entry.apply_rows(classes, values, payload)
             clock = d_enq + tx_time + sw.egress_pipeline.latency_ps + link.latency_ps
             if link.node_a is sw:
                 receiver, next_port = link.node_b, link.port_b
@@ -988,8 +881,7 @@ class FlowFastpath:
         cached = self._nbhd
         if cached is not None and cached[0] is network and cached[1] == len(port_links):
             return cached[2]
-        link_cls = _link_cls()
-        host_cls = _host_cls()
+        _baseline, link_cls, host_cls = _classes()
         name = self.switch.name
         incident: List[Link] = []
         neighbors: List[Host] = []
@@ -1009,18 +901,8 @@ class FlowFastpath:
         return nbhd
 
     # ------------------------------------------------------------------
-    # Keys and negative entries
+    # Negative entries
     # ------------------------------------------------------------------
-    @staticmethod
-    def _flow_key_flat(kind, port: int, payload_len: int, classes, values) -> tuple:
-        """:meth:`FlowCache.flow_key`'s layout over the walk's flat value
-        rows instead of headers."""
-        parts: List[object] = [kind, port, payload_len]
-        for cls, row in zip(classes, values):
-            parts.append(cls)
-            parts.extend(row)
-        return tuple(parts)
-
     def _hop1_sig(self) -> tuple:
         cache = self.switch.flow_cache
         if cache is None:
@@ -1043,12 +925,6 @@ class FlowFastpath:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._paths)
-
-    def summary(self) -> Dict[str, object]:
-        """One manifest row for ``events-stats``."""
-        data: Dict[str, object] = {"entries": len(self._paths), "limit": self.limit}
-        data.update(self.stats.as_dict())
-        return data
 
     def __repr__(self) -> str:
         return (

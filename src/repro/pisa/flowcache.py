@@ -55,7 +55,7 @@ from contextlib import contextmanager
 from operator import attrgetter
 from typing import Dict, Iterator, List, Tuple
 
-from repro.packet.headers import field_getter
+from repro.packet.headers import _FIELD_GETTERS, field_getter, field_index
 from repro.pisa.externs.counter import Counter
 from repro.pisa.externs.meter import Meter
 from repro.pisa.externs.pifo import PifoQueue
@@ -70,8 +70,9 @@ __all__ = [
     "FlowCache",
     "FlowCacheStats",
     "VersionedDict",
-    "collecting_caches",
+    "collecting",
     "env_enabled",
+    "flow_key",
     "RECORDABLE_METHODS",
     "IMPURE_METHODS",
 ]
@@ -117,22 +118,24 @@ IMPURE_METHODS = {
 #: Sentinel stored for flows whose control touched impure state.
 UNCACHEABLE = object()
 
-#: Active collection scopes: every :class:`FlowCache` constructed while
-#: a scope is open registers itself there, so instrumentation commands
-#: (``repro events-stats``) can report per-switch cache counters for
+#: Active collection scopes: every :class:`FlowCache` and
+#: :class:`~repro.pisa.fastpath.FlowFastpath` constructed while a scope
+#: is open registers itself there, so instrumentation commands
+#: (``repro events-stats``) can report per-switch counters for
 #: experiments they did not build themselves.
-_COLLECTORS: List[List["FlowCache"]] = []
+_COLLECTORS: List[list] = []
 
 
 @contextmanager
-def collecting_caches() -> Iterator[List["FlowCache"]]:
-    """Collect every :class:`FlowCache` created inside the block."""
-    caches: List["FlowCache"] = []
-    _COLLECTORS.append(caches)
+def collecting() -> Iterator[list]:
+    """Collect every flow cache and fastpath created inside the block."""
+    made: list = []
+    _COLLECTORS.append(made)
     try:
-        yield caches
+        yield made
     finally:
-        _COLLECTORS.remove(caches)
+        _COLLECTORS.remove(made)
+
 
 #: Program-context attributes whose *read* poisons cacheability (they
 #: are time-, queue-, or topology-dependent) and methods whose call is
@@ -163,8 +166,39 @@ _IMPURE_META_READS = frozenset(
 #: C-level generation reader for the per-lookup version vector.
 _GENERATION = attrgetter("generation")
 
-#: Canonical flat-field readers now live with the header layouts.
-_field_getter = field_getter
+
+def flow_key(kind, port, pkt) -> tuple:
+    """The flow key: event kind, the port(s) the walk is keyed on, the
+    payload length, and every header field.
+
+    Keying on *all* fields (not a guessed 5-tuple) makes replay of
+    absolute header rewrites sound: identical key implies identical
+    input bits, so the recorded output bits are the walk's output.
+    ``port`` is the arrival port, or ``(arrival, egress)`` for a walk
+    that has an egress port (:meth:`FlowCache.flow_key`).
+    """
+    parts: List[object] = [kind, port, pkt.payload_len]
+    append = parts.append
+    extend = parts.extend
+    getters = _FIELD_GETTERS
+    for header in pkt.headers:
+        cls = header.__class__
+        append(cls)
+        getter = getters.get(cls)
+        if getter is None:
+            getter = field_getter(cls)
+        extend(getter(header))
+    return tuple(parts)
+
+
+def _flow_key_flat(kind, port, payload_len: int, classes, values) -> tuple:
+    """:func:`flow_key` over flat value rows (one per header class)
+    instead of a packet's headers."""
+    parts: List[object] = [kind, port, payload_len]
+    for cls, row in zip(classes, values):
+        parts.append(cls)
+        parts.extend(row)
+    return tuple(parts)
 
 
 class VersionedDict(dict):
@@ -238,13 +272,7 @@ class FlowCacheStats:
         self.evictions = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "uncacheable": self.uncacheable,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
     @property
     def hit_rate(self) -> float:
@@ -429,8 +457,81 @@ class _Entry:
         "ops",
     )
 
+    def apply(self, pkt) -> None:
+        """Apply the recorded header rewrites, payload length,
+        ``pkt.meta`` writes and extern ops to ``pkt``."""
+        rewrites = self.rewrites
+        if rewrites:
+            headers = pkt.headers
+            set_ = object.__setattr__
+            for idx, pairs in rewrites:
+                header = headers[idx]
+                # Recorded values came from a real walk, so they fit
+                # their declared widths — skip Header.set's range checks.
+                for name, value in pairs:
+                    set_(header, name, value)
+        if self.payload_len is not None:
+            pkt.payload_len = self.payload_len
+        if self.pkt_meta_writes:
+            pkt.meta.update(self.pkt_meta_writes)
+        for bound, args, kwargs in self.ops:
+            bound(*args, **kwargs)
 
-class FlowCache:
+    def apply_rows(self, classes, values, payload_len: int) -> int:
+        """:meth:`apply`'s header rewrites over flat value rows (see
+        :func:`_flow_key_flat`); returns the payload length after it."""
+        for idx, pairs in self.rewrites:
+            index = field_index(classes[idx])
+            row = values[idx]
+            for name, value in pairs:
+                row[index[name]] = value
+        return payload_len if self.payload_len is None else self.payload_len
+
+
+class _FlowMemo:
+    """Scaffolding :class:`FlowCache` and
+    :class:`~repro.pisa.fastpath.FlowFastpath` share.
+
+    Both start cold, at construction and after unpickling (checkpoints
+    and forks carry only the constructor arguments), join any open
+    :func:`collecting` scope when constructed, and register for
+    simulator resets on first use.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, sim, limit: int, name: str) -> None:
+        if limit <= 0:
+            raise ValueError(f"{self._NOUN} limit must be positive, got {limit}")
+        self.sim = sim
+        self.limit = limit
+        self.name = name
+        self._start_cold()
+        for collector in _COLLECTORS:
+            collector.append(self)
+
+    def __getstate__(self):
+        return {"sim": self.sim, "limit": self.limit, "name": self.name}
+
+    def __setstate__(self, state) -> None:
+        self.sim = state["sim"]
+        self.limit = state["limit"]
+        self.name = state.get("name", "")
+        self._start_cold()
+
+    def _ensure_registered(self) -> None:
+        if not self._registered:
+            self._registered = True
+            self.sim.add_reset_listener(self)
+
+    def summary(self) -> Dict[str, object]:
+        """One manifest row for ``state_summary()`` / ``events-stats``."""
+        data: Dict[str, object] = {"entries": len(self), "limit": self.limit}
+        data.update(self.stats.as_dict())
+        return data
+
+
+class FlowCache(_FlowMemo):
     """Per-switch memo of pipeline decisions keyed by flow.
 
     ``limit`` bounds the entry count; insertion order is recency order
@@ -439,6 +540,8 @@ class FlowCache:
 
     #: Default maximum number of cached flows per switch.
     DEFAULT_LIMIT = 4096
+    #: What the limit bounds, for the constructor's error message.
+    _NOUN = "flow cache"
 
     __slots__ = (
         "sim",
@@ -456,11 +559,10 @@ class FlowCache:
     )
 
     def __init__(self, sim, limit: int = DEFAULT_LIMIT, name: str = "") -> None:
-        if limit <= 0:
-            raise ValueError(f"flow cache limit must be positive, got {limit}")
-        self.sim = sim
-        self.limit = limit
-        self.name = name
+        super().__init__(sim, limit, name)
+
+    def _start_cold(self) -> None:
+        """Empty memo, zeroed stats, no program bound."""
         self.stats = FlowCacheStats()
         self._entries: Dict[tuple, object] = {}
         self._deps: List[object] = []
@@ -469,8 +571,6 @@ class FlowCache:
         self._program = None
         self._registered = False
         self.attach_epoch = 0
-        for collector in _COLLECTORS:
-            collector.append(self)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -509,34 +609,14 @@ class FlowCache:
         self._entries.clear()
         self.stats.reset()
 
-    def _ensure_registered(self) -> None:
-        if not self._registered:
-            self._registered = True
-            self.sim.add_reset_listener(self)
-
     # Checkpoints drop the memo: a restored simulation starts cold and
     # rebuilds warm, so resumed runs never replay decisions recorded
     # under pre-checkpoint state.
     def __getstate__(self):
-        return {
-            "sim": self.sim,
-            "limit": self.limit,
-            "name": self.name,
-            "program": self._program,
-        }
+        return {**super().__getstate__(), "program": self._program}
 
     def __setstate__(self, state) -> None:
-        self.sim = state["sim"]
-        self.limit = state["limit"]
-        self.name = state.get("name", "")
-        self.stats = FlowCacheStats()
-        self._entries = {}
-        self._deps = []
-        self._shim_plan = ()
-        self._fp_verdicts = {}
-        self._program = None
-        self._registered = False
-        self.attach_epoch = 0
+        super().__setstate__(state)
         program = state["program"]
         if program is not None:
             self.attach(program)
@@ -545,18 +625,15 @@ class FlowCache:
     # Key / generation vector
     # ------------------------------------------------------------------
     def flow_key(self, kind, pkt, meta) -> tuple:
-        """The flow key: event kind, arrival port, and every header field.
+        """:func:`flow_key` for a walk of ``kind`` under ``meta``.
 
-        Keying on *all* fields (not a guessed 5-tuple) makes replay of
-        absolute header rewrites sound: identical key implies identical
-        input bits, so the recorded output bits are the walk's output.
+        A walk whose metadata names an egress port (the baseline's
+        egress walks) is keyed on it as well, so a handler that branches
+        on ``meta.egress_port`` never replays another port's decision.
         """
-        parts: List[object] = [kind, meta.ingress_port, pkt.payload_len]
-        for header in pkt.headers:
-            cls = header.__class__
-            parts.append(cls)
-            parts.extend(_field_getter(cls)(header))
-        return tuple(parts)
+        if meta.egress_port is None:
+            return flow_key(kind, meta.ingress_port, pkt)
+        return flow_key(kind, (meta.ingress_port, meta.egress_port), pkt)
 
     def _generation_vector(self) -> tuple:
         return tuple(map(_GENERATION, self._deps))
@@ -605,20 +682,7 @@ class FlowCache:
 
     def replay(self, entry: "_Entry", pkt, meta) -> None:
         """Apply a recorded decision to ``pkt``/``meta``."""
-        rewrites = entry.rewrites
-        if rewrites:
-            headers = pkt.headers
-            set_ = object.__setattr__
-            for idx, pairs in rewrites:
-                header = headers[idx]
-                # Recorded values came from a real walk, so they fit
-                # their declared widths — skip Header.set's range checks.
-                for name, value in pairs:
-                    set_(header, name, value)
-        if entry.payload_len is not None:
-            pkt.payload_len = entry.payload_len
-        if entry.pkt_meta_writes:
-            pkt.meta.update(entry.pkt_meta_writes)
+        entry.apply(pkt)
         meta.egress_spec = entry.egress_spec
         meta.queue_id = entry.queue_id
         meta.priority = entry.priority
@@ -626,8 +690,6 @@ class FlowCache:
             meta.enq_meta.update(entry.enq_meta)
         if entry.deq_meta:
             meta.deq_meta.update(entry.deq_meta)
-        for bound, args, kwargs in entry.ops:
-            bound(*args, **kwargs)
 
     # ------------------------------------------------------------------
     # Recording
@@ -643,7 +705,7 @@ class FlowCache:
         rec.genvec = self._generation_vector()
         rec.payload_len = pkt.payload_len
         rec.header_snapshot = [
-            _field_getter(h.__class__)(h) for h in pkt.headers
+            field_getter(h.__class__)(h) for h in pkt.headers
         ]
         rec.pkt_meta_snapshot = dict(pkt.meta)
         rec.vars_fingerprint = self._fingerprint()
@@ -682,7 +744,7 @@ class FlowCache:
         rewrites = []
         for idx, before in enumerate(rec.header_snapshot):
             header = pkt.headers[idx]
-            after = _field_getter(header.__class__)(header)
+            after = field_getter(header.__class__)(header)
             if after != before:
                 fields = header.FIELDS
                 changed = tuple(
@@ -764,12 +826,6 @@ class FlowCache:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
-
-    def summary(self) -> Dict[str, object]:
-        """One manifest row for ``state_summary()`` / ``events-stats``."""
-        data: Dict[str, object] = {"entries": len(self._entries), "limit": self.limit}
-        data.update(self.stats.as_dict())
-        return data
 
     def __repr__(self) -> str:
         return (

@@ -47,6 +47,17 @@ def _counter_totals(counters: EventCounters) -> Dict[str, int]:
     }
 
 
+def _bus_totals(network) -> Dict[str, int]:
+    """:func:`_counter_totals` read from the buses' own counters of
+    every switch in ``network``, with no observer attached."""
+    buses = {id(sw.bus): sw.bus for sw in network.switches.values()}.values()
+    return {
+        "published": sum(bus.published_total() for bus in buses),
+        "handled": sum(sum(bus.handled.values()) for bus in buses),
+        "dropped": sum(sum(bus.dropped.values()) for bus in buses),
+    }
+
+
 def run_trial(
     base: ScenarioSpec,
     params: Dict[str, Any],
@@ -55,14 +66,14 @@ def run_trial(
     """Execute one trial and return its raw payload.
 
     Phased scenarios build (or fetch) a pristine setup, fork it, and run
-    the finisher on the fork under fresh :class:`EventCounters`; single-
-    shot scenarios just run.  ``source`` records which path produced the
+    the finisher on the fork, counting its events from the fork's bus
+    counters; single-shot scenarios run under fresh
+    :class:`EventCounters`.  ``source`` records which path produced the
     result (``"run"`` / ``"fresh"`` / ``"forked"``) — it lands under the
     artifact's ``host`` section because it depends on worker scheduling.
     """
     spec = base.with_params(**params)
     started = time.perf_counter()
-    counters = EventCounters()
     if spec.is_phased:
         key = params_key(params)
         if key in cache:
@@ -78,23 +89,27 @@ def run_trial(
         # Always fork — even right after a fresh build — so the trial's
         # counters are identical whether or not the cache hit.
         sim, setup = pristine.network.sim.fork(state=pristine)
-        with observing(counters):
-            result = spec.finish(setup)
-        events = sim.events_executed
+        # observing() reaches only buses created inside its block, and
+        # the fork's were unpickled before it: count the finisher's
+        # events as deltas of the fork's own bus counters instead.
+        before = _bus_totals(setup.network)
+        result = spec.finish(setup)
+        after = _bus_totals(setup.network)
+        totals = {name: after[name] - before[name] for name in after}
+        totals["events_executed"] = sim.events_executed
     else:
+        counters = EventCounters()
         with observing(counters):
             result = spec.run()
-        events = None
+        totals = _counter_totals(counters)
+        source = "run"
     wall_s = time.perf_counter() - started
-    payload: Dict[str, Any] = {
+    return {
         "metrics": extract_metrics(result),
-        "counters": _counter_totals(counters),
-        "source": source if spec.is_phased else "run",
+        "counters": totals,
+        "source": source,
         "wall_s": wall_s,
     }
-    if events is not None:
-        payload["counters"]["events_executed"] = events
-    return payload
 
 
 def search_worker_main(conn, base: ScenarioSpec) -> None:

@@ -19,6 +19,8 @@ import sys
 import pytest
 
 from repro.apps.l3fwd import L3Router
+from repro.arch.events import EventType
+from repro.arch.program import handler
 from repro.experiments.factories import make_baseline_switch
 from repro.faults.injector import Degradation
 from repro.net.host import Host
@@ -608,31 +610,57 @@ def test_fat_tree_zipf_fuse_decisions_pinned(monkeypatch, seed):
     assert totals == _K4_ZIPF_DECISIONS[seed]
 
 
+class _L3RouterWithEgress(L3Router):
+    """L3Router plus a pure egress walk that branches on its port."""
+
+    @handler(EventType.EGRESS_PACKET)
+    def egress(self, ctx, pkt, meta):
+        if meta.egress_port == 0:
+            pkt.meta["left_on_port_0"] = True
+
+
 def test_fat_tree_zipf_ingress_runner_keys_equal_flow_key(monkeypatch):
     # Each declined packet's ingress walk looks the cache up under the
     # key its fuse attempt built; it must be the key the cache computes.
+    # Every flat key a path build probes, ingress and (with an egress
+    # walk loaded) egress, must be a key the per-hop walks computed.
     from repro.arch.base import SwitchBase
+    from repro.experiments import shard_exp
+    from repro.pisa import fastpath
 
-    expected, used = [], []
     dispatch = SwitchBase._dispatch_packet_event
     lookup = FlowCache.lookup
+    flat_key = fastpath._flow_key_flat
+    ingress, egress = EventType.INGRESS_PACKET, EventType.EGRESS_PACKET
+    runs = ((L3Router, {ingress}), (_L3RouterWithEgress, {ingress, egress}))
+    for program, kinds in runs:
+        expected, used, built = [], [], []
 
-    def checked_dispatch(switch, kind, pkt, meta):
-        cache = switch.flow_cache
-        if cache is not None and switch.program.handler_for(kind) is not None:
-            expected.append(cache.flow_key(kind, pkt, meta))
-        dispatch(switch, kind, pkt, meta)
+        def checked_dispatch(switch, kind, pkt, meta):
+            cache = switch.flow_cache
+            if cache is not None and switch.program.handler_for(kind) is not None:
+                expected.append(cache.flow_key(kind, pkt, meta))
+            dispatch(switch, kind, pkt, meta)
 
-    def recorded_lookup(cache, key):
-        used.append(key)
-        return lookup(cache, key)
+        def recorded_lookup(cache, key):
+            used.append(key)
+            return lookup(cache, key)
 
-    counts = _spy_ingress_keys(monkeypatch)
-    monkeypatch.setattr(SwitchBase, "_dispatch_packet_event", checked_dispatch)
-    monkeypatch.setattr(FlowCache, "lookup", recorded_lookup)
-    _fat_tree_zipf_runtime(monkeypatch, 1, "1")
-    assert used == expected
-    assert counts["keyed"] == len(used) > 0
+        def recorded_flat_key(*args):
+            built.append(flat_key(*args))
+            return built[-1]
+
+        with monkeypatch.context() as patch:
+            counts = _spy_ingress_keys(patch)
+            patch.setattr(SwitchBase, "_dispatch_packet_event", checked_dispatch)
+            patch.setattr(FlowCache, "lookup", recorded_lookup)
+            patch.setattr(fastpath, "_flow_key_flat", recorded_flat_key)
+            patch.setattr(shard_exp, "L3Router", program)
+            _fat_tree_zipf_runtime(patch, 1, "1")
+        assert used == expected
+        assert counts["keyed"] == sum(key[0] is ingress for key in used) > 0
+        assert {key[0] for key in used} == {key[0] for key in built} == kinds
+        assert set(built) <= set(expected)
 
 
 @pytest.mark.xfail(

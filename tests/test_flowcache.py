@@ -748,3 +748,44 @@ def test_recording_verdicts_survive_reattach():
     rows, counts = _matrix_run(cases)
     assert rows == [_MATRIX_GOLDEN[case][0] for case in cases]
     assert counts == (7, 7, 6, 0, 0)
+
+
+class _RecirculateUntilPort2(ForwardingProgram):
+    """Fresh packets go to port 1, recirculated ones to port 2; the
+    egress walk recirculates unless it runs for port 2."""
+
+    name = "recirc-until-2"
+
+    @handler(EventType.INGRESS_PACKET)
+    def ingress(self, ctx, pkt, meta):
+        meta.send_to_port(1)
+
+    @handler(EventType.RECIRCULATED_PACKET)
+    def recirculated(self, ctx, pkt, meta):
+        meta.send_to_port(2)
+
+    @handler(EventType.EGRESS_PACKET)
+    def egress(self, ctx, pkt, meta):
+        if meta.egress_port != 2:
+            meta.request_recirculation()
+
+
+@pytest.mark.parametrize("flow_cache", [False, True])
+def test_egress_walks_are_keyed_on_their_egress_port(flow_cache):
+    # The egress walk for port 1 records "recirculate"; the recirculated
+    # packet's egress walk for port 2 has the same headers and arrival
+    # port, and must not replay that decision.
+    from repro.sim.kernel import Simulator
+
+    sim = Simulator()
+    factory = make_baseline_switch(flow_cache=flow_cache, fastpath=False)
+    switch = factory(sim, "s0", 3)
+    switch.load_program(_RecirculateUntilPort2())
+    sent = []
+    switch.set_tx_callback(lambda pkt, port: sent.append(port))
+    for i in range(3):
+        pkt = make_udp_packet(H0_IP, H1_IP)
+        sim.call_at(1_000 + i * 200_000, switch.receive, pkt, 0)
+    sim.run()
+    outcome = (switch.recirculations, sent, switch.dropped_by_program)
+    assert outcome == (3, [2, 2, 2], 0)

@@ -342,6 +342,37 @@ class TestRunSearch:
         inline = run_search(spec, workers=0, host=False)
         assert pooled == inline
 
+    def test_phased_trial_counts_the_finishers_events(self):
+        # The finisher runs on a fork made outside any observing()
+        # block; its events must still be counted, identically for a
+        # fresh build and a cached one, and as a standalone run counts.
+        from collections import OrderedDict
+
+        from repro.obs import EventCounters, observing
+        from repro.search.worker import run_trial
+
+        scenarios.load_all()
+        base = scenarios.get("microburst/event-driven")
+        base = base.with_params(duration_ps=2_000_000_000)
+        params = {"background_senders": 3}
+        cache: OrderedDict = OrderedDict()
+        fresh = run_trial(base, params, cache)
+        forked = run_trial(base, params, cache)
+        assert (fresh["source"], forked["source"]) == ("fresh", "forked")
+        assert fresh["counters"] == forked["counters"]
+        counters = EventCounters()
+        with observing(counters):
+            base.with_params(**params).run()
+        standalone = {
+            "published": counters.total_published(),
+            "handled": sum(counters.handled.values()),
+            "dropped": sum(counters.dropped.values()),
+        }
+        phased = dict(fresh["counters"])
+        assert phased.pop("events_executed") > 0
+        assert phased == standalone
+        assert phased["published"] > 0 and phased["handled"] > 0
+
     def test_grid_finds_the_known_optimum(self):
         spec = _landscape_spec(budget=50)
         data = run_search(spec, workers=0, host=False)
