@@ -105,6 +105,22 @@ def public_items(module) -> List[str]:
     return list(names)
 
 
+def class_methods(cls) -> dict:
+    """``vars(cls)`` plus what it inherits from private ``repro`` bases.
+
+    A private base is not documented on its own, so the public methods
+    it defines are listed on each public class built from it.
+    """
+    methods: dict = {}
+    for base in reversed(cls.__mro__):
+        if base is cls or (
+            base.__name__.startswith("_")
+            and getattr(base, "__module__", "").startswith("repro")
+        ):
+            methods.update(vars(base))
+    return methods
+
+
 def collect_modules(package_name: str) -> List[str]:
     package = importlib.import_module(package_name)
     modules = [package_name]
@@ -144,7 +160,7 @@ def render_module(module_name: str) -> List[str]:
         lines.append(f"- **`{kind} {name}{item_signature(value)}`** — "
                      f"{first_paragraph(value) or '(undocumented)'}")
         if inspect.isclass(value):
-            for method_name, method in sorted(vars(value).items()):
+            for method_name, method in sorted(class_methods(value).items()):
                 if method_name.startswith("_") or not inspect.isfunction(method):
                     continue
                 summary = first_paragraph(method)
