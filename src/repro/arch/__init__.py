@@ -25,12 +25,18 @@ from repro.arch.events import Event, EventType, PACKET_EVENTS, NON_PACKET_EVENTS
 from repro.arch.bus import BusObserver, EventBus
 from repro.arch.description import ArchitectureDescription, UnsupportedEventError
 from repro.arch.program import P4Program, handler
-from repro.arch.baseline import BaselinePsaSwitch
-from repro.arch.event_driven import LogicalEventSwitch
-from repro.arch.sume import SumeEventSwitch
 from repro.arch.merger import EventMerger, MergerStats
 from repro.arch.generator import PacketGenerator, GeneratorConfig
-from repro.arch.emulation import EmulatedEventSwitch
+
+#: The switches import the packet path (``repro.pisa.compile``,
+#: ``repro.pisa.fastpath``), which imports ``repro.arch.events``: they
+#: load on first use, so any of those modules can be imported first.
+_SWITCHES = {
+    "BaselinePsaSwitch": "repro.arch.baseline",
+    "LogicalEventSwitch": "repro.arch.event_driven",
+    "SumeEventSwitch": "repro.arch.sume",
+    "EmulatedEventSwitch": "repro.arch.emulation",
+}
 
 __all__ = [
     "Event",
@@ -52,3 +58,19 @@ __all__ = [
     "GeneratorConfig",
     "EmulatedEventSwitch",
 ]
+
+
+def __getattr__(name):
+    try:
+        module_name = _SWITCHES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: next access skips __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SWITCHES))

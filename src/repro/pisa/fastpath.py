@@ -39,7 +39,9 @@ Correctness is guarded at three levels:
   whose serialization time exceeds the incoming link latency are never
   fused, so a same-path follower can never catch a fused packet's
   transmit window.  Anything busy → per-hop fallback, counted by
-  reason.
+  reason.  The entry switch runs the same checks at hop 0 before it
+  walks a path at all, and a path built against a smaller network
+  (one that gained a link since) is stale.
 * **Disruption-time materialization** — generations and quiescence
   guard the *fuse* decision; they cannot guard the window itself: a
   fault callback can land while a fused delivery is (virtually) in
@@ -132,6 +134,30 @@ def _classes() -> tuple:
 
         _CLASSES = (BaselinePsaSwitch, Link, Host)
     return _CLASSES
+
+
+def _unquiet(sw, fp, port_obj, buffer, links, hosts, now: int) -> Optional[str]:
+    """Why ``sw`` cannot take a fused hop out of ``port_obj`` at ``now``,
+    or None when it is quiet: not stalled, no armed timers, no fused
+    window still leaving (``fp``), the port idle and enabled, the shared
+    ``buffer`` empty, and the radius-1 neighborhood (incident ``links``,
+    adjacent ``hosts``) idle.  The fuse check runs it at every hop;
+    :meth:`FlowFastpath._entry_unquiet` at hop 0 before a path walk."""
+    if sw.stalled:
+        return "stalled"
+    if sw._timers:
+        return "timers"
+    if fp._quiet_until_ps > now or port_obj.busy or not port_obj.enabled:
+        return "busy"
+    if buffer.occupancy_bytes:
+        return "queued"
+    for link in links:
+        if link.in_flight:
+            return "neighborhood"
+    for host in hosts:
+        if host._tx_busy or host._tx_queue:
+            return "neighborhood"
+    return None
 
 
 class FastpathStats:
@@ -244,6 +270,8 @@ class _Hop:
         "d_exit",
         "incident_links",
         "neighbor_hosts",
+        "port_links",
+        "link_count",
     )
 
     def __init__(
@@ -261,6 +289,7 @@ class _Hop:
         length,
         d_enq,
         nbhd,
+        port_links,
     ) -> None:
         bus = sw.bus
         cache = sw.flow_cache
@@ -295,7 +324,11 @@ class _Hop:
         self.d_enq = d_enq
         self.d_leave = d_enq + tx_time_ps + sw.egress_pipeline.latency_ps
         self.d_exit = self.d_leave + link.latency_ps
+        # The neighborhood holds while the network's switch-port map
+        # keeps the link count it had when the path was built.
         self.incident_links, self.neighbor_hosts = nbhd
+        self.port_links = port_links
+        self.link_count = len(port_links)
 
 
 class _Flight:
@@ -416,26 +449,16 @@ class FlowFastpath(_FlowMemo):
             self.stats.fallback("observer")
             return key
         path = self._paths.get(key)
-        if path is None:
-            cache = sw.flow_cache
-            if (
-                cache is not None
-                and key not in cache._entries
-                and self._entry_switch_eligible()
-            ):
-                # _build's answer once hop 0 passes its structural
-                # checks: hop 0 is not recorded yet (transient).
-                self._ensure_registered()
-                return key
-            path = self._build(pkt, port, key)
-            if path is None:
-                return key
-        elif type(path) is _Unfusable:
+        if type(path) is _Unfusable:
             if path.sig == self._hop1_sig():
                 self.stats.fallback(path.reason)
                 return key
             del self._paths[key]
             self.stats.invalidations += 1
+            path = None
+        if path is None:
+            if self._declined_at_entry(key):
+                return key
             path = self._build(pkt, port, key)
             if path is None:
                 return key
@@ -461,18 +484,58 @@ class FlowFastpath(_FlowMemo):
         self.stats.fused += 1
         return None
 
-    def _entry_switch_eligible(self) -> bool:
-        """Whether this switch passes every structural check
-        :meth:`_build` makes at hop 0 before its first cache probe (an
-        observed packet never gets here)."""
+    def _declined_at_entry(self, key: tuple) -> bool:
+        """Whether hop 0 already answers the path walk :meth:`_build`
+        would make for ``key``, so the packet declines without one.
+
+        Once this switch passes the structural checks the walk makes at
+        hop 0 before its first cache probe (a baseline PSA, its own
+        fastpath, a program with an ingress handler and no TM event
+        kind admitted), a flow whose hop-0 decision is not recorded
+        yet, or is stale, declines silently (the walk would stop there
+        and store nothing), and a recorded flow declines when hop 0 is
+        not quiet towards the egress port its entry names
+        (:meth:`_entry_unquiet`; the fuse check would fail there),
+        counted under that reason."""
         sw = self.switch
+        cache = sw.flow_cache
         program = sw.program
-        return (
-            type(sw) is _classes()[0]
-            and sw.flow_fastpath is self
-            and program is not None
-            and self._program_verdict(program, sw.description) is None
-        )
+        if (
+            cache is None
+            or type(sw) is not _classes()[0]
+            or sw.flow_fastpath is not self
+            or program is None
+            or self._program_verdict(program, sw.description) is not None
+        ):
+            return False
+        entry = cache._entries.get(key)
+        if entry is UNCACHEABLE:
+            return False
+        if entry is None or entry.genvec != cache._generation_vector():
+            self._ensure_registered()
+            return True
+        reason = self._entry_unquiet(entry)
+        if reason is None:
+            return False
+        self.stats.fallback(reason)
+        return True
+
+    def _entry_unquiet(self, entry) -> Optional[str]:
+        """:func:`_unquiet` at this switch towards ``entry``'s egress
+        port; None as well when :meth:`_build` would stop at hop 0 on a
+        structural check first (no such port, unwired, boundary)."""
+        sw = self.switch
+        tm = sw.tm
+        spec = entry.egress_spec
+        if not isinstance(spec, int) or not 0 <= spec < tm.port_count:
+            return None
+        network = getattr(sw._tx_callback, "network", None)
+        if network is None:
+            return None
+        nbhd = self._neighborhood(network)
+        if nbhd is None:
+            return None
+        return _unquiet(sw, self, tm.ports[spec], tm.buffer, *nbhd, self.sim.now_ps)
 
     def _program_verdict(self, program, description) -> Optional[str]:
         """The negative reason :meth:`_build` records at this switch for
@@ -514,30 +577,30 @@ class FlowFastpath(_FlowMemo):
             link = hop.link
             if link.epoch != hop.link_epoch or not link.up:
                 return (True, "link")
+            if len(hop.port_links) != hop.link_count:
+                # The network gained a link since the build: the bound
+                # neighborhood may miss it.
+                return (True, "topology")
             bus = hop.bus
             if bus._observers or bus.observer_epoch != hop.observer_epoch:
                 return (True, "observer")
-            if sw.flow_fastpath is not hop.fp:
+            fp = hop.fp
+            if sw.flow_fastpath is not fp:
                 return (True, "disabled")
-            if sw.stalled:
-                return (False, "stalled")
-            if sw._timers:
-                return (False, "timers")
-            if hop.fp._quiet_until_ps > now:
-                return (False, "busy")
             port_obj = hop.port_obj
-            if port_obj.busy or not port_obj.enabled:
-                return (False, "busy")
             if port_obj.rate_gbps != hop.rate_gbps:
                 return (True, "rate")
-            if hop.buffer.occupancy_bytes:
-                return (False, "queued")
-            for other in hop.incident_links:
-                if other.in_flight:
-                    return (False, "neighborhood")
-            for host in hop.neighbor_hosts:
-                if host._tx_busy or host._tx_queue:
-                    return (False, "neighborhood")
+            reason = _unquiet(
+                sw,
+                fp,
+                port_obj,
+                hop.buffer,
+                hop.incident_links,
+                hop.neighbor_hosts,
+                now,
+            )
+            if reason is not None:
+                return (False, reason)
         return None
 
     # ------------------------------------------------------------------
@@ -849,6 +912,7 @@ class FlowFastpath(_FlowMemo):
                     length,
                     d_enq,
                     nbhd,
+                    port_links,
                 )
             )
             if egress_entry is not None:

@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from operator import attrgetter
-from typing import Dict, Iterator, List, Tuple
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.packet.headers import _FIELD_GETTERS, field_getter, field_index
 from repro.pisa.externs.counter import Counter
@@ -199,6 +199,39 @@ def _flow_key_flat(kind, port, payload_len: int, classes, values) -> tuple:
         parts.append(cls)
         parts.extend(row)
     return tuple(parts)
+
+
+def _rewrites(key: tuple, headers) -> Optional[tuple]:
+    """Per header, ``(index, ((field, value), ...))`` for every field
+    that differs from its value in ``key`` (:func:`flow_key` of the same
+    headers before the walk); None when the walk changed the header
+    stack itself."""
+    rewrites = []
+    pos = 3  # past kind, port and payload length
+    end = len(key)
+    getters = _FIELD_GETTERS
+    for idx, header in enumerate(headers):
+        cls = header.__class__
+        if pos == end or key[pos] is not cls:
+            return None
+        getter = getters.get(cls)
+        if getter is None:
+            getter = field_getter(cls)
+        after = getter(header)
+        start = pos + 1
+        pos = start + len(after)
+        before = key[start:pos]
+        if after != before:
+            # field_index iterates the field names in row order.
+            changed = [
+                (name, value)
+                for name, value, old in zip(field_index(cls), after, before)
+                if value != old
+            ]
+            rewrites.append((idx, tuple(changed)))
+    if pos != end:
+        return None
+    return tuple(rewrites)
 
 
 class VersionedDict(dict):
@@ -351,39 +384,41 @@ class _RecordingMeta:
 
 
 class _ShimOp:
-    """Per-instance extern-method shim recording one blind-write call."""
+    """Per-instance extern-method shim recording one blind-write call
+    into its cache's current recording."""
 
-    __slots__ = ("rec", "extern", "name", "orig")
+    __slots__ = ("cache", "extern", "name", "orig")
 
-    def __init__(self, rec: "_Recording", extern, name: str) -> None:
-        self.rec = rec
+    def __init__(self, cache: "FlowCache", extern, name: str) -> None:
+        self.cache = cache
         self.extern = extern
         self.name = name
         self.orig = getattr(extern, name)
 
     def __call__(self, *args, **kwargs):
-        self.rec.ops.append((self.extern, self.name, args, kwargs))
+        self.cache._rec.ops.append((self.extern, self.name, args, kwargs))
         return self.orig(*args, **kwargs)
 
 
 class _ShimImpure:
-    """Per-instance extern-method shim marking the flow uncacheable."""
+    """Per-instance extern-method shim marking its cache's current
+    recording uncacheable."""
 
-    __slots__ = ("rec", "orig")
+    __slots__ = ("cache", "orig")
 
-    def __init__(self, rec: "_Recording", extern, name: str) -> None:
-        self.rec = rec
+    def __init__(self, cache: "FlowCache", extern, name: str) -> None:
+        self.cache = cache
         self.orig = getattr(extern, name)
 
     def __call__(self, *args, **kwargs):
-        self.rec.impure = True
+        self.cache._rec.impure = True
         return self.orig(*args, **kwargs)
 
 
-def _shim_plan(externs) -> Tuple[Tuple[object, str, type], ...]:
-    """``(extern, method, shim class)`` for every method a recording
-    shims, in install order.  Recordable methods come first on each
-    extern, so a method both tables name is shimmed as recordable."""
+def _shims(cache: "FlowCache", externs) -> Tuple[Tuple[object, str, object], ...]:
+    """``(extern, method, shim)`` for every method a recording shims, in
+    install order.  Recordable methods come first on each extern, so a
+    method both tables name is shimmed as recordable."""
     plan: List[Tuple[object, str, type]] = []
     for extern in externs:
         for klass, names in RECORDABLE_METHODS.items():
@@ -398,22 +433,51 @@ def _shim_plan(externs) -> Tuple[Tuple[object, str, type], ...]:
                         e is extern and n == name for e, n, _s in plan
                     ):
                         plan.append((extern, name, _ShimImpure))
-    return tuple(plan)
+    return tuple((e, n, shim(cache, e, n)) for e, n, shim in plan)
 
 
 #: How :meth:`FlowCache._fingerprint` records one program attribute,
-#: decided once per attribute class.
-_FP_VALUE, _FP_SKIP, _FP_SIZED, _FP_ID = range(4)
+#: decided once per attribute class: compared with ``==``, skipped, by
+#: identity and length, or by identity.
+_FP_EQ, _FP_SKIP, _FP_SIZED, _FP_ID = range(4)
 
 
 def _fingerprint_verdict(cls: type) -> int:
     if issubclass(cls, (int, float, str, bool, type(None))):
-        return _FP_VALUE
+        return _FP_EQ
     if issubclass(cls, (Table, VersionedDict)):
         return _FP_SKIP  # the generation vector covers these
     if issubclass(cls, (dict, list, set, tuple)):
         return _FP_SIZED
+    if cls.__eq__ is object.__eq__:
+        return _FP_EQ  # equality is identity
     return _FP_ID
+
+
+def _items(names: Tuple[str, ...]):
+    """``attrs -> tuple(attrs[name] for name in names)``, or None for
+    no names."""
+    if len(names) > 1:
+        return itemgetter(*names)
+    if names:
+        get = itemgetter(names[0])
+        return lambda attrs: (get(attrs),)
+    return None
+
+
+def _fingerprint_plan(shape: tuple) -> tuple:
+    """How :meth:`FlowCache._fingerprint` reads a program whose
+    ``vars()`` has ``shape`` (its names, then its value classes):
+    ``(shape, names, by_eq, by_id, sized)``.  Public attributes are
+    grouped by :func:`_fingerprint_verdict`, each group sorted so the
+    fingerprint ignores attribute order."""
+    groups: Dict[int, List[str]] = {_FP_EQ: [], _FP_SIZED: [], _FP_ID: []}
+    for name, cls in zip(*shape):
+        verdict = _fingerprint_verdict(cls)
+        if not name.startswith("_") and verdict != _FP_SKIP:
+            groups[verdict].append(name)
+    eq, sized, ids = (tuple(sorted(groups[v])) for v in (_FP_EQ, _FP_SIZED, _FP_ID))
+    return (shape, (eq, sized, ids), _items(eq), _items(sized + ids), _items(sized))
 
 
 class _Recording:
@@ -422,9 +486,7 @@ class _Recording:
     __slots__ = (
         "impure",
         "ops",
-        "header_snapshot",
         "pkt_meta_snapshot",
-        "payload_len",
         "vars_fingerprint",
         "shimmed",
         "genvec",
@@ -433,11 +495,9 @@ class _Recording:
     def __init__(self) -> None:
         self.impure = False
         self.ops: List[Tuple[object, str, tuple, dict]] = []
-        self.header_snapshot: List[tuple] = []
         self.pkt_meta_snapshot: Dict[str, object] = {}
-        self.payload_len = 0
-        self.vars_fingerprint: Dict[str, object] = {}
-        self.shimmed: Tuple[Tuple[object, str, type], ...] = ()
+        self.vars_fingerprint: tuple = ()
+        self.shimmed: Tuple[Tuple[object, str, object], ...] = ()
         self.genvec: tuple = ()
 
 
@@ -549,8 +609,9 @@ class FlowCache(_FlowMemo):
         "stats",
         "_entries",
         "_deps",
-        "_shim_plan",
-        "_fp_verdicts",
+        "_shims",
+        "_fp_plan",
+        "_rec",
         "_program",
         "_registered",
         "name",
@@ -566,8 +627,10 @@ class FlowCache(_FlowMemo):
         self.stats = FlowCacheStats()
         self._entries: Dict[tuple, object] = {}
         self._deps: List[object] = []
-        self._shim_plan: Tuple[Tuple[object, str, type], ...] = ()
-        self._fp_verdicts: Dict[type, int] = {}
+        self._shims: Tuple[Tuple[object, str, object], ...] = ()
+        self._fp_plan: Optional[tuple] = None
+        #: The recording the installed shims write into.
+        self._rec: Optional[_Recording] = None
         self._program = None
         self._registered = False
         self.attach_epoch = 0
@@ -576,8 +639,8 @@ class FlowCache(_FlowMemo):
     # Lifecycle
     # ------------------------------------------------------------------
     def attach(self, program) -> None:
-        """Bind to a loaded program: discover versioned deps and plan the
-        extern shims every recording installs."""
+        """Bind to a loaded program: discover versioned deps and build
+        the extern shims every recording installs."""
         self._program = program
         self._entries.clear()
         # Bumped so path-level consumers (the flow fastpath) can tell a
@@ -592,8 +655,8 @@ class FlowCache(_FlowMemo):
             for _name, extern in program.externs():
                 externs.append(extern)
         self._deps = deps
-        self._shim_plan = _shim_plan(externs)
-        self._fp_verdicts = {}
+        self._shims = _shims(self, externs)
+        self._fp_plan = None
 
     def clear(self) -> None:
         """Drop every cached flow (entries only; stats survive)."""
@@ -701,17 +764,13 @@ class FlowCache(_FlowMemo):
         objects go to the handler, the recording to :meth:`commit`.
         """
         self._ensure_registered()
-        rec = _Recording()
+        rec = self._rec = _Recording()
         rec.genvec = self._generation_vector()
-        rec.payload_len = pkt.payload_len
-        rec.header_snapshot = [
-            field_getter(h.__class__)(h) for h in pkt.headers
-        ]
         rec.pkt_meta_snapshot = dict(pkt.meta)
         rec.vars_fingerprint = self._fingerprint()
-        plan = rec.shimmed = self._shim_plan
-        for extern, name, shim in plan:
-            setattr(extern, name, shim(rec, extern, name))
+        shims = rec.shimmed = self._shims
+        for extern, name, shim in shims:
+            setattr(extern, name, shim)
         return rec, _RecordingContext(ctx, rec), _RecordingMeta(meta, rec)
 
     def abort(self, rec: "_Recording") -> None:
@@ -719,17 +778,24 @@ class FlowCache(_FlowMemo):
         self._unshim(rec)
 
     def commit(self, rec: "_Recording", key: tuple, pkt, meta) -> None:
-        """Finish recording: store a replayable entry or the sentinel."""
+        """Finish recording: store a replayable entry or the sentinel.
+
+        ``key`` is the flow key the walk was looked up under, taken
+        before it ran (:meth:`flow_key`): it holds every input field,
+        so the header rewrites and the payload length are diffed
+        against it."""
         self._unshim(rec)
         stats = self.stats
+        rewrites = None
         if (
-            rec.impure
-            or rec.genvec != self._generation_vector()
-            or len(pkt.headers) != len(rec.header_snapshot)
-            or rec.vars_fingerprint != self._fingerprint()
+            not rec.impure
+            and rec.genvec == self._generation_vector()
+            and rec.vars_fingerprint == self._fingerprint()
         ):
-            # Impure control, self-mutating tables, structural header
-            # change (push/pop), or program attribute mutation: the
+            rewrites = _rewrites(key, pkt.headers)
+        if rewrites is None:
+            # Impure control, self-mutating tables, program attribute
+            # mutation, or a structural header change (push/pop): the
             # walk must run for every packet of this flow.
             self._store(key, UNCACHEABLE)
             stats.uncacheable += 1
@@ -741,22 +807,9 @@ class FlowCache(_FlowMemo):
         entry.priority = meta.priority
         entry.enq_meta = dict(meta.enq_meta) if meta.enq_meta else None
         entry.deq_meta = dict(meta.deq_meta) if meta.deq_meta else None
-        rewrites = []
-        for idx, before in enumerate(rec.header_snapshot):
-            header = pkt.headers[idx]
-            after = field_getter(header.__class__)(header)
-            if after != before:
-                fields = header.FIELDS
-                changed = tuple(
-                    (fields[i].name, after[i])
-                    for i in range(len(fields))
-                    if after[i] != before[i]
-                )
-                rewrites.append((idx, changed))
-        entry.rewrites = tuple(rewrites)
-        entry.payload_len = (
-            pkt.payload_len if pkt.payload_len != rec.payload_len else None
-        )
+        entry.rewrites = rewrites
+        payload_len = pkt.payload_len
+        entry.payload_len = payload_len if payload_len != key[2] else None
         if pkt.meta != rec.pkt_meta_snapshot:
             entry.pkt_meta_writes = {
                 k: v
@@ -788,38 +841,38 @@ class FlowCache(_FlowMemo):
         entries[key] = value
 
     def _unshim(self, rec: "_Recording") -> None:
+        self._rec = None
         for extern, name, _shim in rec.shimmed:
             try:
                 delattr(extern, name)
             except AttributeError:
                 pass
 
-    def _fingerprint(self) -> Dict[str, object]:
+    def _fingerprint(self) -> tuple:
         """Shallow fingerprint of program attributes.
 
         Scalars by value (catches ``self.packets_seen += 1``); sized
-        containers by (id, len) — versioned/extern/table state is
-        covered by the generation vector and the shims instead.
+        containers by (id, len); other objects by identity —
+        versioned/extern/table state is covered by the generation
+        vector and the shims instead.  The reading plan is rebuilt only
+        when the attribute names or value classes change
+        (:func:`_fingerprint_plan`).
         """
         program = self._program
-        fp: Dict[str, object] = {}
         if program is None:
-            return fp
-        verdicts = self._fp_verdicts
-        for name, value in vars(program).items():
-            if name.startswith("_"):
-                continue
-            cls = type(value)
-            verdict = verdicts.get(cls)
-            if verdict is None:
-                verdict = verdicts[cls] = _fingerprint_verdict(cls)
-            if verdict == _FP_VALUE:
-                fp[name] = value
-            elif verdict == _FP_SIZED:
-                fp[name] = (id(value), len(value))
-            elif verdict == _FP_ID:
-                fp[name] = id(value)
-        return fp
+            return ()
+        attrs = vars(program)
+        shape = (tuple(attrs), tuple(map(type, attrs.values())))
+        plan = self._fp_plan
+        if plan is None or plan[0] != shape:
+            plan = self._fp_plan = _fingerprint_plan(shape)
+        _shape, names, by_eq, by_id, sized = plan
+        return (
+            names,
+            by_eq(attrs) if by_eq else (),
+            tuple(map(id, by_id(attrs))) if by_id else (),
+            tuple(map(len, sized(attrs))) if sized else (),
+        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -39,6 +39,7 @@ from repro.sim.shard import BoundaryLink
 
 H0_IP = 0x0A00_0001
 H1_IP = 0x0A00_0002
+H2_IP = 0x0A00_0003
 
 
 @pytest.fixture(autouse=True)
@@ -276,6 +277,62 @@ def test_link_connected_after_a_build_joins_the_neighborhood():
     assert path.hops[1].switch is s1
     assert link in path.hops[1].incident_links
     assert path.hops[1].neighbor_hosts == (h2,)
+
+
+def _late_neighbor_run(fastpath, connect_first):
+    """h0 -> h1 over a 3-switch chain, 64 B every 40 us.  Halfway, host
+    h2 joins s1 (port 2) and sends 1,400 B to h1 just before each h0
+    packet, so both contend for s1's port 1.  ``connect_first`` wires h2
+    before the run instead."""
+    factory = make_baseline_switch(flow_cache=True, fastpath=fastpath)
+    network = build_linear(
+        lambda sim, name, _ports: factory(sim, name, 3), switch_count=3
+    )
+    for name, h2_port in (("s0", 1), ("s1", 2), ("s2", 0)):
+        program = L3Router()
+        program.install_host_routes({H0_IP: 0, H1_IP: 1, H2_IP: h2_port})
+        network.switches[name].load_program(program)
+    sim = network.sim
+    arrivals = []
+    network.hosts["h1"].add_sink(
+        lambda p: arrivals.append((sim.now_ps, p.total_len))
+    )
+    gap, start = 40_000_000, 1_000_000
+    h0 = network.hosts["h0"]
+    for i in range(200):
+        frame = make_udp_packet(H0_IP, H1_IP, payload_len=22)  # 64 B
+        sim.call_at(start + i * gap, h0.send, frame)
+
+    def join_h2():
+        h2 = network.add_host(Host(sim, "h2", H2_IP))
+        network.connect(network.switches["s1"], 2, h2, 0)
+        for i in range(100, 200):
+            sim.call_at(
+                start + i * gap - 500_000,
+                h2.send,
+                make_udp_packet(H2_IP, H1_IP, payload_len=1_358),
+            )
+
+    if connect_first:
+        join_h2()
+    else:
+        sim.call_at(start + 100 * gap - 1_000_000, join_h2)
+    network.run()
+    return arrivals, network
+
+
+@pytest.mark.parametrize("connect_first", [False, True])
+def test_link_connected_mid_run_invalidates_stored_paths(connect_first):
+    # A stored path binds each hop's neighborhood when it is built; a
+    # link that joins an on-path switch later must not stay invisible to
+    # the fuse check, or the fused arrival ignores the new contention.
+    fused_run, network = _late_neighbor_run(True, connect_first)
+    per_hop_run, _ = _late_neighbor_run(False, connect_first)
+    assert len(fused_run) == 300
+    assert fused_run == per_hop_run
+    stats = network.switches["s0"].flow_fastpath.stats
+    assert stats.fused > 0
+    assert stats.fallbacks.get("topology", 0) == (0 if connect_first else 1)
 
 
 def test_boundary_port_stays_unfusable():
@@ -567,34 +624,9 @@ def _fat_tree_zipf_digest(monkeypatch, seed, fastpath_flag):
     return fingerprint_digest(behavior_fingerprint(runtime.collect()))
 
 
-# Which deliveries fuse, and why the rest decline, summed over the
-# switches: the fused timing is pinned (see the xfail below), so a
-# change to how fuse decisions are made must leave these exact.
-_K4_ZIPF_DECISIONS = {
-    1: {
-        "fastpath": dict(
-            paths_built=536, fused=15, materialized=0, fallbacks=2402, invalidations=0
-        ),
-        "reasons": dict(busy=1158, neighborhood=1035, queued=209),
-        "flowcache": dict(
-            hits=2544, misses=832, uncacheable=0, invalidations=0, evictions=0
-        ),
-    },
-    3: {
-        "fastpath": dict(
-            paths_built=538, fused=13, materialized=0, fallbacks=2467, invalidations=0
-        ),
-        "reasons": dict(busy=1160, neighborhood=1087, queued=220),
-        "flowcache": dict(
-            hits=2572, misses=798, uncacheable=0, invalidations=0, evictions=0
-        ),
-    },
-}
-
-
-@pytest.mark.parametrize("seed", sorted(_K4_ZIPF_DECISIONS))
-def test_fat_tree_zipf_fuse_decisions_pinned(monkeypatch, seed):
-    runtime = _fat_tree_zipf_runtime(monkeypatch, seed, "1")
+def _fat_tree_zipf_totals(runtime):
+    """Fastpath stats, fallback reasons and flow-cache stats, each
+    summed over the switches."""
     totals = {"fastpath": {}, "reasons": {}, "flowcache": {}}
 
     def add(group, counts):
@@ -603,11 +635,100 @@ def test_fat_tree_zipf_fuse_decisions_pinned(monkeypatch, seed):
 
     for switch in runtime.network.switches.values():
         stats = switch.flow_fastpath.stats.as_dict()
-        reasons = stats.pop("fallback_reasons")
+        add("reasons", stats.pop("fallback_reasons"))
         add("fastpath", stats)
-        add("reasons", reasons)
         add("flowcache", switch.flow_cache.stats.as_dict())
-    assert totals == _K4_ZIPF_DECISIONS[seed]
+    return totals
+
+
+# Which deliveries fuse, summed over the switches: the fused timing is
+# pinned (see the xfail below), so a change to how fuse decisions are
+# made must leave these exact.
+_K4_ZIPF_DECISIONS = {
+    1: {
+        "fastpath": dict(fused=15, materialized=0, invalidations=0),
+        "flowcache": dict(
+            hits=2544, misses=832, uncacheable=0, invalidations=0, evictions=0
+        ),
+    },
+    3: {
+        "fastpath": dict(fused=13, materialized=0, invalidations=0),
+        "flowcache": dict(
+            hits=2572, misses=798, uncacheable=0, invalidations=0, evictions=0
+        ),
+    },
+}
+
+# How much work the declines cost: the paths built and the fallbacks by
+# reason.  These move whenever a decline is answered earlier or later
+# (the hop-0 gate answers most of them before any path walk).
+_K4_ZIPF_EFFORT = {
+    1: {
+        "fastpath": dict(paths_built=70, fallbacks=2514),
+        "reasons": dict(busy=1186, neighborhood=1107, queued=221),
+    },
+    3: {
+        "fastpath": dict(paths_built=70, fallbacks=2544),
+        "reasons": dict(busy=1182, neighborhood=1139, queued=223),
+    },
+}
+
+
+def _pinned_part(totals, pins):
+    """``totals`` cut down to the groups and fastpath keys ``pins`` has."""
+    part = {group: totals[group] for group in pins}
+    part["fastpath"] = {key: totals["fastpath"][key] for key in pins["fastpath"]}
+    return part
+
+
+@pytest.mark.parametrize("seed", sorted(_K4_ZIPF_DECISIONS))
+def test_fat_tree_zipf_fuse_decisions_pinned(monkeypatch, seed):
+    totals = _fat_tree_zipf_totals(_fat_tree_zipf_runtime(monkeypatch, seed, "1"))
+    pins = _K4_ZIPF_DECISIONS[seed]
+    assert _pinned_part(totals, pins) == pins
+
+
+@pytest.mark.parametrize("seed", sorted(_K4_ZIPF_EFFORT))
+def test_fat_tree_zipf_fastpath_effort_pinned(monkeypatch, seed):
+    totals = _fat_tree_zipf_totals(_fat_tree_zipf_runtime(monkeypatch, seed, "1"))
+    pins = _K4_ZIPF_EFFORT[seed]
+    assert _pinned_part(totals, pins) == pins
+
+
+def _fused_deliveries(monkeypatch, seed):
+    """``(pkt_id, t0)`` of every fused delivery, in fuse order, and the
+    run's behaviour fingerprint digest."""
+    from repro.sim.shard import behavior_fingerprint, fingerprint_digest
+
+    fused = []
+    handle = FlowFastpath.handle
+
+    def recorded_handle(fastpath, pkt, port):
+        key = handle(fastpath, pkt, port)
+        if key is None:
+            fused.append((pkt.pkt_id, fastpath.sim.now_ps))
+        return key
+
+    monkeypatch.setattr(FlowFastpath, "handle", recorded_handle)
+    # Packet ids are process-global: number them from the run's first.
+    first_id = make_udp_packet(H0_IP, H1_IP).pkt_id + 1
+    runtime = _fat_tree_zipf_runtime(monkeypatch, seed, "1")
+    digest = fingerprint_digest(behavior_fingerprint(runtime.collect()))
+    return [(pkt_id - first_id, t0) for pkt_id, t0 in fused], digest
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_fat_tree_zipf_entry_gate_fuses_what_the_path_walk_would(monkeypatch, seed):
+    # The hop-0 gate declines a packet before its path walk when the
+    # entry switch is not quiet.  Answering "quiet" there instead walks
+    # and stores the path and lets the fuse check decline it (the
+    # walk-first order): every fused delivery and every arrival must
+    # be the same either way.
+    gated = _fused_deliveries(monkeypatch, seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(FlowFastpath, "_entry_unquiet", lambda fastpath, entry: None)
+        walked = _fused_deliveries(patch, seed)
+    assert gated[0] and gated == walked
 
 
 class _L3RouterWithEgress(L3Router):

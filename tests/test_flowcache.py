@@ -553,6 +553,20 @@ def _read_scalar(program, pkt):
         raise AssertionError("unreachable")
 
 
+def _rewrite_two_headers(program, pkt):
+    eth, _ip, udp = pkt.headers
+    eth.set(dst=0x0200_0000_00BB, src=0x0200_0000_00AA)
+    udp.set(sport=4_000, dport=5_000)
+
+
+def _resize_payload(program, pkt):
+    pkt.payload_len = 64
+
+
+def _write_pkt_meta(program, pkt):
+    pkt.meta["matrix"] = pkt.payload_len
+
+
 #: One ingress side effect per case; every program declares all eight
 #: extern kinds, so each case also checks the untouched ones stay quiet.
 _MATRIX_ACTIONS = {
@@ -561,6 +575,9 @@ _MATRIX_ACTIONS = {
     "attr-rebind": _rebind,
     "list-append": _append,
     "new-attr": _new_attr,
+    "rewrite-two-headers": _rewrite_two_headers,
+    "payload-len": _resize_payload,
+    "pkt-meta": _write_pkt_meta,
     "counter.count": _call("counter.count", 0, 100),
     "cms.update": _call("cms.update", b"k"),
     "cms.add_signed": _call("cms.add_signed", b"k", 2),
@@ -651,10 +668,20 @@ def _recorded(cache):
     return rows
 
 
-def _matrix_run(cases):
+def _stored_writes(cache):
+    """Every stored entry's ``(rewrites, payload_len, pkt_meta_writes)``
+    in insertion order."""
+    return [
+        (entry.rewrites, entry.payload_len, entry.pkt_meta_writes)
+        for entry in cache._entries.values()
+    ]
+
+
+def _matrix_run(cases, recorded=_recorded):
     """Load each case's program in turn on one switch (a ``load_program``
     re-attach between cases) and send two packets on each of two flows.
-    Returns what the cache stored after each case, and its counters."""
+    Returns what ``recorded`` reads off the cache after each case, and
+    its counters."""
     network = build_linear(make_baseline_switch(), switch_count=1)
     switch = network.switches["s0"]
     network.hosts["h1"].add_sink(lambda pkt: None)
@@ -672,7 +699,7 @@ def _matrix_run(cases):
                 make_udp_packet(H0_IP + i % 2, H1_IP, payload_len=100 + i % 2),
             )
         network.run()
-        rows.append(_recorded(switch.flow_cache))
+        rows.append(recorded(switch.flow_cache))
     stats = switch.flow_cache.stats
     counts = (
         stats.hits,
@@ -717,6 +744,8 @@ _MATRIX_GOLDEN = {
     "pifo.pop": _UNCACHED,
     "pifo.push": _UNCACHED,
     "plain": ([(), ()], (2, 2, 0, 0, 0)),
+    "payload-len": ([(), ()], (2, 2, 0, 0, 0)),
+    "pkt-meta": ([(), ()], (2, 2, 0, 0, 0)),
     "reg.add": _UNCACHED,
     "reg.clear": _UNCACHED,
     "reg.modify": _UNCACHED,
@@ -724,6 +753,7 @@ _MATRIX_GOLDEN = {
     "reg.read": _UNCACHED,
     "reg.sub": _UNCACHED,
     "reg.write": _UNCACHED,
+    "rewrite-two-headers": ([(), ()], (2, 2, 0, 0, 0)),
     "scalar-read": ([(), ()], (2, 2, 0, 0, 0)),
     "shreg.accumulate": _replayed("shreg", "accumulate", "(3,)"),
     "shreg.head": _UNCACHED,
@@ -741,6 +771,37 @@ _MATRIX_GOLDEN = {
 def test_recording_verdicts_match_golden(case):
     rows, counts = _matrix_run([case])
     assert (rows[0], counts) == _MATRIX_GOLDEN[case]
+
+
+_TTL = (1, (("ttl", 63),))
+
+#: What each flow's entry stores besides its ops, recorded while
+#: ``commit`` still diffed against a header snapshot taken by ``begin``:
+#: ``(rewrites, payload_len, pkt_meta_writes)``.  Every case forwards
+#: by IP, so every entry also carries the TTL decrement.
+_MATRIX_WRITES_GOLDEN = {
+    "plain": [((_TTL,), None, None)] * 2,
+    "rewrite-two-headers": [
+        (
+            (
+                (0, (("dst", 0x0200_0000_00BB), ("src", 0x0200_0000_00AA))),
+                _TTL,
+                (2, (("sport", 4_000), ("dport", 5_000))),
+            ),
+            None,
+            None,
+        )
+    ]
+    * 2,
+    "payload-len": [((_TTL,), 64, None)] * 2,
+    "pkt-meta": [((_TTL,), None, {"matrix": 100}), ((_TTL,), None, {"matrix": 101})],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MATRIX_WRITES_GOLDEN))
+def test_recorded_writes_match_golden(case):
+    rows, _counts = _matrix_run([case], _stored_writes)
+    assert rows[0] == _MATRIX_WRITES_GOLDEN[case]
 
 
 def test_recording_verdicts_survive_reattach():
