@@ -1,7 +1,7 @@
 """Common machinery shared by all switch architectures.
 
-:class:`SwitchBase` owns the pieces every architecture has — a parser,
-a traffic manager, a loaded program, the context object handed to
+:class:`SwitchBase` owns the pieces every architecture has — a
+traffic manager, a loaded program, the context object handed to
 handlers, link state, and event accounting — and defines the external
 interface the network substrate drives:
 
@@ -34,7 +34,6 @@ from repro.arch.description import ArchitectureDescription, UnsupportedEventErro
 from repro.arch.events import PIPELINE_PACKET_EVENTS, Event, EventType
 from repro.arch.program import P4Program, ProgramContext
 from repro.packet.packet import Packet
-from repro.packet.parser import Parser, standard_parser
 from repro.pisa.compile import PIPELINE_COMPILE_ENV, make_walk
 from repro.pisa.fastpath import FLOW_FASTPATH_ENV, FlowFastpath
 from repro.pisa.flowcache import FLOW_CACHE_ENV, UNCACHEABLE, FlowCache, env_enabled
@@ -134,7 +133,7 @@ class SwitchContext(ProgramContext):
 
 
 class SwitchBase:
-    """Base switch: ports, parser, traffic manager, program, accounting."""
+    """Base switch: ports, traffic manager, program, accounting."""
 
     #: Full walks of one packet-event kind interpreted before the
     #: pipeline specializer compiles that kind's walk; roughly the
@@ -150,7 +149,6 @@ class SwitchBase:
         sim: Simulator,
         description: ArchitectureDescription,
         name: str = "switch",
-        parser: Optional[Parser] = None,
         queues_per_port: int = 1,
         queue_capacity_bytes: int = 64 * 1024,
         buffer_capacity_bytes: Optional[int] = None,
@@ -163,7 +161,6 @@ class SwitchBase:
         self.sim = sim
         self.description = description
         self.name = name
-        self.parser = parser or standard_parser()
         # The central event path: sources publish here, the architecture
         # subclass subscribes its routing hook, and the program handler
         # runs via the bus's dispatcher.  Passing a shared bus merges

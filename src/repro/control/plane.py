@@ -96,9 +96,9 @@ class ControlPlane:
         ``fn`` must be a closure over the table's *mutating API*
         (``insert`` / ``remove`` / ``set_default`` / ``update_action``)
         — those bump the table's generation counter, which is what
-        invalidates both the per-table lookup memo and any flow-cache
-        entries recorded against the old contents.  Mutating a stored
-        action object in place bypasses both caches; never do that.
+        invalidates any flow-cache entries and compiled walks recorded
+        against the old contents.  Mutating a stored action object in
+        place bypasses that; never do that.
         """
         duration = self.config.rtt_ps + entries * self.config.per_entry_write_ps
         self.table_updates += 1

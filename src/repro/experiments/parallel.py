@@ -1,25 +1,20 @@
-"""Process-parallel sweeps of independent experiment points.
+"""Persistent worker processes behind duplex pipes.
 
-Figure sweeps and benchmark trajectories run many *independent*
-simulations — each point builds its own :class:`~repro.sim.kernel.Simulator`
-and shares no state with its neighbours — so they parallelize across
-processes trivially.  :func:`run_points` fans points over a
-``multiprocessing`` pool and merges results **deterministically**:
-results always come back in input order (``Pool.map`` semantics),
-regardless of which worker finished first, so a parallel sweep is
-byte-for-byte the same report as a serial one.
-
-Points and their results must be picklable; the worker function must be
-importable (module-level).  With ``workers=1``, a single point, or on a
-single-CPU host the sweep degrades to a plain serial loop in-process —
-no pool is spawned, which also keeps the serial path debuggable.
+The sharded simulator (:mod:`repro.sim.shard`), the job service
+(:mod:`repro.serve`) and the search runner (:mod:`repro.search.runner`)
+each need a worker that builds its state once and then exchanges small
+messages with a coordinator.  :class:`PersistentWorker` wraps one such
+process and its pipe; the message protocol on top of it is owned by the
+caller.  :func:`wait_any` multiplexes replies from several workers, and
+a worker that dies raises :class:`WorkerCrashed`, after which callers
+respawn it and re-dispatch its work up to :data:`CRASH_RETRIES` times.
 """
 
 from __future__ import annotations
 
 import multiprocessing.connection
 import os
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 
 def default_workers() -> int:
@@ -36,56 +31,9 @@ def default_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def run_points(
-    fn: Callable[[Any], Any],
-    points: Sequence[Any],
-    workers: Optional[int] = None,
-    chunksize: int = 1,
-) -> List[Any]:
-    """Apply ``fn`` to every point, fanning across processes.
-
-    Returns ``[fn(p) for p in points]`` — same values, same order — but
-    computed on up to ``workers`` processes.  ``chunksize=1`` keeps
-    scheduling fair for unevenly sized points; raise it for many tiny
-    points.
-    """
-    points = list(points)
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1 or len(points) <= 1:
-        return [fn(point) for point in points]
-    workers = min(workers, len(points))
-    with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(fn, points, chunksize=chunksize)
-
-
-def _apply(task: Tuple[Callable[..., Any], tuple, dict]) -> Any:
-    fn, args, kwargs = task
-    return fn(*args, **kwargs)
-
-
-def run_tasks(
-    tasks: Sequence[Tuple[Callable[..., Any], tuple, dict]],
-    workers: Optional[int] = None,
-) -> List[Any]:
-    """Run ``(fn, args, kwargs)`` triples in parallel, input-ordered.
-
-    Convenience wrapper over :func:`run_points` for sweeps whose points
-    call different functions or need keyword parameters.
-    """
-    return run_points(_apply, tasks, workers=workers)
-
-
-# ---------------------------------------------------------------------------
-# Persistent workers
-#
-# Pool.map is fire-and-forget: each point is independent and workers
-# keep no state between points.  The sharded simulator needs the
-# opposite — a worker that builds its shard once and then exchanges
-# small synchronization messages with the coordinator every window.
-# PersistentWorker wraps one such process + duplex pipe; the message
-# protocol on top of it is owned by the caller (repro.sim.shard).
-# ---------------------------------------------------------------------------
+#: How many times a job or trial whose worker crashed is re-dispatched
+#: on a fresh worker before it is reported failed.
+CRASH_RETRIES = 1
 
 
 class WorkerCrashed(RuntimeError):

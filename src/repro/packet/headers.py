@@ -219,8 +219,7 @@ class Header(metaclass=_HeaderMeta):
     def _from_values(cls, values: Tuple[int, ...]) -> "Header":
         """Construct from pre-validated field values, skipping checks.
 
-        Internal fast path for :meth:`unpack` and memoized parsing; the
-        caller guarantees ``values`` aligns with ``FIELDS`` and every
+        Internal fast path for :meth:`unpack`; the caller guarantees ``values`` aligns with ``FIELDS`` and every
         value fits its declared width.
         """
         obj = cls.__new__(cls)

@@ -16,7 +16,7 @@ on this property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Type
 
 from repro.packet.headers import (
     Ethernet,
@@ -83,9 +83,6 @@ class Parser:
     states, are applied in graph order starting from ``start``.
     """
 
-    #: Maximum number of distinct byte strings memoized per parser.
-    MEMO_LIMIT = 1024
-
     def __init__(self, states: List[ParserState], start: str = "start") -> None:
         self.states: Dict[str, ParserState] = {}
         for state in states:
@@ -95,9 +92,6 @@ class Parser:
         if start not in self.states:
             raise ValueError(f"start state {start!r} not defined")
         self.start = start
-        # bytes → (((header_class, field_values), ...), header_bytes)
-        # parse() replays a hit without re-walking the parse graph.
-        self._memo: Dict[bytes, Tuple[Tuple[Tuple[Type[Header], Tuple[int, ...]], ...], int]] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -112,20 +106,9 @@ class Parser:
     def parse(self, data: bytes, ingress_port: int = 0, ts_ps: int = 0) -> Packet:
         """Parse ``data`` into a packet; leftover bytes become payload.
 
-        Parse results are memoized per byte string: re-parsing bytes seen
-        before replays the recorded (header class, field values) sequence
-        instead of walking the parse graph, while still yielding fresh,
-        independently mutable header objects.
+        ``data`` may be any bytes-like object (``bytes``, ``bytearray``
+        or ``memoryview``).
         """
-        memo = self._memo.get(data)
-        if memo is not None:
-            specs, offset = memo
-            return Packet(
-                headers=[cls._from_values(values) for cls, values in specs],
-                payload_len=len(data) - offset,
-                ingress_port=ingress_port,
-                ts_created_ps=ts_ps,
-            )
         headers: List[Header] = []
         offset = 0
         state_name = self.start
@@ -147,29 +130,12 @@ class Parser:
             state_name = state.next_state(header)
         if state_name == REJECT:
             raise ParseError(f"packet rejected by parse graph after {headers}")
-        if len(self._memo) < self.MEMO_LIMIT:
-            self._memo[bytes(data)] = (
-                tuple(
-                    (type(h), tuple(getattr(h, f.name) for f in h.FIELDS))
-                    for h in headers
-                ),
-                offset,
-            )
-        pkt = Packet(
+        return Packet(
             headers=headers,
             payload_len=len(data) - offset,
             ingress_port=ingress_port,
             ts_created_ps=ts_ps,
         )
-        return pkt
-
-    def parse_packet(self, pkt: Packet) -> Packet:
-        """Re-parse an in-memory packet (identity for already-parsed ones).
-
-        Architectures call this at pipeline entry so programs written
-        against parsed headers also work for byte-level ingress.
-        """
-        return pkt
 
     @property
     def state_count(self) -> int:

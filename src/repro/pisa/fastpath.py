@@ -63,8 +63,8 @@ Correctness is guarded at three levels:
 The fastpath is per-switch, enabled by default, and disabled with the
 ``REPRO_FLOW_FASTPATH=0`` environment variable or the switch's
 ``fastpath=False`` constructor argument.  Path state follows the flow
-cache's lifecycle rules: checkpoints, ``Simulator.fork()``, and
-``Simulator.reset()`` all start cold.
+cache's lifecycle rules: a new switch, a checkpoint restore and
+``Simulator.fork()`` all start cold.
 """
 
 from __future__ import annotations
@@ -166,9 +166,6 @@ class FastpathStats:
     __slots__ = ("paths_built", "fused", "materialized", "invalidations", "fallbacks")
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
         self.paths_built = 0
         self.fused = 0
         #: Fused deliveries cancelled by a mid-window disruption and
@@ -377,10 +374,8 @@ class FlowFastpath(_FlowMemo):
         "_paths",
         "_active",
         "_quiet_until_ps",
-        "_registered",
         "_nbhd",
         "_verdict",
-        "__weakref__",
     )
 
     def __init__(self, sim, switch, limit: int = DEFAULT_LIMIT, name: str = "") -> None:
@@ -396,7 +391,6 @@ class FlowFastpath(_FlowMemo):
         #: End of the latest fused transmit window crossing this switch;
         #: a new fuse through this switch must start at or after it.
         self._quiet_until_ps = 0
-        self._registered = False
         #: ``(network, link count, neighborhood)`` — see :meth:`_neighborhood`.
         self._nbhd: Optional[tuple] = None
         #: ``(program, description, reason)`` — see :meth:`_program_verdict`.
@@ -413,13 +407,6 @@ class FlowFastpath(_FlowMemo):
         its remaining hops run against the new program."""
         self.disrupt()
         self._paths.clear()
-
-    def on_sim_reset(self) -> None:
-        """Simulator.reset(): start cold *and* with zeroed counters."""
-        self._paths.clear()
-        self._active.clear()
-        self.stats.reset()
-        self._quiet_until_ps = 0
 
     # Checkpoints and forks drop the fused paths: a restored simulation
     # starts cold and rebuilds warm, so resumed runs never fuse against
@@ -512,7 +499,6 @@ class FlowFastpath(_FlowMemo):
         if entry is UNCACHEABLE:
             return False
         if entry is None or entry.genvec != cache._generation_vector():
-            self._ensure_registered()
             return True
         reason = self._entry_unquiet(entry)
         if reason is None:
@@ -801,7 +787,6 @@ class FlowFastpath(_FlowMemo):
     # the id sequence against the per-hop reference run)
     # ------------------------------------------------------------------
     def _build(self, pkt, port: int, key: tuple) -> Optional[_PathEntry]:
-        self._ensure_registered()
         # The flat rows are built only once hop 0's entry exists; until
         # then ``key`` (equal to hop 0's flat ingress key) is the probe.
         classes = values = None

@@ -295,9 +295,6 @@ class FlowCacheStats:
     __slots__ = ("hits", "misses", "uncacheable", "invalidations", "evictions")
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
         self.hits = 0
         self.misses = 0
         self.uncacheable = 0
@@ -553,9 +550,8 @@ class _FlowMemo:
     :class:`~repro.pisa.fastpath.FlowFastpath` share.
 
     Both start cold, at construction and after unpickling (checkpoints
-    and forks carry only the constructor arguments), join any open
-    :func:`collecting` scope when constructed, and register for
-    simulator resets on first use.
+    and forks carry only the constructor arguments), and join any open
+    :func:`collecting` scope when constructed.
     """
 
     __slots__ = ()
@@ -578,11 +574,6 @@ class _FlowMemo:
         self.limit = state["limit"]
         self.name = state.get("name", "")
         self._start_cold()
-
-    def _ensure_registered(self) -> None:
-        if not self._registered:
-            self._registered = True
-            self.sim.add_reset_listener(self)
 
     def summary(self) -> Dict[str, object]:
         """One manifest row for ``state_summary()`` / ``events-stats``."""
@@ -613,10 +604,8 @@ class FlowCache(_FlowMemo):
         "_fp_plan",
         "_rec",
         "_program",
-        "_registered",
         "name",
         "attach_epoch",
-        "__weakref__",
     )
 
     def __init__(self, sim, limit: int = DEFAULT_LIMIT, name: str = "") -> None:
@@ -632,7 +621,6 @@ class FlowCache(_FlowMemo):
         #: The recording the installed shims write into.
         self._rec: Optional[_Recording] = None
         self._program = None
-        self._registered = False
         self.attach_epoch = 0
 
     # ------------------------------------------------------------------
@@ -666,11 +654,6 @@ class FlowCache(_FlowMemo):
     def attached(self) -> bool:
         """Whether a program is bound (False while parked by its switch)."""
         return self._program is not None
-
-    def on_sim_reset(self) -> None:
-        """Simulator.reset(): start cold *and* with zeroed counters."""
-        self._entries.clear()
-        self.stats.reset()
 
     # Checkpoints drop the memo: a restored simulation starts cold and
     # rebuilds warm, so resumed runs never replay decisions recorded
@@ -763,7 +746,6 @@ class FlowCache(_FlowMemo):
         Returns ``(recording, wrapped_ctx, wrapped_meta)``; the wrapped
         objects go to the handler, the recording to :meth:`commit`.
         """
-        self._ensure_registered()
         rec = self._rec = _Recording()
         rec.genvec = self._generation_vector()
         rec.pkt_meta_snapshot = dict(pkt.meta)

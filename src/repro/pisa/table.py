@@ -30,31 +30,20 @@ class TableEntry:
         return f"TableEntry({self.key} -> {self.action})"
 
 
-#: Sentinel distinguishing "not cached" from a cached miss (None).
-_UNCACHED = object()
-
-
 class Table:
     """Base class with entry bookkeeping and the default action.
 
-    ``apply`` results are memoized in a small LRU cache so repeated
-    lookups with the same key (the common case for per-flow tables on
-    the packet fast path) skip the subclass's match logic.  Any entry
-    mutation (:meth:`insert` / :meth:`remove` in subclasses) or
-    :meth:`set_default` invalidates the cache and bumps
-    :attr:`generation` — the version the flow-decision cache
-    (:mod:`repro.pisa.flowcache`) records in its generation vectors, so
-    a table change evicts every dependent cached flow before the next
-    packet can see a stale decision.
+    Any entry mutation (:meth:`insert` / :meth:`remove` in subclasses)
+    or :meth:`set_default` bumps :attr:`generation` — the version the
+    flow-decision cache (:mod:`repro.pisa.flowcache`) and compiled walks
+    record, so a table change evicts every dependent cached flow before
+    the next packet can see a stale decision.
 
     Swapping an entry's *action* in place must go through
-    :meth:`update_action` (subclasses) so it invalidates too: mutating
-    the stored :class:`ActionCall` object directly leaves both the LRU
-    cache and the flow cache serving the old behavior.
+    :meth:`update_action` (subclasses) so it bumps the generation too:
+    mutating the stored :class:`ActionCall` object directly leaves the
+    flow cache serving the old behavior.
     """
-
-    #: Maximum number of keys memoized per table.
-    CACHE_LIMIT = 256
 
     def __init__(self, name: str, max_entries: int = 1024) -> None:
         if max_entries <= 0:
@@ -66,18 +55,10 @@ class Table:
         self.miss_count = 0
         #: Bumped on every mutation; version stamp for external caches.
         self.generation = 0
-        # key -> lookup result (None caches a miss); insertion order is
-        # recency order — hits reinsert, eviction pops the oldest.
-        self._cache: Dict[Tuple, Optional[ActionCall]] = {}
 
     def _mutated(self) -> None:
-        """Entry/default change: drop memos and advance the generation."""
-        self._cache.clear()
+        """Entry/default change: advance the generation."""
         self.generation += 1
-
-    def invalidate_cache(self) -> None:
-        """Drop all memoized lookup results (and version the change)."""
-        self._mutated()
 
     def set_default(self, action: ActionCall) -> None:
         """Set the action returned on a miss."""
@@ -98,24 +79,9 @@ class Table:
         """Return the matching action or None (no default, no counters)."""
         raise NotImplementedError
 
-    def __getstate__(self):
-        # The lookup memo is per-process scratch, not table state: it
-        # depends on which packets happened to traverse (and whether a
-        # compiled walk bypassed `apply` entirely), so checkpoints must
-        # not capture it or equivalent switches pickle differently.
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
-
     def apply(self, key: Tuple) -> ActionCall:
         """P4-style apply: returns the matched or default action."""
-        cache = self._cache
-        action = cache.pop(key, _UNCACHED)
-        if action is _UNCACHED:
-            action = self.lookup(key)
-            if len(cache) >= self.CACHE_LIMIT:
-                cache.pop(next(iter(cache)))
-        cache[key] = action
+        action = self.lookup(key)
         if action is None:
             self.miss_count += 1
             return self.default_action
@@ -153,8 +119,7 @@ class ExactTable(Table):
 
         The control plane's path for changing what an installed entry
         *does* (e.g. re-pointing a nexthop).  Unlike mutating the bound
-        :class:`ActionCall` in place, this invalidates the lookup memo
-        and bumps the generation counter.
+        :class:`ActionCall` in place, this bumps the generation counter.
         """
         if key not in self._entries:
             raise KeyError(f"table {self.name!r} has no entry {key!r}")

@@ -54,6 +54,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.parallel import (
+    CRASH_RETRIES,
     PersistentWorker,
     WorkerCrashed,
     default_workers,
@@ -66,9 +67,6 @@ from repro.search.strategies import Scored, best_scored, make_strategy
 from repro.search.worker import run_trial, search_worker_main
 
 SCHEMA_VERSION = 1
-
-#: How often a trial whose *worker* crashed is re-run before giving up.
-CRASH_RETRIES = 1
 
 
 def trial_fingerprint(scenario: str, params: Dict[str, Any], metrics: Dict) -> str:

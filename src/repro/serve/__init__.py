@@ -11,6 +11,7 @@ on any worker; :meth:`Simulator.fork` gives the chaos grid O(fork)
 variants.  See docs/SERVING.md.
 """
 
+from repro.experiments.parallel import CRASH_RETRIES
 from repro.serve.client import ServiceClient, ServiceError, run_inline, submit_inline
 from repro.serve.protocol import (
     JOB_STATES,
@@ -25,7 +26,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import main, run_service, serve_socket, serve_stdio
 from repro.serve.service import (
-    CRASH_RETRIES,
     DEFAULT_QUEUE_LIMIT,
     DEFAULT_WORKERS,
     Job,

@@ -37,7 +37,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.parallel import PersistentWorker, WorkerCrashed
+from repro.experiments.parallel import CRASH_RETRIES, PersistentWorker, WorkerCrashed
 from repro.scenarios import (
     ScenarioError,
     UnknownScenario,
@@ -57,9 +57,6 @@ from repro.serve.worker import DEFAULT_WINDOWS, worker_main
 #: Default worker-pool size and queued-job bound.
 DEFAULT_WORKERS = 2
 DEFAULT_QUEUE_LIMIT = 8
-
-#: Retries a job gets after a worker *process* crash (not a job error).
-CRASH_RETRIES = 1
 
 
 @dataclass
@@ -118,12 +115,10 @@ class JobService:
         workers: int = DEFAULT_WORKERS,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         windows: int = DEFAULT_WINDOWS,
-        retries: int = CRASH_RETRIES,
     ) -> None:
         self.workers = max(1, int(workers))
         self.queue_limit = max(1, int(queue_limit))
         self.windows = max(1, int(windows))
-        self.retries = max(0, int(retries))
         self.closing = False
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []
@@ -242,7 +237,7 @@ class JobService:
         except WorkerCrashed as exc:
             slot.respawn()
             job.attempts += 1
-            if job.attempts <= self.retries and not self.closing:
+            if job.attempts <= CRASH_RETRIES and not self.closing:
                 job.state = "queued"
                 self._push(
                     job,

@@ -24,7 +24,6 @@ exposes the same state through properties for tests and tooling.
 
 from __future__ import annotations
 
-import weakref
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, List, Optional
@@ -306,17 +305,6 @@ def _build_heap_core(sim: "Simulator", observers: list, floor: int):
         nonlocal now
         now = time_ps
 
-    def reset_state() -> None:
-        nonlocal now, seqno, executed_total, cancelled
-        for ev in queue:
-            ev[6] = None  # detach so a late cancel() cannot corrupt counters
-        queue.clear()
-        free.clear()
-        now = 0
-        seqno = 0
-        executed_total = 0
-        cancelled = 0
-
     def export_state():
         # Portable snapshot: (now, seqno, executed, live events sorted by
         # the total (time, priority, seqno) order).  Tombstones and the
@@ -350,7 +338,6 @@ def _build_heap_core(sim: "Simulator", observers: list, floor: int):
         peek,
         get_now,
         set_now,
-        reset_state,
         export_state,
         import_state,
     )
@@ -390,18 +377,15 @@ class Simulator:
         "_peek",
         "_get_now",
         "_set_now",
-        "_reset_state",
         "_export_state",
         "_import_state",
         "_running",
         "_exec_observers",
-        "_reset_listeners",
     )
 
     def __init__(self) -> None:
         self._running = False
         self._exec_observers: List[Callable[[ScheduledEvent], None]] = []
-        self._reset_listeners: List[weakref.ref] = []
         (
             self.call_at,
             self.call_after,
@@ -410,7 +394,6 @@ class Simulator:
             self._peek,
             self._get_now,
             self._set_now,
-            self._reset_state,
             self._export_state,
             self._import_state,
         ) = _build_heap_core(self, self._exec_observers, self.COMPACTION_FLOOR)
@@ -476,16 +459,6 @@ class Simulator:
         """Detach a previously added execution observer."""
         self._exec_observers.remove(fn)
 
-    def add_reset_listener(self, listener: Any) -> None:
-        """Notify ``listener.on_sim_reset()`` whenever :meth:`reset` runs.
-
-        Held by weak reference — per-switch caches and counters register
-        here so A/B rounds reusing one simulator start cold, without the
-        kernel pinning dead switch graphs alive.  Listeners are not part
-        of kernel pickle state; they lazily re-register after a restore.
-        """
-        self._reset_listeners.append(weakref.ref(listener))
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -541,26 +514,6 @@ class Simulator:
         if self._get_now() < bound_ps:
             self._set_now(bound_ps)
         return executed
-
-    def reset(self) -> None:
-        """Discard pending events, detach observers, rewind the clock.
-
-        Execution observers registered via :meth:`add_execution_observer`
-        are dropped too — a reused simulator must not keep profiling
-        callbacks from a previous run.  Reset listeners (per-switch flow
-        caches and their counters) are told to go cold, so back-to-back
-        benchmark rounds on one simulator are deterministic.
-        """
-        self._reset_state()
-        self._exec_observers.clear()
-        listeners = self._reset_listeners
-        if listeners:
-            live = [ref for ref in listeners if ref() is not None]
-            listeners[:] = live
-            for ref in live:
-                listener = ref()
-                if listener is not None:
-                    listener.on_sim_reset()
 
     # ------------------------------------------------------------------
     # Checkpoint / restore

@@ -57,3 +57,27 @@ def test_readme_quickstart_class_compiles():
     assert namespace["switch"].program is program or namespace[
         "switch"
     ].program.__class__ is program_cls
+
+
+def test_state_checkpoint_snippet_runs(tmp_path):
+    """docs/STATE.md's whole-simulator checkpoint round trip executes."""
+    from repro.sim.kernel import Simulator
+
+    with open(os.path.join(DOCS, "STATE.md")) as handle:
+        text = handle.read()
+    match = re.search(
+        r"## Whole-simulator checkpoints\s*```python\n(.*?)```", text, re.DOTALL
+    )
+    assert match, "STATE.md lost its checkpoint snippet"
+    path = str(tmp_path / "run.ckpt")
+    snippet = match.group(1).replace('"run.ckpt"', repr(path))
+    sim = Simulator()
+    sim.call_at(5_000, int)
+    sim.run(until_ps=1_000)
+    namespace = {"Simulator": Simulator, "sim": sim, "experiment": {"seed": 7}}
+    exec(compile(snippet, "STATE.md", "exec"), namespace)  # noqa: S102
+    restored = namespace["sim"]
+    assert restored is not sim
+    assert (restored.now_ps, restored.pending_events) == (1_000, 1)
+    assert namespace["experiment"] == {"seed": 7}
+    assert namespace["header"]["label"] == "halfway"

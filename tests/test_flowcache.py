@@ -387,23 +387,8 @@ def test_update_action_missing_entry_raises():
 
 
 # ----------------------------------------------------------------------
-# Reset / checkpoint-restore: caches start cold and deterministic
+# Checkpoint-restore: caches start cold and deterministic
 # ----------------------------------------------------------------------
-def test_sim_reset_clears_entries_and_counters():
-    switch, _received = _drive(make_baseline_switch(), PlainForwarder(), count=10)
-    cache = switch.flow_cache
-    assert cache.stats.hits == 9 and len(cache) == 1
-    switch.sim.reset()
-    assert len(cache) == 0
-    assert cache.stats.as_dict() == {
-        "hits": 0,
-        "misses": 0,
-        "uncacheable": 0,
-        "invalidations": 0,
-        "evictions": 0,
-    }
-
-
 def test_checkpoint_restore_starts_cold_then_rebuilds(tmp_path):
     from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 

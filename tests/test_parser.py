@@ -89,6 +89,17 @@ def test_field_values_preserved_through_roundtrip():
     assert DEPARSER.deparse(parsed) == DEPARSER.deparse(original)
 
 
+def test_parse_accepts_any_bytes_like_input():
+    frame = DEPARSER.deparse(make_udp_packet(1, 2, sport=7, dport=53, payload_len=100))
+    parsed = [
+        standard_parser().parse(data)
+        for data in (frame, bytearray(frame), memoryview(frame))
+    ]
+    assert len(frame) == 142
+    assert {DEPARSER.deparse(pkt) for pkt in parsed} == {frame}
+    assert [pkt.payload_len for pkt in parsed] == [100, 100, 100]
+
+
 def test_duplicate_state_name_rejected():
     state = ParserState("s", extracts=Ethernet, transitions={DEFAULT: ACCEPT})
     with pytest.raises(ValueError):

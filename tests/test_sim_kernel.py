@@ -147,16 +147,6 @@ def test_callbacks_can_schedule_more_work():
     assert sim.now_ps == 50
 
 
-def test_reset_clears_everything():
-    sim = Simulator()
-    sim.call_at(10, lambda: None)
-    sim.run()
-    sim.reset()
-    assert sim.now_ps == 0
-    assert sim.pending_events == 0
-    assert sim.events_executed == 0
-
-
 def test_not_reentrant():
     sim = Simulator()
 
@@ -211,14 +201,6 @@ def test_cancel_after_execution_does_not_corrupt_pending():
     handle.cancel()  # already ran; must not decrement anything
     assert sim.pending_events == 1
     sim.run()
-    assert sim.pending_events == 0
-
-
-def test_cancel_after_reset_is_harmless():
-    sim = Simulator()
-    handle = sim.call_at(10, lambda: None)
-    sim.reset()
-    handle.cancel()
     assert sim.pending_events == 0
 
 

@@ -38,6 +38,10 @@ Tracing, and the pitfalls it has to get round:
   wraps ``os._exit`` to write its record first.
 * A decorated function's code object starts at its first decorator
   line, so functions are matched on that line, not on ``def``.
+* pytest-benchmark calls ``sys.settrace(None)`` around every timed
+  ``benchmark(...)`` call, which would hide everything the benchmarks
+  reach through it, so the pytest drivers pass ``--benchmark-disable``
+  when the plugin is installed.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from __future__ import annotations
 import argparse
 import ast
 import glob
+import importlib.util
 import os
 import re
 import subprocess
@@ -189,18 +194,26 @@ def ci_cli_blocks(path: str = CI_YML) -> List[str]:
     return blocks
 
 
+def _pytest(*args: str) -> List[str]:
+    """A traced pytest command line; see the module docstring on
+    pytest-benchmark."""
+    argv = [sys.executable, "-m", "pytest", *args, "-q", "-p", "no:cacheprovider"]
+    if importlib.util.find_spec("pytest_benchmark") is not None:
+        argv.append("--benchmark-disable")
+    return argv
+
+
 def driver_commands(name: str) -> List[Tuple[List[str], str]]:
     """``(argv, cwd)`` for every command of driver ``name``.  Shell
     blocks run under ``bash -ec`` in a scratch directory."""
     python = sys.executable
     if name == "tier1":
-        return [([python, "-m", "pytest", "-q", "-p", "no:cacheprovider"], ROOT)]
+        return [(_pytest(), ROOT)]
     if name == "perf":
         argv = [python, "perf/run.py", "--reps", "1", "--scale", "0.05", "--trace"]
         return [(argv, ROOT)]
     if name == "benchmarks":
-        argv = [python, "-m", "pytest", "benchmarks/", "-q", "-p", "no:cacheprovider"]
-        return [(argv, ROOT)]
+        return [(_pytest("benchmarks/"), ROOT)]
     if name == "examples":
         scripts = sorted(glob.glob(os.path.join(ROOT, "examples", "*.py")))
         return [([python, script], None) for script in scripts]
