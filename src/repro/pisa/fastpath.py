@@ -843,9 +843,7 @@ class FlowFastpath(_FlowMemo):
             port_obj = sw.tm.ports[spec]
             if type(port_obj.scheduler) not in _PURE_SCHEDULERS:
                 return self._negative(key, "scheduler")
-            queue_id = entry.queue_id
-            if queue_id > port_obj.last_queue:
-                queue_id = port_obj.last_queue
+            queue_id = port_obj.queue_index(entry.queue_id)
             egress_key = egress_entry = None
             if program.handler_for(_EGRESS) is not None:
                 egress_key = _flow_key_flat(

@@ -86,15 +86,17 @@ class PacketQueue:
         if len(packets) > stats.max_depth_packets:
             stats.max_depth_packets = len(packets)
 
-    def pop(self) -> Packet:
-        """Dequeue from the head; IndexError when empty."""
+    def pop(self) -> Tuple[Packet, int]:
+        """Dequeue from the head: the ``(packet, size)`` pair stored at
+        :meth:`push`.  IndexError when empty."""
         if not self._packets:
             raise IndexError(f"pop from empty queue {self.name!r}")
-        pkt, size = self._packets.popleft()
+        entry = self._packets.popleft()
+        size = entry[1]
         self.depth_bytes -= size
         self.stats.dequeued_packets += 1
         self.stats.dequeued_bytes += size
-        return pkt
+        return entry
 
     def peek(self) -> Optional[Packet]:
         """The head packet without removing it, or None when empty."""

@@ -10,7 +10,7 @@ fixed-function baselines.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.packet.packet import Packet
 from repro.pisa.externs.pifo import PifoQueue
@@ -33,8 +33,8 @@ class Scheduler:
         """True when any queue is non-empty."""
         return any(not q.empty for q in self.queues)
 
-    def dequeue(self) -> Optional[Packet]:
-        """Pop the next packet according to the policy, or None."""
+    def dequeue(self) -> Optional[Tuple[Packet, int]]:
+        """Pop the next ``(packet, size)`` according to the policy, or None."""
         index = self.select()
         if index is None:
             return None
@@ -42,7 +42,8 @@ class Scheduler:
 
 
 class FifoScheduler(Scheduler):
-    """Single-queue FIFO (ignores all but queue 0 when selecting)."""
+    """FIFO: serves the first non-empty queue, so with several queues it
+    orders them exactly as :class:`StrictPriorityScheduler` does."""
 
     def select(self) -> Optional[int]:
         for index, queue in enumerate(self.queues):
@@ -152,9 +153,11 @@ class PifoScheduler(Scheduler):
     def select(self) -> Optional[int]:
         return 0 if self.has_packets() else None
 
-    def dequeue(self) -> Optional[Packet]:
+    def dequeue(self) -> Optional[Tuple[Packet, int]]:
         if not self.has_packets():
             return None
+        # The PIFO stores bare packets, so the size is read at pop.
         pkt = self.pifo.pop()
-        self.depth_bytes -= pkt.total_len
-        return pkt
+        size = pkt.total_len
+        self.depth_bytes -= size
+        return pkt, size

@@ -52,7 +52,10 @@ class TmEventHooks:
 
 
 class _Port:
-    """One output port: queues, a scheduler, and transmit state."""
+    """One output port: queues, a scheduler, and transmit state.
+
+    ``backlog_packets``/``backlog_bytes`` count what its queues (or its
+    PIFO) hold, the packet in service excluded; the TM keeps them."""
 
     def __init__(
         self,
@@ -70,23 +73,31 @@ class _Port:
         self.tx_packets = 0
         self.tx_bytes = 0
         self.busy_time_ps = 0
-        # The scheduler kind and queue fan-out are fixed at construction;
-        # deciding them per packet (isinstance + a genexpr sum) showed up
-        # in the TM's per-packet profile.
+        self.backlog_packets = 0
+        self.backlog_bytes = 0
+        # The scheduler kind is fixed at construction; deciding it per
+        # packet showed up in the TM's per-packet profile.
         self.is_pifo = isinstance(scheduler, PifoScheduler)
         self.last_queue = len(queues) - 1
-        self._single_queue = queues[0] if len(queues) == 1 else None
 
-    def depth_bytes(self) -> int:
-        if self.is_pifo:
-            return self.scheduler.depth_bytes
-        single = self._single_queue
-        if single is not None:
-            return single.depth_bytes
-        return sum(q.depth_bytes for q in self.queues)
+    def __setstate__(self, state) -> None:
+        state.pop("_single_queue", None)
+        self.__dict__.update(state)
+        if "backlog_bytes" not in state:
+            # Pickled before the port kept its own backlog count.
+            if self.is_pifo:
+                self.backlog_packets = len(self.scheduler.pifo)
+                self.backlog_bytes = self.scheduler.depth_bytes
+            else:
+                self.backlog_packets = sum(len(q) for q in self.queues)
+                self.backlog_bytes = sum(q.depth_bytes for q in self.queues)
 
-    def has_packets(self) -> bool:
-        return self.scheduler.has_packets()
+    def queue_index(self, queue_id: int) -> int:
+        """The queue a packet's ``queue_id`` selects: ids outside
+        ``[0, last_queue]`` clamp to the nearer end."""
+        if queue_id < 0:
+            return 0
+        return queue_id if queue_id <= self.last_queue else self.last_queue
 
 
 SchedulerFactory = Callable[[List[PacketQueue]], Scheduler]
@@ -169,12 +180,14 @@ class TrafficManager:
     # Introspection
     # ------------------------------------------------------------------
     def queue_depth_bytes(self, port: int, queue_id: int = 0) -> int:
-        """Current depth of one queue in bytes."""
-        return self._port(port).queues[queue_id].depth_bytes
+        """Current depth of one queue in bytes (``queue_id`` clamped as
+        at :meth:`enqueue`)."""
+        port_obj = self._port(port)
+        return port_obj.queues[port_obj.queue_index(queue_id)].depth_bytes
 
     def port_depth_bytes(self, port: int) -> int:
         """Total buffered bytes destined to ``port``."""
-        return self._port(port).depth_bytes()
+        return self._port(port).backlog_bytes
 
     def occupancy_bytes(self) -> int:
         """Total shared-buffer occupancy in bytes."""
@@ -206,24 +219,24 @@ class TrafficManager:
         if pkt.egress_port is None:
             raise ValueError(f"packet {pkt.pkt_id} has no egress port set")
         port_obj = self._port(pkt.egress_port)
-        queue_id = pkt.queue_id
-        if queue_id > port_obj.last_queue:
-            queue_id = port_obj.last_queue
+        queue_id = port_obj.queue_index(pkt.queue_id)
         queue = port_obj.queues[queue_id]
 
         # The packet's size is read once and handed to every accounting
-        # step (queue, shared buffer) instead of each re-deriving it.
+        # step (queue, shared buffer, backlog) instead of each re-deriving it.
         size = pkt.total_len
         if port_obj.is_pifo:
-            return self._enqueue_pifo(pkt, size, port_obj, queue)
+            return self._enqueue_pifo(pkt, size, port_obj, queue_id)
 
         buffer = self.buffer
         if not queue.fits(size) or not buffer.fits(size):
-            self._drop_overflow(pkt, size, port_obj, queue_id, queue)
+            self._drop_overflow(pkt, size, port_obj, queue_id)
             return False
         buffer.admit(size)
         queue.push(pkt, size)
-        pkt.ts_enqueued_ps = self.sim.now_ps
+        port_obj.backlog_packets += 1
+        port_obj.backlog_bytes += size
+        pkt.ts_enqueued_ps = self.sim._get_now()
         self.total_enqueued += 1
         hook = self.hooks.on_enqueue
         if hook is not None:
@@ -234,15 +247,16 @@ class TrafficManager:
                 queue.depth_bytes,
                 pkt.meta.get("enq_meta"),
             )
-        self._kick(port_obj)
+        if not port_obj.busy:
+            self._kick(port_obj)
         return True
 
     def _enqueue_pifo(
-        self, pkt: Packet, size: int, port_obj: _Port, queue: PacketQueue
+        self, pkt: Packet, size: int, port_obj: _Port, queue_id: int
     ) -> bool:
         buffer = self.buffer
         if not buffer.fits(size):
-            self._drop_overflow(pkt, size, port_obj, pkt.queue_id, queue)
+            self._drop_overflow(pkt, size, port_obj, queue_id)
             return False
         scheduler = port_obj.scheduler
         assert isinstance(scheduler, PifoScheduler)
@@ -251,37 +265,40 @@ class TrafficManager:
         if displaced is pkt:
             # Rejected: rank no better than the PIFO tail.
             buffer.release(size)
-            self._drop_overflow(pkt, size, port_obj, pkt.queue_id, queue)
+            self._drop_overflow(pkt, size, port_obj, queue_id)
             return False
-        pkt.ts_enqueued_ps = self.sim.now_ps
+        port_obj.backlog_packets += 1
+        port_obj.backlog_bytes += size
+        if displaced is not None:
+            # Pushed out of the tail: it leaves the backlog now and is
+            # dropped after the enqueue hook.
+            displaced_size = displaced.total_len
+            port_obj.backlog_packets -= 1
+            port_obj.backlog_bytes -= displaced_size
+        pkt.ts_enqueued_ps = self.sim._get_now()
         self.total_enqueued += 1
         hook = self.hooks.on_enqueue
         if hook is not None:
             hook(
                 pkt,
                 port_obj.index,
-                pkt.queue_id,
-                scheduler.depth_bytes,
+                queue_id,
+                port_obj.backlog_bytes,
                 pkt.meta.get("enq_meta"),
             )
         if displaced is not None:
-            # Pushed out of the tail: a late overflow drop.
-            displaced_size = displaced.total_len
             buffer.release(displaced_size)
-            self._drop_overflow(
-                displaced, displaced_size, port_obj, displaced.queue_id, queue
-            )
-        self._kick(port_obj)
+            displaced_queue = port_obj.queue_index(displaced.queue_id)
+            self._drop_overflow(displaced, displaced_size, port_obj, displaced_queue)
+        if not port_obj.busy:
+            self._kick(port_obj)
         return True
 
     def _drop_overflow(
-        self,
-        pkt: Packet,
-        size: int,
-        port_obj: _Port,
-        queue_id: int,
-        queue: PacketQueue,
+        self, pkt: Packet, size: int, port_obj: _Port, queue_id: int
     ) -> None:
+        """Count an overflow drop against (clamped) queue ``queue_id``."""
+        queue = port_obj.queues[queue_id]
         self.drops_overflow += 1
         self.buffer.reject()
         queue.account_drop(size)
@@ -297,18 +314,18 @@ class TrafficManager:
 
     def _kick(self, port_obj: _Port) -> None:
         """Start transmitting if the port is idle and has work."""
-        if port_obj.busy or not port_obj.enabled:
+        if port_obj.busy or not port_obj.enabled or not port_obj.backlog_packets:
             return
-        pkt = port_obj.scheduler.dequeue()
-        if pkt is None:
-            return
-        size = pkt.total_len
+        entry = port_obj.scheduler.dequeue()
+        if entry is None:
+            return  # pragma: no cover - DRR's unreachable give-up
+        pkt, size = entry
+        port_obj.backlog_packets -= 1
+        port_obj.backlog_bytes -= size
         self.buffer.release(size)
-        pkt.ts_dequeued_ps = self.sim.now_ps
+        pkt.ts_dequeued_ps = self.sim._get_now()
         self.total_dequeued += 1
-        queue_id = pkt.queue_id
-        if queue_id > port_obj.last_queue:
-            queue_id = port_obj.last_queue
+        queue_id = port_obj.queue_index(pkt.queue_id)
         hooks = self.hooks
         hook = hooks.on_dequeue
         if hook is not None:
@@ -316,10 +333,10 @@ class TrafficManager:
                 pkt,
                 port_obj.index,
                 queue_id,
-                port_obj.depth_bytes(),
+                port_obj.backlog_bytes,
                 pkt.meta.get("deq_meta"),
             )
-        if not port_obj.has_packets():
+        if not port_obj.backlog_packets:
             hook = hooks.on_underflow
             if hook is not None:
                 hook(pkt, port_obj.index, queue_id, 0, None)
@@ -338,15 +355,14 @@ class TrafficManager:
         port_obj.busy = False
         port_obj.tx_packets += 1
         port_obj.tx_bytes += size
-        queue_id = pkt.queue_id
-        if queue_id > port_obj.last_queue:
-            queue_id = port_obj.last_queue
         hook = self.hooks.on_transmit
         if hook is not None:
-            hook(pkt, port_obj.index, queue_id, port_obj.depth_bytes(), None)
+            queue_id = port_obj.queue_index(pkt.queue_id)
+            hook(pkt, port_obj.index, queue_id, port_obj.backlog_bytes, None)
         if self.egress_callback is not None:
             self.egress_callback(pkt, port_obj.index)
-        self._kick(port_obj)
+        if port_obj.backlog_packets:
+            self._kick(port_obj)
 
     # ------------------------------------------------------------------
     # Internals

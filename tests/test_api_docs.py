@@ -62,4 +62,6 @@ def test_profile_hotpath_names_the_workload_and_the_kernel(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "perf workload 'chain_paced'" in result.stdout
+    assert "(sorted by cumulative time, top 40 functions)" in result.stdout
+    assert "(sorted by self time (tottime), top 40 functions)" in result.stdout
     assert os.path.join("sim", "kernel.py") in result.stdout

@@ -592,3 +592,84 @@ def test_checkpoint_with_pending_keyed_ingress_walk_resumes_identically():
     assert _l3_outcome(keyed) == _l3_outcome(keyless) == _l3_outcome(straight)
     assert _l3_outcome(keyed)["received"] == 48
     assert CHECKPOINT_VERSION == 1
+
+
+# ----------------------------------------------------------------------
+# A traffic manager pickled before ports kept their own backlog count
+# ----------------------------------------------------------------------
+class TmRecorder:
+    """Picklable TM hooks and egress callback logging every transition."""
+
+    def __init__(self, sim) -> None:
+        self.sim = sim
+        self.log = []
+
+    def hook(self, kind, pkt, port, queue_id, depth_bytes, user_meta):
+        self.log.append(
+            (kind, self.sim.now_ps, pkt.total_len, port, queue_id, depth_bytes)
+        )
+
+    def egress(self, pkt, port):
+        self.log.append(("egress", self.sim.now_ps, pkt.total_len, port))
+
+
+def _queued_tm():
+    """A TM with packets queued behind a disabled port 0 and behind the
+    packet serializing on port 1."""
+    import functools
+
+    from repro.packet.builder import make_udp_packet
+    from repro.tm.traffic_manager import TrafficManager
+
+    sim = Simulator()
+    tm = TrafficManager(
+        sim, port_count=2, queues_per_port=2, queue_capacity_bytes=10_000
+    )
+    recorder = TmRecorder(sim)
+    tm.set_egress_callback(recorder.egress)
+    for kind in ("enqueue", "dequeue", "underflow", "transmit"):
+        setattr(tm.hooks, f"on_{kind}", functools.partial(recorder.hook, kind))
+    tm.set_port_enabled(0, False)
+    for index in range(6):
+        pkt = make_udp_packet(1, 2, payload_len=100 + 10 * index)
+        pkt.egress_port = index % 2
+        pkt.queue_id = index % 3  # 2 clamps to queue 1
+        tm.enqueue(pkt)
+    return sim, tm, recorder
+
+
+def _drain(sim, tm, recorder):
+    tm.set_port_enabled(0, True)
+    sim.run()
+    stats = [[vars(q.stats) for q in port.queues] for port in tm.ports]
+    return recorder.log, stats
+
+
+def _reduce_as_ports_before_backlog_counts(port):
+    """``_Port`` pickle state as builds without the backlog counters wrote it."""
+    state = dict(port.__dict__)
+    del state["backlog_packets"], state["backlog_bytes"]
+    state["_single_queue"] = port.queues[0] if len(port.queues) == 1 else None
+    return copyreg.__newobj__, (type(port),), state
+
+
+def test_tm_checkpoint_without_backlog_counts_resumes_identically():
+    from repro.tm.traffic_manager import _Port
+
+    sim, tm, recorder = _queued_tm()
+    assert tm.ports[0].backlog_packets == 3 and tm.ports[1].backlog_packets == 2
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=4)
+    pickler.dispatch_table = {_Port: _reduce_as_ports_before_backlog_counts}
+    pickler.dump((sim, tm, recorder))
+    assert b"backlog_bytes" not in buffer.getvalue()
+
+    restored_sim, restored_tm, restored_recorder = pickle.loads(buffer.getvalue())
+    for port, original in zip(restored_tm.ports, tm.ports):
+        assert not hasattr(port, "_single_queue")
+        assert port.backlog_packets == original.backlog_packets
+        assert port.backlog_bytes == original.backlog_bytes
+    resumed = _drain(restored_sim, restored_tm, restored_recorder)
+    straight = _drain(*_queued_tm())
+    assert resumed == straight
+    assert [entry[0] for entry in resumed[0]].count("egress") == 6

@@ -24,8 +24,8 @@ class TestPacketQueue:
         first, second = pkt(), pkt()
         push(queue, first)
         push(queue, second)
-        assert queue.pop() is first
-        assert queue.pop() is second
+        assert queue.pop()[0] is first
+        assert queue.pop()[0] is second
 
     def test_byte_accounting(self):
         queue = PacketQueue(10_000)

@@ -34,13 +34,22 @@ class TestFifo:
         a, b = pkt(), pkt()
         push(queues[0], a)
         push(queues[0], b)
-        assert sched.dequeue() is a
-        assert sched.dequeue() is b
+        assert sched.dequeue()[0] is a
+        assert sched.dequeue()[0] is b
         assert sched.dequeue() is None
 
     def test_requires_queues(self):
         with pytest.raises(ValueError):
             FifoScheduler([])
+
+    def test_serves_every_queue_first_non_empty_first(self):
+        queues = make_queues(2)
+        sched = FifoScheduler(queues)
+        only = pkt(queue_id=1)
+        push(queues[1], only)
+        assert sched.select() == 1
+        assert sched.dequeue() == (only, only.total_len)
+        assert sched.dequeue() is None
 
 
 class TestStrictPriority:
@@ -51,8 +60,8 @@ class TestStrictPriority:
         high = pkt()
         push(queues[1], low)
         push(queues[0], high)
-        assert sched.dequeue() is high
-        assert sched.dequeue() is low
+        assert sched.dequeue()[0] is high
+        assert sched.dequeue()[0] is low
 
     def test_high_queue_can_starve_low(self):
         queues = make_queues(2)
@@ -77,10 +86,12 @@ class TestDrr:
             push(queues[1], pkt(458))  # 500B total
         served = {0: 0, 1: 0}
         for _ in range(30):
-            packet = sched.dequeue()
-            assert packet is not None
-            origin = 0 if packet.total_len == 1_500 else 1
-            served[origin] += packet.total_len
+            entry = sched.dequeue()
+            assert entry is not None
+            packet, size = entry
+            assert size == packet.total_len
+            origin = 0 if size == 1_500 else 1
+            served[origin] += size
         ratio = served[0] / served[1]
         assert 0.5 < ratio < 2.0
 
@@ -104,8 +115,15 @@ class TestPifoScheduler:
         early = pkt(priority=1)
         assert sched.on_enqueue(late) is None
         assert sched.on_enqueue(early) is None
-        assert sched.dequeue() is early
-        assert sched.dequeue() is late
+        assert sched.dequeue()[0] is early
+        assert sched.dequeue()[0] is late
+
+    def test_dequeue_reads_size_at_pop(self):
+        queues = make_queues(1)
+        sched = PifoScheduler(queues, rank_fn=lambda p: 0)
+        p = pkt(458)
+        sched.on_enqueue(p)
+        assert sched.dequeue() == (p, 500)
 
     def test_depth_accounting(self):
         queues = make_queues(1)
@@ -124,4 +142,4 @@ class TestPifoScheduler:
         assert sched.on_enqueue(worse) is worse  # rejected
         better = pkt(priority=0)
         assert sched.on_enqueue(better) is keeper  # displaced
-        assert sched.dequeue() is better
+        assert sched.dequeue()[0] is better

@@ -1,10 +1,17 @@
 """Unit tests for the traffic manager's datapath and event hooks."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.packet.builder import make_udp_packet
 from repro.sim.kernel import Simulator
 from repro.sim.units import bytes_to_time_ps
+from repro.tm.scheduler import (
+    DeficitRoundRobinScheduler,
+    FifoScheduler,
+    PifoScheduler,
+    StrictPriorityScheduler,
+)
 from repro.tm.traffic_manager import TrafficManager
 
 
@@ -205,3 +212,161 @@ def test_back_to_back_transmissions_serialize():
     sim.run()
     per_pkt = bytes_to_time_ps(520, 10.0)
     assert finish_times == [per_pkt, 2 * per_pkt, 3 * per_pkt]
+
+
+def test_negative_queue_id_clamps_to_queue_zero_everywhere():
+    sim = Simulator()
+    tm = make_tm(sim, queues_per_port=2)
+    tm.set_egress_callback(lambda pkt, port: None)
+    reported = []
+    for kind in ("enqueue", "dequeue", "transmit"):
+        setattr(
+            tm.hooks,
+            f"on_{kind}",
+            lambda pkt, port, qid, depth, meta, kind=kind: reported.append(
+                (kind, qid)
+            ),
+        )
+    tm.set_port_enabled(0, False)
+    pkt = routed_pkt(port=0)
+    pkt.queue_id = -1
+    assert tm.enqueue(pkt)
+    assert tm.queue_depth_bytes(0, 0) == 500
+    assert tm.queue_depth_bytes(0, 1) == 0
+    tm.set_port_enabled(0, True)
+    sim.run()
+    assert reported == [("enqueue", 0), ("dequeue", 0), ("transmit", 0)]
+    assert tm.ports[0].queues[0].stats.dequeued_packets == 1
+    assert tm.ports[0].queues[1].stats.enqueued_packets == 0
+
+
+def test_queue_depth_clamps_queue_id_like_enqueue():
+    sim = Simulator()
+    tm = make_tm(sim)  # 1 queue per port
+    tm.set_port_enabled(0, False)
+    pkt = routed_pkt(port=0)
+    pkt.queue_id = 3
+    assert tm.enqueue(pkt)
+    assert tm.queue_depth_bytes(0, 3) == tm.queue_depth_bytes(0, 0) == 500
+    assert tm.queue_depth_bytes(0, -1) == 500
+
+
+# ----------------------------------------------------------------------
+# Backlog accounting under every scheduler (property test)
+# ----------------------------------------------------------------------
+def _scheduler_factory(kind):
+    if kind == "fifo":
+        return FifoScheduler
+    if kind == "sp":
+        return StrictPriorityScheduler
+    if kind == "drr":
+        return lambda queues: DeficitRoundRobinScheduler(queues, quantum_bytes=400)
+    # A small PIFO, so better-ranked arrivals displace its tail.
+    return lambda queues: PifoScheduler(
+        queues, rank_fn=lambda pkt: pkt.priority, capacity=2
+    )
+
+
+_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("enqueue"),
+            st.integers(0, 1),  # port
+            st.integers(0, 600),  # payload
+            st.integers(-2, 4),  # queue id, out-of-range ones included
+            st.integers(0, 7),  # priority (the PIFO's rank)
+        ),
+        st.tuples(st.just("toggle"), st.integers(0, 1)),
+        # Up to about five 500 B serializations at 1 Gb/s.
+        st.tuples(st.just("run"), st.integers(0, 20_000_000)),
+    ),
+    max_size=30,
+)
+
+
+def _port_depth_from_queues(port_obj):
+    if port_obj.is_pifo:
+        return len(port_obj.scheduler.pifo), port_obj.scheduler.depth_bytes
+    return (
+        sum(len(q) for q in port_obj.queues),
+        sum(q.depth_bytes for q in port_obj.queues),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["fifo", "sp", "drr", "pifo"]),
+    queues=st.integers(1, 3),
+    steps=_steps,
+)
+# One in service, two in the PIFO, then a better rank displaces its tail.
+@example(
+    kind="pifo",
+    queues=2,
+    steps=[("enqueue", 0, 100, 0, rank) for rank in (5, 6, 7, 1)],
+)
+def test_backlog_counters_match_queues_under_every_scheduler(kind, queues, steps):
+    sim = Simulator()
+    tm = TrafficManager(
+        sim,
+        port_count=2,
+        queues_per_port=queues,
+        queue_capacity_bytes=2_000,
+        buffer_capacity_bytes=3_000,
+        port_rate_gbps=1.0,
+        scheduler_factory=_scheduler_factory(kind),
+    )
+    tm.set_egress_callback(lambda pkt, port: None)
+    admitted = set()
+    counts = {"transmitted": 0, "displaced": 0}
+    mismatches = []
+
+    def check_hook_depth(pkt, port, qid, depth, meta):
+        if depth != _port_depth_from_queues(tm.ports[port])[1]:
+            mismatches.append((port, depth))
+
+    def on_transmit(pkt, port, qid, depth, meta):
+        counts["transmitted"] += 1
+        check_hook_depth(pkt, port, qid, depth, meta)
+
+    def on_overflow(pkt, port, qid, depth, meta):
+        if pkt.pkt_id in admitted:
+            counts["displaced"] += 1
+
+    tm.hooks.on_enqueue = lambda pkt, port, qid, depth, meta: admitted.add(pkt.pkt_id)
+    tm.hooks.on_dequeue = check_hook_depth
+    tm.hooks.on_transmit = on_transmit
+    tm.hooks.on_overflow = on_overflow
+
+    def check():
+        assert not mismatches
+        for port_obj in tm.ports:
+            assert (port_obj.backlog_packets, port_obj.backlog_bytes) == (
+                _port_depth_from_queues(port_obj)
+            )
+            assert tm.port_depth_bytes(port_obj.index) == port_obj.backlog_bytes
+        assert tm.buffer.occupancy_bytes == sum(p.backlog_bytes for p in tm.ports)
+        queued = sum(p.backlog_packets for p in tm.ports)
+        in_service = sum(p.busy for p in tm.ports)
+        assert tm.total_enqueued == (
+            counts["transmitted"] + queued + in_service + counts["displaced"]
+        )
+
+    for step in steps:
+        if step[0] == "enqueue":
+            _, port, payload, queue_id, priority = step
+            pkt = routed_pkt(port=port, payload=payload)
+            pkt.queue_id = queue_id
+            pkt.priority = priority
+            tm.enqueue(pkt)
+        elif step[0] == "toggle":
+            port = step[1]
+            tm.set_port_enabled(port, not tm.ports[port].enabled)
+        else:
+            sim.run(until_ps=sim.now_ps + step[1])
+        check()
+    for port_obj in tm.ports:
+        tm.set_port_enabled(port_obj.index, True)
+    sim.run()
+    check()
+    assert tm.buffer.occupancy_bytes == 0

@@ -1,4 +1,4 @@
-"""cProfile the timed region of a ``perf/`` workload, sorted by cumtime.
+"""cProfile the timed region of a ``perf/`` workload, by cumtime and tottime.
 
 Runs one ``perf/workloads.py`` workload (default ``microburst_sume``:
 every flow uncacheable, so arch/tm/externs/kernel do all the work) the
@@ -6,8 +6,11 @@ way ``perf/child.py`` does — ``setup()`` outside the profile, exactly
 the ``steps()`` calls under :mod:`cProfile`, then ``finish()`` /
 ``close()`` — and writes the profile two ways:
 
-* a text report of the top functions sorted by cumulative time (the
-  artifact CI uploads: where wall time goes before/after a change), and
+* a text report of the top functions sorted by cumulative time, then
+  the same number sorted by self time (the artifact CI uploads: where
+  wall time goes before/after a change; on flat profiles such as
+  ``microburst_sume`` and ``fabric_zipf`` the self-time table is the
+  one that shows it), and
 * optionally the raw ``pstats`` dump for interactive digging
   (``python -m pstats profile.pstats``).
 
@@ -57,13 +60,18 @@ def profile_workload(name: str, seed: int, scale: float = 1.0) -> cProfile.Profi
 
 
 def report(profiler: cProfile.Profile, name: str, top: int) -> str:
-    """The sorted-cumtime text report for the profile."""
+    """The text report: the top functions by cumulative time, then by
+    self time."""
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats(pstats.SortKey.CUMULATIVE)
     buffer.write(f"hot path profile: perf workload {name!r}\n")
-    buffer.write(f"(sorted by cumulative time, top {top} functions)\n\n")
-    stats.print_stats(top)
+    for key, label in (
+        (pstats.SortKey.CUMULATIVE, "cumulative time"),
+        (pstats.SortKey.TIME, "self time (tottime)"),
+    ):
+        buffer.write(f"(sorted by {label}, top {top} functions)\n\n")
+        stats.sort_stats(key)
+        stats.print_stats(top)
     return buffer.getvalue()
 
 
@@ -81,7 +89,7 @@ def main(argv=None) -> int:
         type=int,
         default=40,
         metavar="N",
-        help="number of functions in the text report",
+        help="number of functions in each table of the text report",
     )
     parser.add_argument(
         "--out",
