@@ -30,7 +30,11 @@ class ShardCounters:
     stall_windows: int = 0
     #: simulator callbacks executed inside this shard.
     events_executed: int = 0
+    #: seconds spent injecting, running windows and collecting outboxes
+    #: (compute), and seconds spent encoding outbound and decoding
+    #: inbound boundary payloads (serialize; kept out of ``wall_s``).
     wall_s: float = 0.0
+    serialize_s: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
         return asdict(self)
@@ -44,7 +48,7 @@ class ShardStats:
     windows: int = 0
     shards: List[ShardCounters] = field(default_factory=list)
 
-    def total(self, name: str) -> int:
+    def total(self, name: str) -> float:
         return sum(getattr(counter, name) for counter in self.shards)
 
     def as_dict(self) -> Dict[str, object]:
@@ -54,6 +58,7 @@ class ShardStats:
             "boundary_packets": self.total("boundary_tx"),
             "events_executed": self.total("events_executed"),
             "stall_windows": self.total("stall_windows"),
+            "serialize_s": self.total("serialize_s"),
             "shards": [counter.as_dict() for counter in self.shards],
         }
 
@@ -61,14 +66,16 @@ class ShardStats:
         """One printable row per shard plus an aggregate footer."""
         rows = [
             f"{'shard':<6} {'switches':>8} {'hosts':>6} {'rounds':>7} "
-            f"{'bnd tx':>7} {'bnd rx':>7} {'stalls':>7} {'events':>9}"
+            f"{'bnd tx':>7} {'bnd rx':>7} {'stalls':>7} {'events':>9} "
+            f"{'compute s':>9} {'ser s':>7}"
         ]
         for counter in self.shards:
             rows.append(
                 f"{counter.shard_id:<6} {counter.switches:>8} "
                 f"{counter.hosts:>6} {counter.sync_rounds:>7} "
                 f"{counter.boundary_tx:>7} {counter.boundary_rx:>7} "
-                f"{counter.stall_windows:>7} {counter.events_executed:>9}"
+                f"{counter.stall_windows:>7} {counter.events_executed:>9} "
+                f"{counter.wall_s:>9.3f} {counter.serialize_s:>7.3f}"
             )
         if len(rows) == 1:
             rows.append("(no shards ran)")

@@ -420,12 +420,18 @@ class Simulator:
     def next_event_time_ps(self) -> Optional[int]:
         """Timestamp of the earliest live queued event, or None when idle.
 
-        A cold-path introspection helper (O(pending) — it walks a queue
-        snapshot filtering tombstones); fault-injection monitors use it
-        to decide whether a scenario has quiesced, the hot loop never
-        calls it.
+        O(1) when the heap head is live, which it is unless the earliest
+        event was cancelled; only then does it walk the queue filtering
+        tombstones.  The sharded coordinator reads it once per shard per
+        window to place the next window.
         """
-        times = [ev[_TIME] for ev in self._peek()[5] if not ev[_CANCELLED]]
+        queue = self._peek()[5]
+        if not queue:
+            return None
+        head = queue[0]
+        if not head[_CANCELLED]:
+            return head[_TIME]
+        times = [ev[_TIME] for ev in queue if not ev[_CANCELLED]]
         return min(times) if times else None
 
     # Internal state views kept for tests and debugging tools.

@@ -17,6 +17,14 @@ bounded windows by a coordinator:
   barriers.  Between windows the coordinator jumps straight to the
   earliest pending event, so idle gaps cost one round, not many.
 
+The coordinator is a router that never touches a packet: a shard hands
+back its outbox as one :data:`BoundaryMsg` per boundary link — the link
+name, the deliver times, and the packets as one opaque payload (the list
+itself inline, one ``pickle`` blob from a worker process) — and the
+coordinator forwards each payload to the far shard with the ordered
+:data:`Injection` entries that index into it.  The receiving shard
+decodes each payload once.
+
 Determinism: boundary injections are sorted by the portable
 ``(deliver_time, link name, per-link sequence)`` triple before being
 handed to a shard, so every run — inline or multi-process, any worker
@@ -30,7 +38,8 @@ Workers are persistent processes
 (:class:`~repro.experiments.parallel.PersistentWorker`) rebuilding
 their shard from pure data (a picklable ``builder`` callable plus
 args); ``mode="inline"`` runs every shard in-process for tests and
-debugging with identical semantics.
+debugging with identical semantics.  Workers are all started before
+any build is awaited, so shard builds overlap.
 """
 
 from __future__ import annotations
@@ -51,8 +60,17 @@ from repro.sim.kernel import Simulator
 #: host name → [(arrival time ps, payload length)] — what workers return.
 HostRecords = Dict[str, List[Tuple[int, int]]]
 
-#: wire format of one boundary packet: (link name, deliver time ps, packet).
-BoundaryMsg = Tuple[str, int, Packet]
+#: Wire format of one boundary link's traffic from one window, shard →
+#: coordinator → far shard: ``(link name, [deliver time ps], payload)``.
+#: The payload holds the link's packets, index-aligned with the times: the
+#: list itself in inline mode, one ``pickle`` blob of it in process mode.
+#: The coordinator reads the name and the times, never the payload.
+BoundaryMsg = Tuple[str, List[int], Any]
+
+#: One ordered injection the coordinator hands a shard:
+#: ``(link name, deliver time ps, payload id, index in that payload)``,
+#: where the payload id indexes the window's payload list for that shard.
+Injection = Tuple[str, int, int, int]
 
 
 class _RemoteStub:
@@ -77,9 +95,10 @@ class BoundaryLink(Link):
     """A shard's local half of a link whose far end is on another shard.
 
     Outbound: :meth:`transmit_from` stamps the delivery time
-    (``now + latency``) and parks the packet in :attr:`outbox` for the
-    coordinator instead of scheduling a local delivery.  Inbound: the
-    coordinator calls :meth:`inject`, which schedules the stock
+    (``now + latency``) and parks the time and the packet in
+    :attr:`sent_times` / :attr:`sent_packets` for the coordinator instead
+    of scheduling a local delivery.  Inbound: the coordinator's
+    injections call :meth:`inject`, which schedules the stock
     :meth:`Link._deliver` at the stamped time — same callback, same
     priority as a serial-run link, so the local simulator cannot tell
     the difference.  Impairments are not supported on boundary links.
@@ -109,8 +128,9 @@ class BoundaryLink(Link):
             latency_ps,
             name,
         )
-        #: (deliver time ps, packet) pairs awaiting pickup.
-        self.outbox: List[Tuple[int, Packet]] = []
+        #: deliver times (ps) and packets awaiting pickup, index-aligned.
+        self.sent_times: List[int] = []
+        self.sent_packets: List[Packet] = []
         self.injected_packets = 0
 
     def transmit_from(self, sender, pkt: Packet) -> None:
@@ -125,7 +145,8 @@ class BoundaryLink(Link):
         # Handed off to the coordinator: ledger-wise the packet has left
         # this shard, so it counts as delivered here.
         self.delivered_packets += 1
-        self.outbox.append((self.sim.now_ps + self.latency_ps, pkt))
+        self.sent_times.append(self.sim.now_ps + self.latency_ps)
+        self.sent_packets.append(pkt)
 
     def inject(self, pkt: Packet, deliver_time_ps: int) -> None:
         """Schedule an inbound boundary packet for local delivery."""
@@ -261,43 +282,77 @@ class ShardRuntime:
 ShardBuilder = Callable[..., ShardRuntime]
 
 
+def _same(packets: List[Packet]) -> List[Packet]:
+    return packets
+
+
+#: (encode, decode) of a payload: inline shards share the packet lists;
+#: process workers ship each list as one pickle blob (see
+#: :func:`_shard_worker_main`).
+_Codec = Tuple[Callable[[List[Packet]], Any], Callable[[Any], List[Packet]]]
+_INLINE_CODEC: _Codec = (_same, _same)
+
+
 def _run_window(
     runtime: ShardRuntime,
     counters: ShardCounters,
+    codec: _Codec,
     w_end: Optional[int],
-    inbound: List[BoundaryMsg],
+    inbound: List[Injection],
+    payloads: List[Any],
 ) -> Tuple[List[BoundaryMsg], Optional[int], int]:
     """Inject ``inbound``, run one window, return (outbox, next time, executed).
 
-    ``w_end=None`` runs the shard to quiescence — the no-boundary /
-    single-shard fast path.
+    ``inbound`` is already in injection order; each entry names its
+    packet by payload id and index, and each payload is decoded once.
+    The outbox holds one :data:`BoundaryMsg` per boundary link that sent
+    anything, in link-name order.  ``w_end=None`` runs the shard to
+    quiescence — the no-boundary / single-shard fast path.  Time spent
+    in the codec counts as ``serialize_s``, the rest as ``wall_s``.
     """
+    encode, decode = codec
     started = time.perf_counter()
-    for link_name, deliver_time, pkt in inbound:
-        runtime.boundaries[link_name].inject(pkt, deliver_time)
+    packets = [decode(payload) for payload in payloads]
+    decoded = time.perf_counter()
+    boundaries = runtime.boundaries
+    for link_name, deliver_time, payload_id, index in inbound:
+        boundaries[link_name].inject(packets[payload_id][index], deliver_time)
     counters.boundary_rx += len(inbound)
     if w_end is None:
         executed = runtime.sim.run()
     else:
         executed = runtime.sim.run_until(w_end)
+    ran = time.perf_counter()
     outbox: List[BoundaryMsg] = []
-    for name in sorted(runtime.boundaries):
-        boundary = runtime.boundaries[name]
-        outbox.extend(
-            (name, deliver_time, pkt) for deliver_time, pkt in boundary.outbox
-        )
-        boundary.outbox.clear()
+    for name in sorted(boundaries):
+        boundary = boundaries[name]
+        if boundary.sent_times:
+            counters.boundary_tx += len(boundary.sent_times)
+            outbox.append(
+                (name, boundary.sent_times, encode(boundary.sent_packets))
+            )
+            # Fresh lists: an inline payload is the old list itself.
+            boundary.sent_times = []
+            boundary.sent_packets = []
     counters.sync_rounds += 1
-    counters.boundary_tx += len(outbox)
     counters.events_executed += executed
     if executed == 0:
         counters.stall_windows += 1
-    counters.wall_s += time.perf_counter() - started
+    counters.wall_s += ran - decoded
+    counters.serialize_s += decoded - started + time.perf_counter() - ran
     return outbox, runtime.sim.next_event_time_ps, executed
 
 
 def _shard_worker_main(conn, builder: ShardBuilder, shard_id: int, builder_args) -> None:
     """Entry point of one persistent shard worker process."""
+    # Imported here, where the pipe has loaded it already, so that
+    # in-process runs do not pay the module's memory.
+    import pickle
+
+    codec: _Codec = (
+        lambda packets: pickle.dumps(packets, pickle.HIGHEST_PROTOCOL),
+        pickle.loads,
+    )
     try:
         runtime = builder(shard_id, *builder_args)
         counters = ShardCounters(
@@ -310,8 +365,10 @@ def _shard_worker_main(conn, builder: ShardBuilder, shard_id: int, builder_args)
             message = conn.recv()
             kind = message[0]
             if kind == "window":
-                _, w_end, inbound = message
-                conn.send(("ok",) + _run_window(runtime, counters, w_end, inbound))
+                _, w_end, inbound, payloads = message
+                conn.send(("ok",) + _run_window(
+                    runtime, counters, codec, w_end, inbound, payloads
+                ))
             elif kind == "finish":
                 conn.send(("result", runtime.collect(), counters))
             elif kind == "stop":
@@ -337,22 +394,36 @@ class _InlineShard:
         )
         self.next_time = self.runtime.sim.next_event_time_ps
 
-    def start_window(self, w_end: Optional[int], inbound: List[BoundaryMsg]):
-        self._reply = _run_window(self.runtime, self.counters, w_end, inbound)
+    def wait_ready(self) -> None:
+        pass
 
-    def finish_window(self):
+    def start_window(
+        self, w_end: Optional[int], inbound: List[Injection], payloads: List[Any]
+    ) -> None:
+        self._reply = _run_window(
+            self.runtime, self.counters, _INLINE_CODEC, w_end, inbound, payloads
+        )
+
+    def finish_window(self) -> List[BoundaryMsg]:
         outbox, self.next_time, _executed = self._reply
         return outbox
 
     def result(self) -> Tuple[HostRecords, ShardCounters]:
         return self.runtime.collect(), self.counters
 
+    def stop(self) -> None:
+        pass
+
     def close(self) -> None:
         pass
 
 
 class _ProcessShard:
-    """A shard behind a :class:`PersistentWorker` pipe."""
+    """A shard behind a :class:`PersistentWorker` pipe.
+
+    Construction only starts the worker; :meth:`wait_ready` blocks until
+    its build is done, so the coordinator can start every worker first.
+    """
 
     def __init__(self, builder: ShardBuilder, shard_id: int, builder_args) -> None:
         # Imported lazily so inline mode works without multiprocessing.
@@ -361,14 +432,17 @@ class _ProcessShard:
         self.worker = PersistentWorker(
             _shard_worker_main, builder, shard_id, builder_args
         )
+
+    def wait_ready(self) -> None:
         kind, self.next_time = self.worker.recv()
         assert kind == "ready"
-        self.counters: Optional[ShardCounters] = None
 
-    def start_window(self, w_end: Optional[int], inbound: List[BoundaryMsg]):
-        self.worker.send(("window", w_end, inbound))
+    def start_window(
+        self, w_end: Optional[int], inbound: List[Injection], payloads: List[Any]
+    ) -> None:
+        self.worker.send(("window", w_end, inbound, payloads))
 
-    def finish_window(self):
+    def finish_window(self) -> List[BoundaryMsg]:
         _kind, outbox, self.next_time, _executed = self.worker.recv()
         return outbox
 
@@ -376,6 +450,15 @@ class _ProcessShard:
         self.worker.send(("finish",))
         _kind, records, counters = self.worker.recv()
         return records, counters
+
+    def stop(self) -> None:
+        """Ask the worker to exit without waiting for it."""
+        from repro.experiments.parallel import WorkerCrashed
+
+        try:
+            self.worker.send(("stop",))
+        except WorkerCrashed:  # already gone
+            pass
 
     def close(self) -> None:
         self.worker.close()
@@ -449,10 +532,11 @@ class ShardedSimulator:
         shard_cls = _InlineShard if self.mode == "inline" else _ProcessShard
         shards = []
         try:
-            shards = [
-                shard_cls(self.builder, shard_id, self.builder_args)
-                for shard_id in range(self.partition.shards)
-            ]
+            for shard_id in range(self.partition.shards):
+                shards.append(shard_cls(self.builder, shard_id, self.builder_args))
+            # Every worker is building by now: the builds overlap.
+            for shard in shards:
+                shard.wait_ready()
             stats = self._window_loop(shards)
             records: HostRecords = {}
             for shard in shards:
@@ -463,6 +547,11 @@ class ShardedSimulator:
                 records.update(shard_records)
                 stats.shards.append(counters)
         finally:
+            # Stop every worker before joining any, so that a failed
+            # build or window leaves no worker behind and none waits on
+            # another's join.
+            for shard in shards:
+                shard.stop()
             for shard in shards:
                 shard.close()
         return ShardRunResult(
@@ -474,21 +563,23 @@ class ShardedSimulator:
 
     def _window_loop(self, shards) -> ShardStats:
         stats = ShardStats(lookahead_ps=self.lookahead_ps or 0)
-        # Per-shard inbox of (deliver_time, link name, arrival seq, pkt);
-        # the seq keeps the sort total and FIFO per link.
-        pending: List[List[Tuple[int, str, int, Packet]]] = [
-            [] for _ in shards
-        ]
-        arrival_seq = 0
         if self.lookahead_ps is None:
             # No cut links: shards are independent components; one
             # unbounded window each finishes the whole run.
             for shard in shards:
-                shard.start_window(None, [])
+                shard.start_window(None, [], [])
             for shard in shards:
                 shard.finish_window()
             stats.windows = 1
             return stats
+        # Per-shard inbox of (deliver_time, link name, arrival seq,
+        # payload id, index) and the payloads those ids index; the seq
+        # keeps the sort total and FIFO per link.
+        pending: List[List[Tuple[int, str, int, int, int]]] = [
+            [] for _ in shards
+        ]
+        payloads: List[List[Any]] = [[] for _ in shards]
+        arrival_seq = 0
         while True:
             horizons = [
                 shard.next_time for shard in shards
@@ -504,20 +595,25 @@ class ShardedSimulator:
                     f"sharded run exceeded max_windows={self.max_windows}"
                 )
             w_end = min(horizons) + self.lookahead_ps
-            for shard, inbox in zip(shards, pending):
+            for shard, inbox, blobs in zip(shards, pending, payloads):
                 inbox.sort()
                 shard.start_window(
                     w_end,
-                    [(name, t, pkt) for t, name, _seq, pkt in inbox],
+                    [(name, t, pid, index) for t, name, _seq, pid, index in inbox],
+                    blobs,
                 )
                 inbox.clear()
+                blobs.clear()
             outboxes = [shard.finish_window() for shard in shards]
             stats.windows += 1
             for shard_id, outbox in enumerate(outboxes):
-                for link_name, deliver_time, pkt in outbox:
+                for link_name, times, payload in outbox:
                     end_a, end_b = self._link_shards[link_name]
                     target = end_b if end_a == shard_id else end_a
-                    pending[target].append(
-                        (deliver_time, link_name, arrival_seq, pkt)
-                    )
-                    arrival_seq += 1
+                    payload_id = len(payloads[target])
+                    payloads[target].append(payload)
+                    for index, deliver_time in enumerate(times):
+                        pending[target].append(
+                            (deliver_time, link_name, arrival_seq, payload_id, index)
+                        )
+                        arrival_seq += 1

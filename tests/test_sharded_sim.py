@@ -5,6 +5,7 @@ on the kernel, the conservative coordinator, serial-vs-sharded
 behavior-fingerprint equality, and the persistent-worker plumbing.
 """
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -20,11 +21,13 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.shard_exp import (
     ShardScenario,
+    build_shard,
     expected_packets,
     run_serial,
     run_sharded,
     scenario_partition,
 )
+from repro.packet.packet import Packet
 from repro.sim import SimulationError, Simulator
 from repro.sim.shard import ShardedSimulator, behavior_fingerprint
 
@@ -142,6 +145,64 @@ def test_process_mode_matches_serial():
     sharded = run_sharded(LEAFSPINE, shards=2, mode="process")
     assert sharded.fingerprint == serial.fingerprint
     assert sharded.total_received() == expected_packets(LEAFSPINE)
+
+
+@pytest.mark.skipif(
+    sys.platform not in ("linux", "darwin"), reason="needs POSIX multiprocessing"
+)
+def test_process_coordinator_never_decodes_a_packet(monkeypatch):
+    # Boundary packets cross the coordinator as opaque payloads: only the
+    # receiving worker unpickles them.  Forked workers count in their own
+    # copy of ``decoded``; this process's copy must stay empty.
+    serial = run_serial(LEAFSPINE)
+    decoded = []
+    setstate = Packet.__setstate__
+
+    def counting_setstate(pkt, state):
+        decoded.append(pkt)
+        setstate(pkt, state)
+
+    monkeypatch.setattr(Packet, "__setstate__", counting_setstate)
+    sharded = run_sharded(LEAFSPINE, shards=2, mode="process")
+    assert sharded.stats.total("boundary_tx") > 0
+    assert decoded == []
+    assert sharded.fingerprint == serial.fingerprint
+
+
+@pytest.mark.skipif(
+    sys.platform not in ("linux", "darwin"), reason="needs POSIX multiprocessing"
+)
+def test_process_mode_reports_serialize_time_apart_from_compute():
+    stats = run_sharded(LEAFSPINE, shards=2, mode="process").stats
+    assert all(counter.serialize_s > 0 for counter in stats.shards)
+    assert all(counter.wall_s > 0 for counter in stats.shards)
+    summary = stats.as_dict()
+    assert summary["serialize_s"] == pytest.approx(
+        sum(counter.serialize_s for counter in stats.shards)
+    )
+    assert "ser s" in stats.summary_rows()[0]
+
+
+def _build_failing_on_shard_one(shard_id, scenario, shards):
+    if shard_id == 1:
+        raise RuntimeError("shard 1 cannot build")
+    return build_shard(shard_id, scenario, shards)
+
+
+@pytest.mark.skipif(
+    sys.platform not in ("linux", "darwin"), reason="needs POSIX multiprocessing"
+)
+def test_failed_build_leaves_no_worker_behind():
+    before = set(multiprocessing.active_children())
+    coordinator = ShardedSimulator(
+        scenario_partition(LEAFSPINE, 2),
+        _build_failing_on_shard_one,
+        builder_args=(LEAFSPINE, 2),
+        mode="process",
+    )
+    with pytest.raises(WorkerCrashed, match="shard 1 cannot build"):
+        coordinator.run()
+    assert set(multiprocessing.active_children()) - before == set()
 
 
 def test_zero_cut_partition_runs_one_unbounded_window():

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
 import weakref
 
 import pytest
@@ -191,6 +192,33 @@ def test_compaction_preserves_order():
         handle.cancel()
     sim.run()
     assert order == survivors  # same-time survivors still run in schedule order
+
+
+def _live_minimum(sim):
+    times = [event.time_ps for event in sim._queue if not event.cancelled]
+    return min(times) if times else None
+
+
+def test_next_event_time_matches_brute_force_minimum():
+    """The heap-head read agrees with a full scan, tombstoned head or not."""
+    rng = random.Random(7)
+    sim = Simulator()
+    handles = [sim.call_at(rng.randrange(1_000), lambda: None) for _ in range(12)]
+    assert sim.next_event_time_ps == _live_minimum(sim)
+    by_time = sorted(handles, key=lambda event: (event.time_ps, event.seqno))
+    by_time[0].cancel()
+    assert sim._queue[0] is by_time[0]  # the head is now a tombstone
+    assert sim.next_event_time_ps == _live_minimum(sim) == by_time[1].time_ps
+    by_time[1].cancel()  # the next live event, deeper in the heap
+    by_time[6].cancel()  # and one mid-heap
+    assert sim.next_event_time_ps == _live_minimum(sim) == by_time[2].time_ps
+    while sim.pending_events:
+        sim.step()
+        assert sim.next_event_time_ps == _live_minimum(sim)
+    assert sim.next_event_time_ps is None
+    for handle in (sim.call_at(2_000, lambda: None), sim.call_at(3_000, lambda: None)):
+        handle.cancel()
+    assert sim.next_event_time_ps is None  # only tombstones left
 
 
 def test_cancel_after_execution_does_not_corrupt_pending():
