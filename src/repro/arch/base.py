@@ -686,16 +686,8 @@ class SwitchBase:
         return state
 
     def __setstate__(self, state) -> None:
-        # Older checkpoints hold the raw handler dict and no parked
-        # cache, maybe with a shared_register program's cache attached,
-        # and the retired generated dispatch's compile state.
-        state.pop("_compiled", None)
-        state.pop("_compile_countdown", None)
         self.__dict__.update(state)
         self._bind_handlers()
-        self.__dict__.setdefault("_parked_flow_cache", None)
-        if self._shared_regs and self.flow_cache is not None:
-            self._seat_flow_cache()
 
     # ------------------------------------------------------------------
     # Transmission

@@ -19,7 +19,7 @@ that observable.
 from __future__ import annotations
 
 from sys import getrefcount
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.arch.base import SwitchBase
 from repro.arch.description import SUME_EVENT_SWITCH, ArchitectureDescription
@@ -138,13 +138,8 @@ class SumeEventSwitch(SwitchBase):
                 handled[event.kind] += 1
 
     def _pipeline_exit(
-        self, pkt: Packet, kind: Optional[EventType], events: List[Event]
+        self, pkt: Packet, kind: EventType, events: List[Event]
     ) -> None:
-        if kind is None:
-            # An empty carrier scheduled by an older build, which made
-            # one a Packet; checkpoints taken then still hold this shape.
-            self._carrier_exit(events)
-            return
         self.pipeline.packets_processed += 1
         # Event handlers run first (their metadata words sit ahead of
         # the packet's own headers in the physical layout), then the

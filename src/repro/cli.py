@@ -63,6 +63,13 @@ import sys
 from typing import Callable, Dict, List
 
 
+def _cannot_read(path: str, exc: Exception) -> int:
+    """An input file that does not read: one line on stderr, exit 2."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    print(f"repro: cannot read {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def _print(title: str, rows: List[str]) -> None:
     print(f"\n{title}")
     print("=" * len(title))
@@ -755,9 +762,14 @@ def run_search_cli(argv: List[str]) -> int:
 
     from repro import search
 
+    artifacts = []
+    for path in args.compare or ([args.report] if args.report else []):
+        try:
+            artifacts.append(search.read_artifact(path))
+        except (OSError, ValueError) as exc:
+            return _cannot_read(path, exc)
     if args.compare:
-        old = search.read_artifact(args.compare[0])
-        new = search.read_artifact(args.compare[1])
+        old, new = artifacts
         lines, problems = search.compare(
             old, new, max_regression=args.max_regression
         )
@@ -768,7 +780,7 @@ def run_search_cli(argv: List[str]) -> int:
         print("\nno search regressions")
         return 0
     if args.report:
-        data = search.read_artifact(args.report)
+        (data,) = artifacts
         _print("leaderboard", search.leaderboard(data, top=args.top))
         _print("frontier", search.ascii_frontier(data))
         return 0
@@ -777,8 +789,12 @@ def run_search_cli(argv: List[str]) -> int:
         if args.spec:
             import json
 
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                spec = search.SearchSpec.from_dict(json.load(fh))
+            try:
+                with open(args.spec, "r", encoding="utf-8") as fh:
+                    raw = json.load(fh)
+            except (OSError, ValueError) as exc:
+                return _cannot_read(args.spec, exc)
+            spec = search.SearchSpec.from_dict(raw)
         else:
             if not args.scenario or not args.objective or not args.domain:
                 parser.error(
@@ -890,17 +906,24 @@ def run_checkpoint(ckpt: str, at_ps: int, duration_ps: int) -> int:
 
 def run_resume(ckpt: str, info: bool = False) -> int:
     """Resume a checkpointed microburst run (or --info: describe the file)."""
-    from repro.sim.checkpoint import inspect_checkpoint, load_checkpoint
+    from repro.sim.checkpoint import (
+        CheckpointError,
+        inspect_checkpoint,
+        load_checkpoint,
+    )
 
-    if info:
-        _print(f"checkpoint {ckpt}", _header_rows(inspect_checkpoint(ckpt)))
-        return 0
+    try:
+        if info:
+            _print(f"checkpoint {ckpt}", _header_rows(inspect_checkpoint(ckpt)))
+            return 0
+        _sim, setup, header = load_checkpoint(ckpt)
+    except (OSError, CheckpointError) as exc:
+        return _cannot_read(ckpt, exc)
     from repro.experiments.microburst_exp import (
         MicroburstSetup,
         finish_event_driven,
     )
 
-    _sim, setup, header = load_checkpoint(ckpt)
     if not isinstance(setup, MicroburstSetup):
         print(
             f"error: {ckpt} holds {type(setup).__name__}, not a "
@@ -1110,7 +1133,7 @@ def main(argv: List[str] = None) -> int:
         action="store_true",
         help="resume: print the checkpoint header and exit",
     )
-    # The four subcommands that write a file the user names share one
+    # The five subcommands that write a file the user names share one
     # handler: an unwritable path is a message and exit 2, not a traceback.
     try:
         if raw and raw[0] == "search":  # own argument namespace, as above
@@ -1145,6 +1168,8 @@ def main(argv: List[str] = None) -> int:
         if args.experiment == "events-trace":
             run_events_trace(args.source, args.out or "events_trace.jsonl", args.limit)
             return 0
+        if args.experiment == "checkpoint":
+            return run_checkpoint(args.ckpt, args.at_ps, args.duration_ps)
     except OSError as exc:
         if exc.filename is None:
             raise
@@ -1170,8 +1195,6 @@ def main(argv: List[str] = None) -> int:
             "(stdio or --socket; see docs/SERVING.md)"
         )
         return 0
-    if args.experiment == "checkpoint":
-        return run_checkpoint(args.ckpt, args.at_ps, args.duration_ps)
     if args.experiment == "resume":
         return run_resume(args.ckpt, info=args.info)
     if args.experiment == "events-stats":

@@ -760,7 +760,11 @@ class FlowFastpath(_FlowMemo):
             port_obj = hop.port_obj
             port_obj.busy = True
             sim.call_at(
-                t0 + hop.d_enq + hop.tx_time_ps, hop.tm._finish_tx, port_obj, pkt
+                t0 + hop.d_enq + hop.tx_time_ps,
+                hop.tm._finish_tx,
+                port_obj,
+                pkt,
+                pkt.total_len,
             )
             return
         if rel < hop.d_leave:

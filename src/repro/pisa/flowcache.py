@@ -572,7 +572,7 @@ class _FlowMemo:
     def __setstate__(self, state) -> None:
         self.sim = state["sim"]
         self.limit = state["limit"]
-        self.name = state.get("name", "")
+        self.name = state["name"]
         self._start_cold()
 
     def summary(self) -> Dict[str, object]:

@@ -58,12 +58,6 @@ class Pipeline:
         """Clock period in picoseconds."""
         return clock_period_ps(self.clock_mhz)
 
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        if "latency_ps" not in state:
-            # Pickled before the latency was stored on the instance.
-            self.latency_ps = self.stage_count * self.cycle_ps
-
     def process(self, pkt: Packet, meta: StandardMetadata) -> None:
         """Run the control block on one packet."""
         self.packets_processed += 1

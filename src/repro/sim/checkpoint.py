@@ -14,12 +14,20 @@ A checkpoint captures everything a deterministic resume needs:
 * a manifest of live StateStores (extern metadata) for inspection
   without loading the payload.
 
-On-disk format (version 1): two consecutive pickle frames in one file.
-Frame one is a small JSON-able **header** dict — magic, version,
-clock, event counts, store manifest — so
+On-disk format: two consecutive pickle frames in one file.  Frame one
+is a small JSON-able **header** dict — magic, version, clock, event
+counts, store manifest, and the ``zlib.crc32`` of frame two — so
 :func:`inspect_checkpoint` can describe a file without unpickling the
 full object graph.  Frame two is the **payload**:
 ``{"sim": Simulator, "state": <user object>}``.
+
+One format version per pickled layout: any change to what an object
+in the graph pickles bumps :data:`CHECKPOINT_VERSION`, and a file of
+any other version is rejected with :class:`CheckpointError`, not
+migrated — no ``__setstate__`` carries an older layout forward.
+:func:`inspect_checkpoint` checks only the magic, so it still reads an
+old or newer file's header.  A truncated or corrupted payload fails
+the checksum and raises :class:`CheckpointError` too.
 
 What is deliberately *not* captured: execution observers (process-local
 instrumentation; re-attach after restore), cancelled tombstones and
@@ -36,6 +44,7 @@ from __future__ import annotations
 import io
 import pickle
 import sys
+import zlib
 from typing import Any, Dict, Tuple
 
 from repro.sim.kernel import Simulator
@@ -54,15 +63,16 @@ __all__ = [
 #: Format marker in the header frame.
 CHECKPOINT_MAGIC = "repro-checkpoint"
 
-#: Current on-disk format version.
-CHECKPOINT_VERSION = 1
+#: The pickled layout this build writes and reads; bump it on any layout
+#: change (``tests/test_checkpoint.py`` pins the layout to it).
+CHECKPOINT_VERSION = 2
 
 #: Pickle protocol used for both frames (supported since Python 3.4).
 _PICKLE_PROTOCOL = 4
 
 
 class CheckpointError(RuntimeError):
-    """Raised for unreadable, foreign, or future-versioned checkpoints."""
+    """Raised for unreadable, foreign, corrupted, or other-version checkpoints."""
 
 
 def _write_checkpoint(
@@ -71,6 +81,7 @@ def _write_checkpoint(
     """Write the two-frame checkpoint format to a binary file object."""
     from repro.state.store import store_manifest
 
+    payload = pickle.dumps({"sim": sim, "state": state}, protocol=_PICKLE_PROTOCOL)
     header: Dict[str, Any] = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -80,10 +91,10 @@ def _write_checkpoint(
         "events_executed": sim.events_executed,
         "pending_events": sim.pending_events,
         "stores": store_manifest(),
+        "payload_crc32": zlib.crc32(payload),
     }
-    payload = {"sim": sim, "state": state}
     pickle.dump(header, fh, protocol=_PICKLE_PROTOCOL)
-    pickle.dump(payload, fh, protocol=_PICKLE_PROTOCOL)
+    fh.write(payload)
     return header
 
 
@@ -123,26 +134,31 @@ def _read_header(fh) -> Dict[str, Any]:
         raise CheckpointError(f"not a repro checkpoint: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise CheckpointError("not a repro checkpoint (bad magic)")
-    version = header.get("version")
-    if not isinstance(version, int) or version > CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {version!r} is newer than supported "
-            f"version {CHECKPOINT_VERSION}"
-        )
     return header
 
 
 def inspect_checkpoint(path: str) -> Dict[str, Any]:
-    """Read only the header frame: cheap metadata, no object graph."""
+    """Read only the header frame, of any version: cheap, no object graph."""
     with open(path, "rb") as fh:
         return _read_header(fh)
 
 
-def _read(fh) -> Tuple[Simulator, Any, Dict[str, Any]]:
-    """Read both frames from a binary file object."""
+def _read(data: bytes) -> Tuple[Simulator, Any, Dict[str, Any]]:
+    """Read both frames from ``data``; neither read copies the payload
+    (a BytesIO shares the bytes it starts from)."""
+    fh = io.BytesIO(data)
     header = _read_header(fh)
+    version = header.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint format version {version!r} cannot be read by this "
+            f"build, which reads version {CHECKPOINT_VERSION} only"
+        )
+    payload_frame = memoryview(data)[fh.tell():]
+    if zlib.crc32(payload_frame) != header.get("payload_crc32"):
+        raise CheckpointError("corrupt checkpoint payload: checksum mismatch")
     try:
-        payload = pickle.load(fh)
+        payload = pickle.loads(payload_frame)
     except Exception as exc:
         # Includes a payload naming a class this tree no longer has
         # (pickle raises AttributeError/ImportError for those).
@@ -156,9 +172,9 @@ def _read(fh) -> Tuple[Simulator, Any, Dict[str, Any]]:
 def load_checkpoint(path: str) -> Tuple[Simulator, Any, Dict[str, Any]]:
     """Load a checkpoint; returns ``(sim, state, header)``."""
     with open(path, "rb") as fh:
-        return _read(fh)
+        return _read(fh.read())
 
 
 def loads_checkpoint(data: bytes) -> Tuple[Simulator, Any, Dict[str, Any]]:
     """Load a checkpoint from bytes; returns ``(sim, state, header)``."""
-    return _read(io.BytesIO(data))
+    return _read(data)

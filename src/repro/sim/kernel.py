@@ -544,10 +544,6 @@ class Simulator:
         }
 
     def __setstate__(self, state: dict) -> None:
-        # Format-1 checkpoints written while the queue implementation
-        # was selectable carry extra keys naming it; the event list is
-        # the portable sorted order whichever one wrote it, so they are
-        # ignored.
         self.__init__()
         self._import_state(
             state["now_ps"],

@@ -47,13 +47,6 @@ class PacketQueue:
         self.depth_bytes = 0
         self.stats = QueueStats()
 
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        packets = self._packets
-        if packets and not isinstance(packets[0], tuple):
-            # Pickled when the queue held bare packets.
-            self._packets = deque((pkt, pkt.total_len) for pkt in packets)
-
     def __len__(self) -> int:
         return len(self._packets)
 

@@ -80,18 +80,6 @@ class _Port:
         self.is_pifo = isinstance(scheduler, PifoScheduler)
         self.last_queue = len(queues) - 1
 
-    def __setstate__(self, state) -> None:
-        state.pop("_single_queue", None)
-        self.__dict__.update(state)
-        if "backlog_bytes" not in state:
-            # Pickled before the port kept its own backlog count.
-            if self.is_pifo:
-                self.backlog_packets = len(self.scheduler.pifo)
-                self.backlog_bytes = self.scheduler.depth_bytes
-            else:
-                self.backlog_packets = sum(len(q) for q in self.queues)
-                self.backlog_bytes = sum(q.depth_bytes for q in self.queues)
-
     def queue_index(self, queue_id: int) -> int:
         """The queue a packet's ``queue_id`` selects: ids outside
         ``[0, last_queue]`` clamp to the nearer end."""
@@ -345,13 +333,7 @@ class TrafficManager:
         port_obj.busy_time_ps += tx_time
         self.sim.call_after(tx_time, self._finish_tx, port_obj, pkt, size)
 
-    def _finish_tx(
-        self, port_obj: _Port, pkt: Packet, size: Optional[int] = None
-    ) -> None:
-        # The flow fastpath, and checkpoints from before the size was
-        # passed along, schedule this without ``size``.
-        if size is None:
-            size = pkt.total_len
+    def _finish_tx(self, port_obj: _Port, pkt: Packet, size: int) -> None:
         port_obj.busy = False
         port_obj.tx_packets += 1
         port_obj.tx_bytes += size

@@ -1,23 +1,25 @@
-"""Checkpoint/restore: determinism across processes and format history.
+"""Checkpoint/restore: determinism across processes, one format
+version per pickled layout, and typed failures.
 
-Satellite guarantees under test:
+Guarantees under test:
 
 * a restored kernel replays a byte-identical ``(time, priority, seqno)``
   execution trace, pinned to a golden digest,
-* format-1 state written by the removed wheel queue / batched drain
-  restores with the identical continuation, and a payload naming a
-  removed store class fails as :class:`CheckpointError`,
-* a SUME empty carrier in flight in the shape older builds scheduled
-  (a Packet through ``_pipeline_exit``) resumes to the same result,
-* a microburst run pickled by builds without the load-time handler and
-  route tables (raw handler dict, ``_route_event`` subscription, cache
-  attached under a shared register) resumes to the uninterrupted result,
+* a file of any other format version, a truncated or bit-flipped file,
+  and a payload naming a removed class all fail as
+  :class:`CheckpointError`, while the header of any version stays
+  readable,
+* the classes and state keys a representative graph pickles are pinned
+  to :data:`CHECKPOINT_VERSION`: a layout change without a version bump
+  fails here,
+* a SUME carrier in flight, a pending keyed ingress walk and a TM
+  backlog behind a disabled port resume to the uninterrupted result,
 * a microburst run checkpointed mid-simulation and resumed in a
   **fresh process** reaches the same final extern state, detections,
   and event counts as the uninterrupted run.
 """
 
-import copyreg
+import functools
 import hashlib
 import io
 import json
@@ -25,8 +27,10 @@ import os
 import pickle
 import subprocess
 import sys
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.checkpoint import (
     CHECKPOINT_MAGIC,
@@ -76,6 +80,16 @@ class TraceRecorder:
 def trace_digest(trace) -> str:
     """SHA-256 over a trace of plain tuples (ints/strings repr stably)."""
     return hashlib.sha256(repr(trace).encode()).hexdigest()
+
+
+def two_frames(payload: bytes, version: int = CHECKPOINT_VERSION) -> bytes:
+    """A hand-built checkpoint: a minimal header frame, then ``payload``."""
+    header = {
+        "format": CHECKPOINT_MAGIC,
+        "version": version,
+        "payload_crc32": zlib.crc32(payload),
+    }
+    return pickle.dumps(header, protocol=4) + payload
 
 
 #: ``_build()`` run to 500 ps, then traced to 2,000 ps: 1,621 executed
@@ -158,6 +172,9 @@ def test_header_contents_and_inspect(tmp_path):
     assert header["now_ps"] == sim.now_ps
     assert header["events_executed"] == sim.events_executed
     assert header["pending_events"] == sim.pending_events
+    with open(path, "rb") as fh:
+        pickle.load(fh)  # the header frame
+        assert zlib.crc32(fh.read()) == header["payload_crc32"]
 
 
 def test_rejects_foreign_and_future_files(tmp_path):
@@ -172,13 +189,18 @@ def test_rejects_foreign_and_future_files(tmp_path):
     with pytest.raises(CheckpointError, match="bad magic"):
         inspect_checkpoint(str(wrong_magic))
 
-    future = tmp_path / "future.ckpt"
-    with open(future, "wb") as fh:
-        pickle.dump(
-            {"format": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION + 1}, fh
-        )
-    with pytest.raises(CheckpointError, match="newer"):
-        inspect_checkpoint(str(future))
+    sim, tickers = _build()
+    payload = pickle.dumps({"sim": sim, "state": tickers}, protocol=4)
+    for version in (CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1):
+        other = tmp_path / f"v{version}.ckpt"
+        other.write_bytes(two_frames(payload, version=version))
+        # The header of any version reads; the payload never loads.
+        assert inspect_checkpoint(str(other))["version"] == version
+        names_both = f"version {version} .* version {CHECKPOINT_VERSION} "
+        with pytest.raises(CheckpointError, match=names_both):
+            load_checkpoint(str(other))
+        with pytest.raises(CheckpointError, match=names_both):
+            loads_checkpoint(other.read_bytes())
 
 
 def test_cannot_pickle_running_simulator():
@@ -196,53 +218,15 @@ def test_cannot_pickle_running_simulator():
     assert failures and "running" in failures[0]
 
 
-def _reduce_as_the_wheel_kernel_did(sim: Simulator):
-    """``Simulator`` pickle state with the two keys old kernels added."""
-    state = dict(sim.__getstate__(), scheduler="wheel", batch_drain=True)
-    return copyreg.__newobj__, (Simulator,), state
-
-
-def test_state_written_by_removed_queue_variants_restores_identically():
-    """Format version 1 outlives the wheel queue and the batched drain.
-
-    Their ``__getstate__`` carried two extra keys naming the variant;
-    the event list was already the portable sorted order, so such a
-    state must restore onto the one remaining kernel and continue
-    exactly like the original.
-    """
-    sim, tickers = _build()
-    sim.run(until_ps=500)
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=4)
-    pickler.dispatch_table = {Simulator: _reduce_as_the_wheel_kernel_did}
-    pickler.dump({"sim": sim, "state": tickers})
-    assert b"wheel" in buffer.getvalue()
-
-    restored = pickle.loads(buffer.getvalue())["sim"]
-    assert type(restored) is Simulator
-    assert restored.now_ps == sim.now_ps
-    assert restored.events_executed == sim.events_executed
-    assert restored.pending_events == sim.pending_events
-
-    recorder = TraceRecorder()
-    restored.add_execution_observer(recorder)
-    restored.run(until_ps=2_000)
-    assert trace_digest(recorder.records) == TICKER_TRACE_500_2000
-
-
 def _blob_naming(name: str) -> bytes:
     """A two-frame checkpoint whose payload references ``repro.state.store.name``."""
-    header = pickle.dumps(
-        {"format": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION}, protocol=4
-    )
     # GLOBAL opcode by hand: the class is gone, so it cannot be pickled
     # by reference the normal way.
-    payload = (
+    return two_frames(
         b"\x80\x04}(\x8c\x03sim\x8c\x04nope\x8c\x05state"
         + b"crepro.state.store\n" + name.encode() + b"\n"
         + b"u."
     )
-    return header + payload
 
 
 @pytest.mark.parametrize("name", ["DictStore", "ShadowStore", "_rebuild_dict"])
@@ -256,8 +240,110 @@ def test_payload_naming_a_removed_store_class_is_a_checkpoint_error(tmp_path, na
         load_checkpoint(str(path))
 
 
+@functools.lru_cache(maxsize=None)
+def _microburst_checkpoint() -> bytes:
+    """A real checkpoint: the §2 microburst run, cut halfway."""
+    from repro.experiments.microburst_exp import prepare_event_driven
+    from repro.sim.units import MILLISECONDS
+
+    setup = prepare_event_driven(duration_ps=2 * MILLISECONDS)
+    setup.network.run(until_ps=1 * MILLISECONDS)
+    return dumps_checkpoint(setup.network.sim, state=setup)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_truncated_or_bit_flipped_checkpoint_is_a_checkpoint_error(data):
+    blob = _microburst_checkpoint()
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        header = io.BytesIO(blob)
+        pickle.load(header)
+        offset = data.draw(st.integers(header.tell(), len(blob) - 1), label="offset")
+        flipped = bytearray(blob)
+        flipped[offset] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        damaged = bytes(flipped)
+    with pytest.raises(CheckpointError):
+        loads_checkpoint(damaged)
+
+
 # ----------------------------------------------------------------------
-# Fresh-process microburst resume (the ISSUE's acceptance demo)
+# The pickled layout, pinned to the format version
+# ----------------------------------------------------------------------
+#: ``(CHECKPOINT_VERSION, digest of the pickled layout)``, see below.
+PINNED_LAYOUT = (
+    2,
+    "a3d2f44eeb054fb7c7e9aade416f904b4169d1cd5b99de315103bb708f3174b4",
+)
+
+
+def _state_names(obj) -> tuple:
+    """The names in ``obj``'s pickled state: attribute (or slot) names
+    for the usual dict states, the state's type name otherwise."""
+    reduced = obj.__reduce_ex__(4)
+    state = reduced[2] if isinstance(reduced, tuple) and len(reduced) > 2 else None
+    if isinstance(state, tuple) and all(
+        isinstance(part, (dict, type(None))) for part in state
+    ):  # (dict, slots)
+        return tuple(sorted(name for part in state if part for name in part))
+    if isinstance(state, dict):
+        return tuple(sorted(state))
+    return () if state is None else (type(state).__name__,)
+
+
+def layout_digest(graph) -> str:
+    """SHA-256 over the ``(class, state names)`` set of every ``repro``
+    instance that pickling ``graph`` visits.  Names only, so every
+    Python version computes the same digest."""
+    seen = set()
+
+    class Recorder(pickle.Pickler):
+        def reducer_override(self, obj):
+            cls = type(obj)
+            if cls.__module__.startswith("repro.") and not isinstance(obj, type):
+                seen.add((f"{cls.__module__}.{cls.__qualname__}", _state_names(obj)))
+            return NotImplemented
+
+    Recorder(io.BytesIO(), protocol=4).dump(graph)
+    return hashlib.sha256(repr(sorted(seen)).encode()).hexdigest()
+
+
+def _representative_graphs():
+    """Mid-run graphs covering both switch families: the §2 microburst
+    SUME pair, and a chaos L3 chain of baseline switches with the flow
+    cache and the fastpath on."""
+    from repro.experiments.microburst_exp import prepare_event_driven
+    from repro.faults.scenarios import build_scenario
+    from repro.sim.units import MILLISECONDS
+
+    setup = prepare_event_driven(duration_ps=2 * MILLISECONDS)
+    setup.network.run(until_ps=1 * MILLISECONDS)
+    chain = build_scenario("l3chain", 1, flow_cache=True, fastpath=True)
+    chain.network.run(until_ps=chain.duration_ps // 2)
+    return [
+        {"sim": setup.network.sim, "state": setup},
+        {"sim": chain.network.sim, "state": chain},
+    ]
+
+
+def test_pickled_layout_is_pinned_to_the_format_version(monkeypatch):
+    from repro.pisa.compile import PIPELINE_COMPILE_ENV
+    from repro.pisa.fastpath import FLOW_FASTPATH_ENV
+    from repro.pisa.flowcache import FLOW_CACHE_ENV
+
+    for name in (FLOW_CACHE_ENV, PIPELINE_COMPILE_ENV, FLOW_FASTPATH_ENV):
+        monkeypatch.setenv(name, "1")
+    layout = (CHECKPOINT_VERSION, layout_digest(_representative_graphs()))
+    assert layout == PINNED_LAYOUT, (
+        f"the pickled layout is now {layout[1]}: a checkpoint layout change "
+        "needs its own format version, so bump CHECKPOINT_VERSION and "
+        "re-pin PINNED_LAYOUT"
+    )
+
+
+# ----------------------------------------------------------------------
+# Fresh-process microburst resume
 # ----------------------------------------------------------------------
 _PHASE1 = """
 import json, sys
@@ -333,49 +419,39 @@ def test_microburst_resumes_identically_in_fresh_process(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# A SUME empty carrier in flight, as written before carriers stopped
-# being Packets
+# A SUME carrier in flight
 # ----------------------------------------------------------------------
-def _sume_with_carrier_in_flight(legacy: bool):
-    """A SUME switch with one empty carrier between entry and exit.
-
-    ``legacy=True`` schedules the carrier the way older builds did — a
-    64B ``EVENT_METADATA`` Packet through ``_pipeline_exit(pkt, None,
-    events)`` — and drops the pipeline's cached latency, as pickles from
-    before that cache lack it.
-    """
+def _sume_with_carriers_in_flight():
+    """A SUME switch with an empty carrier (two event records) and a
+    packet carrier between pipeline entry and exit."""
     from repro.apps.microburst import MicroburstDetector
     from repro.arch.events import Event, EventType
     from repro.arch.sume import SumeEventSwitch
-    from repro.packet.headers import Ethernet, EtherType
-    from repro.packet.packet import Packet
+    from repro.packet.builder import make_udp_packet
 
     sim = Simulator()
     switch = SumeEventSwitch(sim)
-    switch.load_program(MicroburstDetector(num_regs=16))
-    events = [
-        Event(EventType.ENQUEUE, 0, None, {"flowID": 3, "pkt_len": 500}),
-        Event(EventType.DEQUEUE, 0, None, {"flowID": 3, "pkt_len": 200}),
-    ]
-    delay = switch.pipeline.latency_ps
-    if legacy:
-        eth = Ethernet(src=0, dst=0, ethertype=int(EtherType.EVENT_METADATA))
-        carrier = Packet(headers=[eth], payload_len=50)
-        carrier.meta["event_carrier"] = 1
-        sim.call_after(delay, switch._pipeline_exit, carrier, None, events)
-        del switch.pipeline.__dict__["latency_ps"]
-    else:
-        sim.call_after(delay, switch._carrier_exit, events)
+    program = MicroburstDetector(num_regs=16)
+    program.install_route(0x0A00_0002, 1)
+    switch.load_program(program)
+    switch._inject_empty_packet(
+        [
+            Event(EventType.ENQUEUE, 0, None, {"flowID": 3, "pkt_len": 500}),
+            Event(EventType.DEQUEUE, 0, None, {"flowID": 3, "pkt_len": 200}),
+        ]
+    )
+    switch.receive(make_udp_packet(0x0A00_0001, 0x0A00_0002, payload_len=100), 0)
     return sim, switch
 
 
-def test_legacy_packet_carrier_in_flight_resumes_identically():
-    sim, switch = _sume_with_carrier_in_flight(legacy=True)
+def test_sume_carrier_in_flight_resumes_identically():
+    sim, switch = _sume_with_carriers_in_flight()
+    assert sim.pending_events == 2
     restored_sim, restored, _header = loads_checkpoint(
         dumps_checkpoint(sim, state=switch)
     )
     restored_sim.run()
-    reference_sim, reference = _sume_with_carrier_in_flight(legacy=False)
+    reference_sim, reference = _sume_with_carriers_in_flight()
     reference_sim.run()
 
     def outcome(sim, switch):
@@ -384,106 +460,17 @@ def test_legacy_packet_carrier_in_flight_resumes_identically():
             switch.program.flow_buf_size.peek(3),
             switch.pipeline.packets_processed,
             dict(switch.bus.handled),
+            switch.tm.ports[1].tx_packets,
         )
 
     assert outcome(restored_sim, restored) == outcome(reference_sim, reference)
     assert restored.program.flow_buf_size.peek(3) == 300
-    assert restored.pipeline.latency_ps == reference.pipeline.latency_ps
+    assert restored.tm.ports[1].tx_packets == 1
 
 
 # ----------------------------------------------------------------------
-# A microburst run as pickled before the handler and route tables were
-# bound at load and the flow cache was parked under shared registers
+# A pending ingress walk that carries its flow key
 # ----------------------------------------------------------------------
-def _reduce_to_raw_dict(obj):
-    """Pickle ``obj`` as its raw ``__dict__``, as builds without the
-    derived tables did (no ``__getstate__`` dropping them).  A switch
-    carries those builds' pending compile of the generated dispatch in
-    place of packet-event runners."""
-    state = dict(obj.__dict__)
-    if "_runners" in state:
-        del state["_runners"]
-        state.update(_compiled=None, _compile_countdown=5)
-    return copyreg.__newobj__, (type(obj),), state
-
-
-def _microburst_outcome(setup, result):
-    switches = setup.network.switches
-    return {
-        "result": result,
-        "now_ps": setup.network.sim.now_ps,
-        "events": setup.network.sim.events_executed,
-        "state": setup.detector.flow_buf_size.snapshot(),
-        "accesses": {
-            name: dict(sw.program.flow_buf_size.accesses_by_thread)
-            for name, sw in switches.items()
-        },
-        "merger": {name: sw.merger.stats for name, sw in switches.items()},
-        "handled": {name: dict(sw.bus.handled) for name, sw in switches.items()},
-    }
-
-
-def test_checkpoint_without_bound_tables_resumes_identically():
-    from repro.arch.bus import EventBus
-    from repro.arch.sume import SumeEventSwitch
-    from repro.experiments.microburst_exp import (
-        finish_event_driven,
-        prepare_event_driven,
-    )
-    from repro.pisa.flowcache import FlowCache
-    from repro.sim.units import MILLISECONDS
-
-    setup = prepare_event_driven(duration_ps=6 * MILLISECONDS)
-    setup.network.run(until_ps=3 * MILLISECONDS)
-    # Rewind every switch to the older shape: the program's raw handler
-    # dict, an attached flow cache, and a bus routing through the
-    # switch's _route_event with no route table.
-    for switch in setup.network.switches.values():
-        program = switch.program
-        switch._event_handlers = program._handlers
-        cache = switch.__dict__.pop("_parked_flow_cache")
-        if cache is None:
-            cache = FlowCache(setup.network.sim, name=switch.name)
-        cache.attach(program)
-        switch.flow_cache = cache
-        bus = switch.bus
-        del bus._routes
-        bus._wildcard[:] = [switch._route_event]
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=4)
-    pickler.dispatch_table = {
-        SumeEventSwitch: _reduce_to_raw_dict,
-        EventBus: _reduce_to_raw_dict,
-    }
-    pickler.dump({"sim": setup.network.sim, "state": setup})
-    header = pickle.dumps(
-        {"format": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION}, protocol=4
-    )
-    _sim, restored, _header = loads_checkpoint(header + buffer.getvalue())
-
-    for switch in restored.network.switches.values():
-        assert switch.flow_cache is None
-        assert not switch._parked_flow_cache.attached
-        bound = switch._event_handlers.values()
-        assert all(isinstance(entry, tuple) for entry in bound)
-        assert switch.bus._routes
-    resumed = _microburst_outcome(restored, finish_event_driven(restored))
-    straight_setup = prepare_event_driven(duration_ps=6 * MILLISECONDS)
-    straight = _microburst_outcome(straight_setup, finish_event_driven(straight_setup))
-    assert resumed == straight
-    assert resumed["result"].detections_total > 0
-
-
-# ----------------------------------------------------------------------
-# An L3 chain as pickled by builds with the exec-generated dispatch
-# ----------------------------------------------------------------------
-def _reduce_as_the_generated_dispatch_did(switch):
-    """Switch pickle state with a compile pending part-way through the
-    switch-wide warm-up, and no runner table."""
-    state = dict(switch.__getstate__(), _compiled=None, _compile_countdown=7)
-    return copyreg.__newobj__, (type(switch),), state
-
-
 def _l3_chain(flow_cache=False, fastpath=None):
     from repro.apps.l3fwd import L3Router
     from repro.experiments.factories import make_baseline_switch
@@ -524,39 +511,10 @@ def _l3_outcome(network):
     }
 
 
-def test_checkpoint_with_pending_generated_dispatch_resumes_identically():
-    from repro.arch.baseline import BaselinePsaSwitch
-
-    network = _l3_chain()
-    network.run(until_ps=3_000_000)  # a few packets in: inside the warm-up
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=4)
-    pickler.dispatch_table = {BaselinePsaSwitch: _reduce_as_the_generated_dispatch_did}
-    pickler.dump({"sim": network.sim, "state": network})
-    assert b"_compile_countdown" in buffer.getvalue()
-    header = pickle.dumps(
-        {"format": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION}, protocol=4
-    )
-    _sim, restored, _header = loads_checkpoint(header + buffer.getvalue())
-    for switch in restored.switches.values():
-        assert "_compiled" not in vars(switch)
-        assert "_compile_countdown" not in vars(switch)
-        assert switch._runners is None  # bound on the first dispatch
-    restored.run()
-    straight = _l3_chain()
-    straight.run()
-    assert _l3_outcome(restored) == _l3_outcome(straight)
-    assert _l3_outcome(restored)["received"] == 48
-
-
-# ----------------------------------------------------------------------
-# A pending ingress walk that carries its flow key, and one without
-# ----------------------------------------------------------------------
-def _checkpoint_mid_ingress_walk(strip_keys):
+def _checkpoint_mid_ingress_walk():
     """Run a cached, fastpath-enabled L3 chain until packets sit in an
     ingress pipe with the flow keys their fuse attempts built, then
-    checkpoint it, with the keys or (as builds that never handed keys
-    over wrote it) without, and run the restored copy to the end."""
+    checkpoint it and run the restored copy to the end."""
     from repro.arch.baseline import BaselinePsaSwitch
 
     network = _l3_chain(flow_cache=True, fastpath=True)
@@ -573,9 +531,6 @@ def _checkpoint_mid_ingress_walk(strip_keys):
         ]
         if pending and all(event.args[2] is not None for event in pending):
             break
-    if strip_keys:
-        for event in pending:
-            event[4] = event.args[:2]  # the older (pkt, port) shape
     blob = dumps_checkpoint(sim, state=network)
     _sim, restored, _header = loads_checkpoint(blob)
     for switch in restored.switches.values():
@@ -585,17 +540,15 @@ def _checkpoint_mid_ingress_walk(strip_keys):
 
 
 def test_checkpoint_with_pending_keyed_ingress_walk_resumes_identically():
-    keyed = _checkpoint_mid_ingress_walk(strip_keys=False)
-    keyless = _checkpoint_mid_ingress_walk(strip_keys=True)
+    keyed = _checkpoint_mid_ingress_walk()
     straight = _l3_chain(flow_cache=True, fastpath=True)
     straight.run()
-    assert _l3_outcome(keyed) == _l3_outcome(keyless) == _l3_outcome(straight)
+    assert _l3_outcome(keyed) == _l3_outcome(straight)
     assert _l3_outcome(keyed)["received"] == 48
-    assert CHECKPOINT_VERSION == 1
 
 
 # ----------------------------------------------------------------------
-# A traffic manager pickled before ports kept their own backlog count
+# A traffic manager with a backlog behind a disabled port
 # ----------------------------------------------------------------------
 class TmRecorder:
     """Picklable TM hooks and egress callback logging every transition."""
@@ -645,28 +598,13 @@ def _drain(sim, tm, recorder):
     return recorder.log, stats
 
 
-def _reduce_as_ports_before_backlog_counts(port):
-    """``_Port`` pickle state as builds without the backlog counters wrote it."""
-    state = dict(port.__dict__)
-    del state["backlog_packets"], state["backlog_bytes"]
-    state["_single_queue"] = port.queues[0] if len(port.queues) == 1 else None
-    return copyreg.__newobj__, (type(port),), state
-
-
-def test_tm_checkpoint_without_backlog_counts_resumes_identically():
-    from repro.tm.traffic_manager import _Port
-
+def test_tm_backlog_behind_a_disabled_port_resumes_identically():
     sim, tm, recorder = _queued_tm()
     assert tm.ports[0].backlog_packets == 3 and tm.ports[1].backlog_packets == 2
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=4)
-    pickler.dispatch_table = {_Port: _reduce_as_ports_before_backlog_counts}
-    pickler.dump((sim, tm, recorder))
-    assert b"backlog_bytes" not in buffer.getvalue()
-
-    restored_sim, restored_tm, restored_recorder = pickle.loads(buffer.getvalue())
+    restored_sim, (restored_tm, restored_recorder), _header = loads_checkpoint(
+        dumps_checkpoint(sim, state=(tm, recorder))
+    )
     for port, original in zip(restored_tm.ports, tm.ports):
-        assert not hasattr(port, "_single_queue")
         assert port.backlog_packets == original.backlog_packets
         assert port.backlog_bytes == original.backlog_bytes
     resumed = _drain(restored_sim, restored_tm, restored_recorder)

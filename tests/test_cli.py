@@ -1,8 +1,14 @@
 """Unit tests for the CLI experiment runner."""
 
+import io
+import pickle
+
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.sim.checkpoint import CHECKPOINT_VERSION
+
+from tests.test_checkpoint import _microburst_checkpoint
 
 
 def test_list(capsys):
@@ -48,6 +54,7 @@ def test_unknown_experiment_rejected(capsys):
         "shard --mode inline --waves 1 --packets 1 --json-out",
         "search --scenario aqm/fred --objective fairness --domain blaster_gbps=choice:6"
         " --fixed duration_ps=200000000 --budget 1 --workers 0 --out",
+        "checkpoint --at-ps 1000 --duration-ps 2000 --ckpt",
     ],
     ids=lambda argv: argv.split()[0],
 )
@@ -55,6 +62,57 @@ def test_unwritable_output_path_is_a_message_not_a_traceback(argv, tmp_path, cap
     path = str(tmp_path / "missing-dir" / "out.json")
     assert main(argv.split() + [path]) == 2
     assert capsys.readouterr().err.startswith(f"repro: cannot write {path}: ")
+
+
+def _as_version(blob: bytes, version: int) -> bytes:
+    """``blob`` with its header rewritten to claim format ``version``."""
+    frames = io.BytesIO(blob)
+    header = pickle.load(frames)
+    header["version"] = version
+    return pickle.dumps(header, protocol=4) + frames.read()
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        ("resume --ckpt", None),
+        ("resume --ckpt", b"not a checkpoint"),
+        ("resume --ckpt", "truncated"),
+        ("resume --info --ckpt", None),
+        ("search --report", None),
+        ("search --report", b"{"),
+        ("search --spec", None),
+    ],
+    ids=["missing", "garbage", "truncated", "info-missing", "report-missing",
+         "report-garbage", "spec-missing"],
+)
+def test_unreadable_input_path_is_a_message_not_a_traceback(
+    argv, content, tmp_path, capsys
+):
+    if content == "truncated":
+        blob = _microburst_checkpoint()
+        content = blob[: len(blob) // 2]
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(argv.split() + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro: cannot read {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_other_version_checkpoint_shows_its_header_but_does_not_resume(
+    tmp_path, capsys
+):
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(_as_version(_microburst_checkpoint(), 1))
+    assert main(["resume", "--ckpt", str(path), "--info"]) == 0
+    assert "version=1 " in capsys.readouterr().out
+    assert main(["resume", "--ckpt", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro: cannot read {path}: ")
+    assert "version 1 " in err and f"version {CHECKPOINT_VERSION} " in err
+    assert err.count("\n") == 1
 
 
 def test_every_experiment_is_documented():

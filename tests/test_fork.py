@@ -7,6 +7,8 @@ The satellite guarantees under test:
   chaos grid trustworthy),
 * post-fork divergence is fully isolated — events injected into one
   copy never leak into the other, and neither do state mutations,
+* a chaos scenario cut at any time and carried across by either
+  route (bytes or fork) finishes exactly like the uninterrupted run,
 * the bytes-level helpers (``dumps_checkpoint``/``loads_checkpoint``)
   round-trip the same format as the file-based API, so service-side
   preemption blobs and on-disk checkpoints are interchangeable.
@@ -15,7 +17,10 @@ The satellite guarantees under test:
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.faults.monitors import ReconvergenceMonitor
+from repro.faults.scenarios import SCENARIOS, build_scenario
 from repro.sim.checkpoint import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -31,6 +36,7 @@ from tests.test_checkpoint import (
     Ticker,
     _build,
     trace_digest,
+    two_frames,
 )
 
 
@@ -145,5 +151,68 @@ def test_loads_checkpoint_rejects_garbage():
     with pytest.raises(CheckpointError):
         loads_checkpoint(b"definitely not a checkpoint")
     with pytest.raises(CheckpointError, match="no Simulator"):
-        header = pickle.dumps({"format": CHECKPOINT_MAGIC, "version": 1})
-        loads_checkpoint(header + pickle.dumps({"sim": "nope"}))
+        loads_checkpoint(two_frames(pickle.dumps({"sim": "nope"})))
+
+
+#: The chaos grid's switch arms (``repro.faults.chaos``).
+ARMS = {
+    "default": {},
+    "cache-off": {"flow_cache": False},
+    "fastpath-on": {"flow_cache": True, "fastpath": True},
+}
+
+
+def _monitored(app, seed, arm):
+    """A chaos scenario and a log of its sink's arrival times."""
+    scenario = build_scenario(app, seed, **ARMS[arm])
+    return scenario, ReconvergenceMonitor(scenario.network.sim, scenario.sink)
+
+
+def _finish(scenario, monitor) -> dict:
+    """Run ``scenario`` to its end; the observables a restore must keep."""
+    network = scenario.network
+    network.run(until_ps=scenario.duration_ps)
+    # Settle fused in-flight windows at the cutoff, as the chaos
+    # harness does: a fused hop's counters land at delivery otherwise.
+    for _name, switch in sorted(network.switches.items()):
+        switch.fastpath_disrupt()
+    return {
+        "now_ps": network.sim.now_ps,
+        "hosts": [
+            (name, h.sent_packets, h.sent_bytes, h.received_packets,
+             h.received_bytes, h.tx_drops)
+            for name, h in sorted(network.hosts.items())
+        ],
+        "fingerprint": scenario.fingerprint(monitor.arrivals),
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    app=st.sampled_from(sorted(SCENARIOS)),
+    seed=st.integers(1, 1_000),
+    arm=st.sampled_from(sorted(ARMS)),
+    cut_permille=st.integers(1, 999),
+    via_fork=st.booleans(),
+)
+def test_mid_run_round_trip_matches_the_uninterrupted_run(
+    app, seed, arm, cut_permille, via_fork
+):
+    straight, straight_monitor = _monitored(app, seed, arm)
+    expected = _finish(straight, straight_monitor)
+    scenario, monitor = _monitored(app, seed, arm)
+    scenario.network.run(until_ps=scenario.duration_ps * cut_permille // 1_000)
+    sim, state = scenario.network.sim, (scenario, monitor)
+    if via_fork:
+        _sim, (restored, monitor) = sim.fork(state=state)
+    else:
+        _sim, (restored, monitor), _header = loads_checkpoint(
+            dumps_checkpoint(sim, state=state)
+        )
+    resumed = _finish(restored, monitor)
+    if not straight.fastpath_totals()["fused"]:
+        # A restored run starts with cold caches and fuses later, so
+        # its kernel event count matches only where nothing fuses.
+        expected["events"] = straight.network.sim.events_executed
+        resumed["events"] = restored.network.sim.events_executed
+    assert resumed == expected

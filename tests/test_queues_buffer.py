@@ -1,7 +1,5 @@
 """Unit tests for packet queues and the shared buffer."""
 
-from collections import deque
-
 import pytest
 
 from repro.packet.builder import make_udp_packet
@@ -46,20 +44,6 @@ class TestPacketQueue:
         queue = PacketQueue(100)
         with pytest.raises(OverflowError):
             push(queue, pkt(458))
-
-    def test_state_with_bare_packets_restores_sizes(self):
-        # Queues pickled when they held bare packets, without sizes.
-        queue = PacketQueue(10_000)
-        push(queue, pkt(458))
-        push(queue, pkt(100))
-        state = dict(queue.__dict__)
-        state["_packets"] = deque(p for p, _size in queue._packets)
-        restored = PacketQueue.__new__(PacketQueue)
-        restored.__setstate__(state)
-        restored.pop()
-        assert restored.depth_bytes == 142
-        restored.pop()
-        assert restored.depth_bytes == 0
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
