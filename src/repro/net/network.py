@@ -2,21 +2,24 @@
 
 :class:`Network` owns the simulator, the nodes, and the links.  It
 routes each switch's transmit callback to the right link by output
-port, exposes a networkx graph view for route computation, and provides
-failure-injection helpers.
+port and exposes name-level views of the wiring.  :meth:`Network.graph`
+gives a networkx view for the route helpers in :mod:`repro.net.routing`;
+it imports networkx when called, so building and running a network
+needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.arch.base import SwitchBase
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.packet.packet import Packet
 from repro.sim.kernel import Simulator
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class _SwitchTx:
@@ -149,6 +152,8 @@ class Network:
 
     def graph(self) -> "nx.Graph":
         """A networkx view (nodes are names; edges carry the Link)."""
+        import networkx as nx
+
         graph = nx.Graph()
         for name in self.switches:
             graph.add_node(name, kind="switch")

@@ -1,15 +1,18 @@
 """Route computation over a :class:`~repro.net.network.Network`.
 
-Shortest paths come from networkx over the network graph; the helpers
-translate paths into the per-switch output ports that forwarding
-programs install in their tables.
+Two families of helpers.  :func:`shortest_path_ports`,
+:func:`all_pairs_ports` and :func:`install_ip_routes` take shortest
+paths from networkx over a realized network's graph and translate them
+into the per-switch output ports that forwarding programs install in
+their tables; networkx is imported only when one of them runs, so it is
+not a runtime dependency.  :func:`ecmp_routes` and
+:func:`ecmp_candidates` compute equal-cost routes from a pure
+:class:`~repro.net.topology.TopologySpec` with a standard-library BFS.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
-
-import networkx as nx
 
 from repro.net.network import Network
 
@@ -23,6 +26,8 @@ def shortest_path_ports(
     ``avoid_down_links`` is set, failed links are excluded — the route a
     control plane would compute after re-convergence.
     """
+    import networkx as nx
+
     graph = network.graph()
     if avoid_down_links:
         dead = [
