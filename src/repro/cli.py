@@ -263,13 +263,6 @@ def _run_event_source(source: str) -> Dict[str, List[str]]:
     return {}
 
 
-def event_sources() -> List[str]:
-    """Sources `events-stats` / `events-trace` can instrument."""
-    from repro import scenarios
-
-    return scenarios.names(tag="source")
-
-
 def run_events_stats(source: str = "microburst") -> None:
     """EventBus counters and dispatch-latency histograms for one experiment."""
     from repro.obs import DispatchLatencyHistogram, EventCounters, observing

@@ -11,7 +11,6 @@ from repro.net.link import Link
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.net.reliable import ReliableReceiver, ReliableSender
-from repro.net.routing import all_pairs_ports, shortest_path_ports
 from repro.net.topology import (
     build_dumbbell,
     build_leaf_spine,
@@ -29,6 +28,4 @@ __all__ = [
     "build_dumbbell",
     "build_leaf_spine",
     "LeafSpine",
-    "shortest_path_ports",
-    "all_pairs_ports",
 ]

@@ -2,24 +2,18 @@
 
 :class:`Network` owns the simulator, the nodes, and the links.  It
 routes each switch's transmit callback to the right link by output
-port and exposes name-level views of the wiring.  :meth:`Network.graph`
-gives a networkx view for the route helpers in :mod:`repro.net.routing`;
-it imports networkx when called, so building and running a network
-needs nothing beyond the standard library.
+port and exposes name-level views of the wiring.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.base import SwitchBase
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.packet.packet import Packet
 from repro.sim.kernel import Simulator
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 class _SwitchTx:
@@ -140,33 +134,6 @@ class Network:
             if ends == {name_a, name_b}:
                 return link
         return None
-
-    def port_towards(self, switch_name: str, neighbor_name: str) -> Optional[int]:
-        """The port of ``switch_name`` facing ``neighbor_name``, or None."""
-        for (name, port), link in self._switch_port_links.items():
-            if name != switch_name:
-                continue
-            if self._node_name(link.other_end(self.switches[switch_name])) == neighbor_name:
-                return port
-        return None
-
-    def graph(self) -> "nx.Graph":
-        """A networkx view (nodes are names; edges carry the Link)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for name in self.switches:
-            graph.add_node(name, kind="switch")
-        for name in self.hosts:
-            graph.add_node(name, kind="host")
-        for link in self.links:
-            graph.add_edge(
-                self._node_name(link.node_a),
-                self._node_name(link.node_b),
-                link=link,
-                latency_ps=link.latency_ps,
-            )
-        return graph
 
     # ------------------------------------------------------------------
     # Execution

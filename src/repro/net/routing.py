@@ -1,92 +1,19 @@
-"""Route computation over a :class:`~repro.net.network.Network`.
+"""Equal-cost route computation over a topology spec.
 
-Two families of helpers.  :func:`shortest_path_ports`,
-:func:`all_pairs_ports` and :func:`install_ip_routes` take shortest
-paths from networkx over a realized network's graph and translate them
-into the per-switch output ports that forwarding programs install in
-their tables; networkx is imported only when one of them runs, so it is
-not a runtime dependency.  :func:`ecmp_routes` and
-:func:`ecmp_candidates` compute equal-cost routes from a pure
-:class:`~repro.net.topology.TopologySpec` with a standard-library BFS.
+:func:`ecmp_routes` and :func:`ecmp_candidates` compute routes from a
+pure :class:`~repro.net.topology.TopologySpec`, not from a realized
+network: sharded workers only hold their local slice of one.  Every
+worker (and the serial reference run) derives byte-identical forwarding
+tables from the same spec — route choice is part of the deterministic
+behavior contract.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Tuple
 
-from repro.net.network import Network
-
-
-def shortest_path_ports(
-    network: Network, src: str, dst: str, avoid_down_links: bool = True
-) -> List[Tuple[str, int]]:
-    """Per-switch (switch name, output port) hops from ``src`` to ``dst``.
-
-    ``src``/``dst`` are node names (hosts or switches).  When
-    ``avoid_down_links`` is set, failed links are excluded — the route a
-    control plane would compute after re-convergence.
-    """
-    import networkx as nx
-
-    graph = network.graph()
-    if avoid_down_links:
-        dead = [
-            (u, v) for u, v, data in graph.edges(data=True) if not data["link"].up
-        ]
-        graph.remove_edges_from(dead)
-    path = nx.shortest_path(graph, src, dst, weight="latency_ps")
-    hops: List[Tuple[str, int]] = []
-    for here, nxt in zip(path, path[1:]):
-        if here in network.switches:
-            port = network.port_towards(here, nxt)
-            if port is None:
-                raise ValueError(f"no port from {here} towards {nxt}")
-            hops.append((here, port))
-    return hops
-
-
-def all_pairs_ports(network: Network) -> Dict[Tuple[str, str], List[Tuple[str, int]]]:
-    """Shortest-path hops for every (host, host) pair."""
-    routes: Dict[Tuple[str, str], List[Tuple[str, int]]] = {}
-    names = sorted(network.hosts)
-    for src in names:
-        for dst in names:
-            if src == dst:
-                continue
-            routes[(src, dst)] = shortest_path_ports(network, src, dst)
-    return routes
-
-
-def install_ip_routes(
-    network: Network,
-    forwarding_tables: Dict[str, Dict[int, int]],
-) -> None:
-    """Populate per-switch {dst_ip: port} dicts from shortest paths.
-
-    ``forwarding_tables`` maps switch name → its (mutable) table; the
-    helper fills each with an entry per destination host IP.
-    """
-    for (src, dst), hops in all_pairs_ports(network).items():
-        dst_ip = network.hosts[dst].ip
-        for switch_name, port in hops:
-            table = forwarding_tables.get(switch_name)
-            if table is not None:
-                table[dst_ip] = port
-
-
-# ---------------------------------------------------------------------------
-# Spec-based ECMP routing
-#
-# The helpers above need a realized Network; sharded workers only hold
-# their local slice of one, so ECMP routes are computed from the pure
-# TopologySpec instead.  Every worker (and the serial reference run)
-# derives byte-identical forwarding tables from the same spec — route
-# choice is part of the deterministic behavior contract.
-# ---------------------------------------------------------------------------
-
-import zlib  # noqa: E402
-
-from repro.net.topology import TopologySpec  # noqa: E402
+from repro.net.topology import TopologySpec
 
 
 def _spec_adjacency(spec: TopologySpec) -> Dict[str, List[Tuple[str, int]]]:

@@ -337,21 +337,6 @@ def build_leaf_spine(
 # ----------------------------------------------------------------------
 # k-ary fat tree (Al-Fahoum/Clos parameterization used by P4-era fabrics)
 # ----------------------------------------------------------------------
-@dataclass
-class FatTree:
-    """A built fat-tree fabric and its wiring maps."""
-
-    network: Network
-    spec: TopologySpec
-    #: pod index -> edge switches (each with k/2 host ports).
-    edges: Dict[int, List[SwitchBase]] = field(default_factory=dict)
-    #: pod index -> aggregation switches.
-    aggs: Dict[int, List[SwitchBase]] = field(default_factory=dict)
-    cores: List[SwitchBase] = field(default_factory=list)
-    #: pod index -> hosts in that pod.
-    hosts: Dict[int, List[Host]] = field(default_factory=dict)
-
-
 def fat_tree_spec(k: int = 4, link_latency_ps: int = 1_000_000) -> TopologySpec:
     """A k-ary fat tree as pure data.
 
@@ -417,29 +402,6 @@ def fat_tree_spec(k: int = 4, link_latency_ps: int = 1_000_000) -> TopologySpec:
     return spec
 
 
-def build_fat_tree(
-    factory: SwitchFactory,
-    k: int = 4,
-    link_latency_ps: int = 1_000_000,
-    sim: Simulator = None,
-) -> FatTree:
-    """Instantiate :func:`fat_tree_spec` with a switch factory."""
-    spec = fat_tree_spec(k=k, link_latency_ps=link_latency_ps)
-    network = realize(spec, factory, sim=sim)
-    half = k // 2
-    fabric = FatTree(network=network, spec=spec)
-    for p in range(k):
-        fabric.edges[p] = [network.switches[f"edge{p}_{e}"] for e in range(half)]
-        fabric.aggs[p] = [network.switches[f"agg{p}_{a}"] for a in range(half)]
-        fabric.hosts[p] = [
-            network.hosts[f"h{p}_{e}_{i}"]
-            for e in range(half)
-            for i in range(half)
-        ]
-    fabric.cores = [network.switches[f"core{c}"] for c in range(half * half)]
-    return fabric
-
-
 # Partitioning lives in repro.net.partition; re-exported here because
 # the topology module is the natural place callers look for it.
 from repro.net.partition import Partition, partition_spec  # noqa: E402
@@ -455,9 +417,7 @@ __all__ = [
     "LeafSpine",
     "leaf_spine_spec",
     "build_leaf_spine",
-    "FatTree",
     "fat_tree_spec",
-    "build_fat_tree",
     "Partition",
     "partition_spec",
 ]

@@ -8,9 +8,7 @@ observers that turn that stream into numbers and artifacts:
   handled / dropped counters,
 * :class:`DispatchLatencyHistogram` — log2-bucketed staleness of every
   handler dispatch, keyed off ``Simulator.now_ps``,
-* :class:`JsonlTraceSink` — a JSONL event trace, optionally paired with
-  a binary packet capture replayable by
-  :class:`~repro.packet.trace.TraceReplayer`,
+* :class:`JsonlTraceSink` — a JSONL event trace,
 * :class:`RecordingObserver` — the in-memory equivalent, used by the
   determinism tests,
 * :class:`CallbackProfiler` — a kernel-level tap counting executed

@@ -1,12 +1,7 @@
 """Event-trace sinks: JSONL on disk, or in-memory for tests.
 
 :class:`JsonlTraceSink` streams one JSON object per line for every
-publish / dispatch / drop the observed buses see — the event-path
-analogue of the packet traces in :mod:`repro.packet.trace`.  Give it a
-:class:`~repro.packet.trace.TraceWriter` and it additionally captures
-the wire bytes of every admitted packet-carrying event publish, so the
-packet side of an event trace replays byte-exactly through the existing
-:class:`~repro.packet.trace.TraceReplayer` tooling.
+publish / dispatch / drop the observed buses see.
 
 :class:`RecordingObserver` keeps the same records in memory, with a
 :meth:`~RecordingObserver.normalized` view that erases process-global
@@ -19,11 +14,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, TextIO, Tuple
 
 from repro.arch.bus import BusObserver, EventBus
 from repro.arch.events import Event
-from repro.packet.trace import TraceWriter
 
 
 class JsonlTraceSink(BusObserver):
@@ -37,12 +31,7 @@ class JsonlTraceSink(BusObserver):
     * ``{"phase": "drop", ...}``
     """
 
-    def __init__(
-        self,
-        target,
-        include_dispatch: bool = True,
-        packet_trace: Optional[TraceWriter] = None,
-    ) -> None:
+    def __init__(self, target, include_dispatch: bool = True) -> None:
         if isinstance(target, (str, os.PathLike)):
             self._stream: TextIO = open(target, "w")
             self._owns = True
@@ -50,7 +39,6 @@ class JsonlTraceSink(BusObserver):
             self._stream = target
             self._owns = False
         self.include_dispatch = include_dispatch
-        self.packet_trace = packet_trace
         self.records_written = 0
 
     # ------------------------------------------------------------------
@@ -60,8 +48,6 @@ class JsonlTraceSink(BusObserver):
         record = event.to_record()
         record.update(phase="publish", admitted=admitted)
         self._write(bus, record)
-        if self.packet_trace is not None and admitted and event.pkt is not None:
-            self.packet_trace.write_packet(event.time_ps, event.pkt)
 
     def on_dispatch(
         self, bus: EventBus, event: Event, latency_ps: int, handled: bool
@@ -91,8 +77,6 @@ class JsonlTraceSink(BusObserver):
         self._stream.flush()
         if self._owns:
             self._stream.close()
-        if self.packet_trace is not None:
-            self.packet_trace.close()
 
     def __enter__(self) -> "JsonlTraceSink":
         return self

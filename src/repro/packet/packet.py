@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
 
-from repro.packet.headers import Ethernet, Header, Ipv4, Tcp, Udp
+from repro.packet.headers import Header, Ipv4, Tcp, Udp
 
 _packet_ids = itertools.count()
 
@@ -218,8 +218,3 @@ class Packet:
             f"Packet(#{self.pkt_id}, {names}, len={self.total_len}B, "
             f"in={self.ingress_port}, out={self.egress_port})"
         )
-
-
-def ethernet_of(pkt: Packet) -> Ethernet:
-    """Convenience accessor for the Ethernet header."""
-    return pkt.require(Ethernet)  # type: ignore[return-value]

@@ -11,7 +11,6 @@ counters, meters, sketches, PIFO queues, and the paper's new
 from repro.pisa.action import Action, ActionCall
 from repro.pisa.metadata import StandardMetadata
 from repro.pisa.pipeline import Pipeline
-from repro.pisa.stage import Stage
 from repro.pisa.table import (
     ExactTable,
     LpmTable,
@@ -31,7 +30,6 @@ __all__ = [
     "ActionCall",
     "StandardMetadata",
     "Pipeline",
-    "Stage",
     "Table",
     "TableEntry",
     "ExactTable",

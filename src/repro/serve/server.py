@@ -3,13 +3,15 @@
 Both frontends speak the same line protocol (:mod:`repro.serve.protocol`)
 against one shared :class:`~repro.serve.service.JobService`:
 
-* **stdio** — one client, the process's own stdin/stdout.  The shape a
-  shell pipeline or a supervising process uses (and what the CI smoke
-  test drives): write request lines, read reply and event lines.
+* **stdio** — one client, the process's own stdin/stdout, and the
+  default when no ``--socket`` is given.  The shape a shell pipeline or
+  a supervising process uses: write request lines, read reply and event
+  lines (``tests/test_serve.py`` drives it in a subprocess).
 * **socket** — ``asyncio.start_unix_server`` on a filesystem path;
   any number of concurrent local clients, each with its own event
-  stream.  Telemetry pushes go only to the clients subscribed to the
-  job (its submitter, plus anyone who resumed it).
+  stream (what ``tools/serve_smoke.py`` drives).  Telemetry pushes go
+  only to the clients subscribed to the job (its submitter, plus anyone
+  who resumed it).
 
 Replies and pushed events interleave on one output stream; clients
 tell them apart by shape (``ok`` vs ``event`` key).  Per connection, a

@@ -21,7 +21,6 @@ from repro.sim.units import (
     SECONDS,
     bits_to_time_ps,
     bytes_to_time_ps,
-    gbps,
     time_ps_to_seconds,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "MILLISECONDS",
     "SECONDS",
     "GIGAHERTZ",
-    "gbps",
     "bits_to_time_ps",
     "bytes_to_time_ps",
     "time_ps_to_seconds",

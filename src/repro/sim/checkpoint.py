@@ -11,8 +11,8 @@ A checkpoint captures everything a deterministic resume needs:
   :class:`repro.state.store.StateStore` (extern cells, link state) and
   every :class:`repro.sim.rng.SeededRng` (``random.Random`` pickles
   with its Mersenne state), and
-* a manifest of live StateStores (extern metadata) for inspection
-  without loading the payload.
+* a manifest of the StateStores in the payload (extern metadata) for
+  inspection without loading it.
 
 On-disk format: two consecutive pickle frames in one file.  Frame one
 is a small JSON-able **header** dict — magic, version, clock, event
@@ -45,9 +45,10 @@ import io
 import pickle
 import sys
 import zlib
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.sim.kernel import Simulator
+from repro.state.store import StateStore
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -65,7 +66,7 @@ CHECKPOINT_MAGIC = "repro-checkpoint"
 
 #: The pickled layout this build writes and reads; bump it on any layout
 #: change (``tests/test_checkpoint.py`` pins the layout to it).
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Pickle protocol used for both frames (supported since Python 3.4).
 _PICKLE_PROTOCOL = 4
@@ -75,13 +76,34 @@ class CheckpointError(RuntimeError):
     """Raised for unreadable, foreign, corrupted, or other-version checkpoints."""
 
 
+def _pickle_payload(
+    sim: Simulator, state: Any
+) -> Tuple[bytes, List[Dict[str, Any]]]:
+    """The payload frame, and one manifest row per store it holds.
+
+    The pickler's memo holds every object the payload pickled, so the
+    rows describe exactly this payload's stores, not every store alive
+    in the process.  The memo is read once after pickling, so pickling
+    itself runs no Python hook per object.  Rows are sorted by name,
+    ties in pickling order (the memo index), so equal graphs give equal
+    headers.
+    """
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=_PICKLE_PROTOCOL)
+    pickler.dump({"sim": sim, "state": state})
+    stores = sorted(
+        (obj.name, index, obj)
+        for index, obj in pickler.memo.copy().values()
+        if type(obj) is StateStore
+    )
+    return buffer.getvalue(), [store.describe() for _name, _index, store in stores]
+
+
 def _write_checkpoint(
     fh, sim: Simulator, state: Any, label: str
 ) -> Dict[str, Any]:
     """Write the two-frame checkpoint format to a binary file object."""
-    from repro.state.store import store_manifest
-
-    payload = pickle.dumps({"sim": sim, "state": state}, protocol=_PICKLE_PROTOCOL)
+    payload, stores = _pickle_payload(sim, state)
     header: Dict[str, Any] = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -90,7 +112,7 @@ def _write_checkpoint(
         "now_ps": sim.now_ps,
         "events_executed": sim.events_executed,
         "pending_events": sim.pending_events,
-        "stores": store_manifest(),
+        "stores": stores,
         "payload_crc32": zlib.crc32(payload),
     }
     pickle.dump(header, fh, protocol=_PICKLE_PROTOCOL)

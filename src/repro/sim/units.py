@@ -23,15 +23,6 @@ SECONDS = 1_000_000_000_000
 GIGAHERTZ = 1_000
 
 
-def gbps(rate: float) -> float:
-    """Return a link rate in bits per picosecond for ``rate`` Gb/s.
-
-    10 Gb/s is 0.01 bits per picosecond; callers should prefer
-    :func:`bits_to_time_ps` which keeps the arithmetic in integers.
-    """
-    return rate / 1_000.0
-
-
 def bits_to_time_ps(bits: int, rate_gbps: float) -> int:
     """Serialization time in picoseconds of ``bits`` at ``rate_gbps`` Gb/s.
 

@@ -42,10 +42,7 @@ _EXPORTS = {
     "MultiPipeResult": "repro.state.replication",
     "run_multipipe": "repro.state.replication",
     "StateStore": "repro.state.store",
-    "DenseStore": "repro.state.store",
     "make_store": "repro.state.store",
-    "registered_stores": "repro.state.store",
-    "store_manifest": "repro.state.store",
 }
 
 __all__ = sorted(_EXPORTS)

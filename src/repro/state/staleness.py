@@ -5,9 +5,9 @@ algorithmic state will sometimes be stale ... staleness is bounded if
 the pipeline runs slightly faster than the line rate."
 
 :class:`StalenessTracker` samples (truth, observed) pairs over time and
-summarizes the error — both in value terms (how wrong was the queue
-size a packet event read) and lag terms (how many cycles behind the
-main register ran).
+summarizes the error in value terms (how wrong was the queue size a
+packet event read); its report carries the lag terms (how many cycles
+behind the main register ran) that the register file measured.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ class StalenessTracker:
         self.stale_samples = 0
         self.max_error = 0
         self.total_error = 0
-        self.max_lag_cycles = 0
-        self.total_lag_cycles = 0
-        self.lag_samples = 0
 
     def record_value(self, truth: int, observed: int) -> None:
         """Record one packet-event read of possibly stale state."""
@@ -56,23 +53,14 @@ class StalenessTracker:
         self.max_error = max(self.max_error, error)
         self.total_error += error
 
-    def record_lag(self, lag_cycles: int) -> None:
-        """Record how long one aggregated op waited before draining."""
-        if lag_cycles < 0:
-            raise ValueError(f"lag must be non-negative, got {lag_cycles}")
-        self.lag_samples += 1
-        self.max_lag_cycles = max(self.max_lag_cycles, lag_cycles)
-        self.total_lag_cycles += lag_cycles
-
-    def report(self) -> StalenessReport:
-        """Summarize everything recorded so far."""
+    def report(self, max_lag_cycles: int, mean_lag_cycles: float) -> StalenessReport:
+        """Summarize the values recorded so far, with the lag the caller
+        measured (how many cycles behind the main register ran)."""
         return StalenessReport(
             samples=self.samples,
             max_error=self.max_error,
             mean_error=self.total_error / self.samples if self.samples else 0.0,
             stale_fraction=self.stale_samples / self.samples if self.samples else 0.0,
-            max_lag_cycles=self.max_lag_cycles,
-            mean_lag_cycles=(
-                self.total_lag_cycles / self.lag_samples if self.lag_samples else 0.0
-            ),
+            max_lag_cycles=max_lag_cycles,
+            mean_lag_cycles=mean_lag_cycles,
         )

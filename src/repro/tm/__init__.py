@@ -10,7 +10,6 @@ the architecture turns into a data-plane event.
 from repro.tm.queues import PacketQueue, QueueStats
 from repro.tm.buffer import SharedBuffer
 from repro.tm.scheduler import (
-    DeficitRoundRobinScheduler,
     FifoScheduler,
     PifoScheduler,
     Scheduler,
@@ -25,7 +24,6 @@ __all__ = [
     "Scheduler",
     "FifoScheduler",
     "StrictPriorityScheduler",
-    "DeficitRoundRobinScheduler",
     "PifoScheduler",
     "TrafficManager",
     "TmEventHooks",

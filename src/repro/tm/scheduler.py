@@ -4,13 +4,12 @@ A scheduler picks which of a port's queues to serve next.  The paper
 (§3, traffic management) notes that packet scheduling is not currently
 P4-programmable; combining the event-driven model with a PIFO yields a
 programmable scheduler — :class:`PifoScheduler` is that combination,
-while FIFO, strict-priority, and deficit-round-robin are the
-fixed-function baselines.
+while FIFO and strict priority are the fixed-function baselines.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.packet.packet import Packet
 from repro.pisa.externs.pifo import PifoQueue
@@ -60,54 +59,6 @@ class StrictPriorityScheduler(Scheduler):
             if not queue.empty:
                 return index
         return None
-
-
-class DeficitRoundRobinScheduler(Scheduler):
-    """Deficit round robin with per-queue quanta (byte-fair service)."""
-
-    def __init__(self, queues: Sequence[PacketQueue], quantum_bytes: int = 1500) -> None:
-        super().__init__(queues)
-        if quantum_bytes <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum_bytes}")
-        self.quantum_bytes = quantum_bytes
-        self._deficit: List[int] = [0] * len(self.queues)
-        # Whether the current visit to each queue has received its
-        # quantum yet (classic DRR grants the quantum once per visit).
-        self._granted: List[bool] = [False] * len(self.queues)
-        self._next = 0
-
-    def _advance(self) -> None:
-        self._next = (self._next + 1) % len(self.queues)
-        self._granted[self._next] = False
-
-    def select(self) -> Optional[int]:
-        if not self.has_packets():
-            return None
-        # A queue's deficit persists across rounds while it stays
-        # backlogged, so heads larger than one quantum are eventually
-        # served; the loop bound covers enough rounds for that.
-        max_head = max(
-            (q.peek().total_len for q in self.queues if not q.empty), default=0
-        )
-        rounds = 2 + max_head // self.quantum_bytes
-        for _ in range(rounds * len(self.queues) + 4):
-            index = self._next
-            queue = self.queues[index]
-            if queue.empty:
-                self._deficit[index] = 0
-                self._advance()
-                continue
-            if not self._granted[index]:
-                self._deficit[index] += self.quantum_bytes
-                self._granted[index] = True
-            head = queue.peek()
-            assert head is not None
-            if self._deficit[index] >= head.total_len:
-                self._deficit[index] -= head.total_len
-                return index
-            # Visit exhausted; keep the remaining deficit for next round.
-            self._advance()
-        return None  # pragma: no cover - unreachable with sane quanta
 
 
 RankFn = Callable[[Packet], int]

@@ -14,7 +14,6 @@ from repro.workloads.poisson import PoissonTraffic
 from repro.workloads.bursts import OnOffBurst
 from repro.workloads.zipf import ZipfFlowMix
 from repro.workloads.incast import IncastWave
-from repro.workloads.selfsimilar import ParetoOnOffSource, SelfSimilarTraffic
 from repro.workloads.sink import LatencySink, PacketSink
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "OnOffBurst",
     "ZipfFlowMix",
     "IncastWave",
-    "SelfSimilarTraffic",
-    "ParetoOnOffSource",
     "PacketSink",
     "LatencySink",
 ]

@@ -5,6 +5,7 @@ Guarantees under test:
 
 * a restored kernel replays a byte-identical ``(time, priority, seqno)``
   execution trace, pinned to a golden digest,
+* the header lists exactly the state stores its payload carries,
 * a file of any other format version, a truncated or bit-flipped file,
   and a payload naming a removed class all fail as
   :class:`CheckpointError`, while the header of any version stays
@@ -177,6 +178,27 @@ def test_header_contents_and_inspect(tmp_path):
         assert zlib.crc32(fh.read()) == header["payload_crc32"]
 
 
+def test_header_lists_only_the_payloads_stores():
+    """The header describes the stores this checkpoint carries, not every
+    store alive in the process: a second simulator's stores stay out."""
+    from repro.faults.scenarios import build_scenario
+
+    chain = build_scenario("l3chain", 1)
+    bystander = build_scenario("hula", 1)  # alive, never checkpointed
+    chain.network.run(until_ps=chain.duration_ps // 2)
+    header = pickle.loads(dumps_checkpoint(chain.network.sim, state=chain))
+    switches = sorted(chain.network.switches.items())
+    assert header["stores"] == [
+        store.describe()
+        for _name, switch in switches
+        for store in switch.state_stores()
+    ]
+    assert [row["name"] for row in header["stores"]] == [
+        "s0.links", "s1.links", "s2.links"
+    ]
+    assert bystander.network.switches["leaf0"].state_stores()
+
+
 def test_rejects_foreign_and_future_files(tmp_path):
     garbage = tmp_path / "garbage.ckpt"
     garbage.write_bytes(b"not a pickle at all")
@@ -229,7 +251,10 @@ def _blob_naming(name: str) -> bytes:
     )
 
 
-@pytest.mark.parametrize("name", ["DictStore", "ShadowStore", "_rebuild_dict"])
+@pytest.mark.parametrize(
+    "name",
+    ["DictStore", "ShadowStore", "_rebuild_dict", "DenseStore", "_rebuild_dense"],
+)
 def test_payload_naming_a_removed_store_class_is_a_checkpoint_error(tmp_path, name):
     blob = _blob_naming(name)
     with pytest.raises(CheckpointError, match="corrupt checkpoint payload"):
@@ -273,8 +298,8 @@ def test_truncated_or_bit_flipped_checkpoint_is_a_checkpoint_error(data):
 # ----------------------------------------------------------------------
 #: ``(CHECKPOINT_VERSION, digest of the pickled layout)``, see below.
 PINNED_LAYOUT = (
-    2,
-    "a3d2f44eeb054fb7c7e9aade416f904b4169d1cd5b99de315103bb708f3174b4",
+    3,
+    "a48a0a3875689ba400647d5dab1ed22d2dcb824039ff421b390d1d3316f30eaa",
 )
 
 
@@ -611,3 +636,44 @@ def test_tm_backlog_behind_a_disabled_port_resumes_identically():
     straight = _drain(*_queued_tm())
     assert resumed == straight
     assert [entry[0] for entry in resumed[0]].count("egress") == 6
+
+
+# ----------------------------------------------------------------------
+# A checkpoint cut while a slow port serializes
+# ----------------------------------------------------------------------
+def _slow_port_tm():
+    """A TM whose slow port is serializing its first packet at the cut
+    (500 ps), with a second arrival due at 1,000 ps: long before that
+    transmission ends, so the arrival must wait behind it."""
+    import functools
+
+    from repro.packet.builder import make_udp_packet
+    from repro.tm.traffic_manager import TrafficManager
+
+    sim = Simulator()
+    tm = TrafficManager(sim, port_count=1, port_rate_gbps=0.001)
+    recorder = TmRecorder(sim)
+    tm.set_egress_callback(recorder.egress)
+    for kind in ("enqueue", "dequeue", "underflow", "transmit"):
+        setattr(tm.hooks, f"on_{kind}", functools.partial(recorder.hook, kind))
+    for at_ps, payload_len in ((0, 100), (1_000, 200)):
+        pkt = make_udp_packet(1, 2, payload_len=payload_len)
+        pkt.egress_port = 0
+        sim.call_at(at_ps, tm.enqueue, pkt)
+    sim.run(until_ps=500)
+    return sim, tm, recorder
+
+
+def test_checkpoint_while_a_slow_port_serializes_resumes_identically():
+    sim, tm, recorder = _slow_port_tm()
+    assert tm.ports[0].busy  # the cut falls inside the first transmission
+    restored_sim, (_tm, restored), _header = loads_checkpoint(
+        dumps_checkpoint(sim, state=(tm, recorder))
+    )
+    restored_sim.run()
+    straight_sim, _tm, straight = _slow_port_tm()
+    straight_sim.run()
+    assert restored.log == straight.log
+    egress = [entry for entry in straight.log if entry[0] == "egress"]
+    assert [entry[2] for entry in egress] == [142, 242]
+    assert egress[1][1] > 2 * egress[0][1]  # back to back, not overlapping

@@ -348,23 +348,11 @@ def test_table_getstate_drops_lookup_memo():
 # Subprocess equivalence: whole experiments, env-toggled like CI
 # ----------------------------------------------------------------------
 _SCENARIO_SCRIPT = """
-import dataclasses, json, sys
+import json, sys
 
-MS = 1_000_000_000
 scenario = sys.argv[1]
 
-if scenario == "microburst":
-    from repro.experiments.microburst_exp import run_event_driven
-    digest = dataclasses.asdict(run_event_driven(duration_ps=4 * MS, seed=7))
-elif scenario == "hula":
-    from repro.experiments.hula_exp import run_load_balance
-    digest = dataclasses.asdict(run_load_balance(duration_ps=3 * MS, seed=7))
-elif scenario == "netcache":
-    from repro.experiments.netcache_exp import run_netcache
-    digest = dataclasses.asdict(
-        run_netcache(duration_ps=8 * MS, shift_at_ps=4 * MS, seed=7)
-    )
-elif scenario == "l3fwd":
+if scenario == "l3fwd":
     from repro.apps.l3fwd import L3Router
     from repro.experiments.factories import make_baseline_switch
     from repro.net.topology import build_linear
@@ -410,7 +398,10 @@ else:
 print(json.dumps(digest, sort_keys=True, default=repr))
 """
 
-SCENARIOS = ("microburst", "hula", "netcache", "l3fwd", "fattree_sharded")
+#: Only programs with a ``pipeline_spec`` compile, so only they can
+#: differ between the toggle's settings: the L3 router alone, and the
+#: sharded fat tree of L3 routers.
+SCENARIOS = ("l3fwd", "fattree_sharded")
 
 
 def _run_scenario(scenario, compile_flag):

@@ -64,9 +64,7 @@ def test_each_arch_and_pisa_module_imports_first():
 
 def test_every_module_imports_without_site_packages():
     # ``-S`` leaves only the standard library and ``src`` on the path, so
-    # a module-level import of any installed package (networkx for one:
-    # only the route helpers use it, and they import it when called)
-    # fails here.
+    # a module-level import of any installed package fails here.
     count, failures = _import_all("-S", "-c", _CHILD, "warm", "repro")
     assert count >= 150  # the whole tree was walked
     assert failures == ""

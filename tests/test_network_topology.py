@@ -1,4 +1,4 @@
-"""Unit tests for network wiring, topology builders, and routing."""
+"""Unit tests for network wiring and topology builders."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.arch.description import BASELINE_PSA
 from repro.experiments.factories import make_baseline_switch, make_sume_switch
 from repro.net.host import Host
 from repro.net.network import Network
-from repro.net.routing import all_pairs_ports, install_ip_routes, shortest_path_ports
 from repro.net.topology import (
     build_dumbbell,
     build_leaf_spine,
@@ -14,6 +13,12 @@ from repro.net.topology import (
     with_ports,
 )
 from repro.packet.builder import make_udp_packet
+
+
+def port_facing(network, switch_name, neighbor_name):
+    """The port of ``switch_name`` on its link to ``neighbor_name``."""
+    link = network.link_between(switch_name, neighbor_name)
+    return link.port_a if link.node_a.name == switch_name else link.port_b
 
 
 class TestNetwork:
@@ -37,19 +42,13 @@ class TestNetwork:
         with pytest.raises(ValueError):
             network.connect(h1, 0, s0, 0)
 
-    def test_link_between_and_port_towards(self):
+    def test_link_between_and_port_facing(self):
         network = build_linear(make_baseline_switch(), switch_count=2)
         assert network.link_between("s0", "s1") is not None
         assert network.link_between("s0", "h1") is None
-        assert network.port_towards("s0", "s1") == 1
-        assert network.port_towards("s1", "s0") == 0
-        assert network.port_towards("s0", "h0") == 0
-
-    def test_graph_view(self):
-        network = build_linear(make_baseline_switch(), switch_count=2)
-        graph = network.graph()
-        assert set(graph.nodes) == {"s0", "s1", "h0", "h1"}
-        assert graph.number_of_edges() == 3
+        assert port_facing(network, "s0", "s1") == 1
+        assert port_facing(network, "s1", "s0") == 0
+        assert port_facing(network, "s0", "h0") == 0
 
     def test_unconnected_port_tx_is_silent(self):
         network = Network()
@@ -82,8 +81,8 @@ class TestTopologies:
         network = build_dumbbell(make_baseline_switch(), senders=3, receivers=2)
         assert set(network.switches) == {"s0", "s1"}
         assert set(network.hosts) == {"tx0", "tx1", "tx2", "rx0", "rx1"}
-        assert network.port_towards("s0", "s1") == 0
-        assert network.port_towards("s0", "tx0") == 1
+        assert port_facing(network, "s0", "s1") == 0
+        assert port_facing(network, "s0", "tx0") == 1
 
     def test_leaf_spine_shape(self):
         fabric = build_leaf_spine(
@@ -95,8 +94,8 @@ class TestTopologies:
         assert fabric.host_port_base["leaf0"] == 3
         assert len(fabric.hosts["leaf1"]) == 2
         # Leaf 0 port j reaches spine j.
-        assert fabric.network.port_towards("leaf0", "spine2") == 2
-        assert fabric.network.port_towards("spine1", "leaf1") == 1
+        assert port_facing(fabric.network, "leaf0", "spine2") == 2
+        assert port_facing(fabric.network, "spine1", "leaf1") == 1
 
     def test_with_ports(self):
         description = with_ports(BASELINE_PSA, 9)
@@ -110,36 +109,3 @@ class TestTopologies:
             build_dumbbell(make_baseline_switch(), senders=0)
         with pytest.raises(ValueError):
             build_leaf_spine(make_baseline_switch(), leaf_count=0)
-
-
-class TestRouting:
-    def test_shortest_path_ports(self):
-        network = build_linear(make_baseline_switch(), switch_count=3)
-        hops = shortest_path_ports(network, "h0", "h1")
-        assert hops == [("s0", 1), ("s1", 1), ("s2", 1)]
-        back = shortest_path_ports(network, "h1", "h0")
-        assert back == [("s2", 0), ("s1", 0), ("s0", 0)]
-
-    def test_avoids_down_links(self):
-        fabric = build_leaf_spine(make_baseline_switch(), 2, 2, 1)
-        network = fabric.network
-        via = shortest_path_ports(network, "h0_0", "h1_0")
-        first_uplink = via[0][1]
-        link = network.link_between("leaf0", f"spine{first_uplink}")
-        link.set_up(False)
-        rerouted = shortest_path_ports(network, "h0_0", "h1_0")
-        assert rerouted[0][1] != first_uplink
-
-    def test_all_pairs(self):
-        network = build_linear(make_baseline_switch(), switch_count=1)
-        routes = all_pairs_ports(network)
-        assert set(routes) == {("h0", "h1"), ("h1", "h0")}
-
-    def test_install_ip_routes(self):
-        network = build_linear(make_baseline_switch(), switch_count=2)
-        tables = {"s0": {}, "s1": {}}
-        install_ip_routes(network, tables)
-        h1_ip = network.hosts["h1"].ip
-        h0_ip = network.hosts["h0"].ip
-        assert tables["s0"][h1_ip] == 1
-        assert tables["s1"][h0_ip] == 0

@@ -4,9 +4,7 @@ import io
 import json
 
 from repro.arch.bus import EventBus
-from repro.arch.event_driven import LogicalEventSwitch
 from repro.arch.events import Event, EventType
-from repro.arch.program import P4Program, handler
 from repro.cli import main
 from repro.experiments.psa_fig_exp import run_architecture
 from repro.obs import (
@@ -18,8 +16,6 @@ from repro.obs import (
     observing,
     read_events_trace,
 )
-from repro.packet.builder import make_udp_packet
-from repro.packet.trace import TraceReader, TraceReplayer, TraceWriter
 from repro.sim.kernel import Simulator
 
 
@@ -134,40 +130,6 @@ def test_jsonl_sink_can_exclude_dispatch():
     stream.seek(0)
     records = read_events_trace(stream)
     assert [record["phase"] for record in records] == ["publish"]
-
-
-class Forwarder(P4Program):
-    @handler(EventType.INGRESS_PACKET)
-    def ingress(self, ctx, pkt, meta):
-        meta.send_to_port(1)
-
-
-def test_packet_trace_side_channel_replays():
-    """Packets captured alongside the event trace replay byte-exactly."""
-    sim = Simulator()
-    switch = LogicalEventSwitch(sim)
-    switch.load_program(Forwarder())
-    switch.set_tx_callback(lambda pkt, port: None)
-    capture = io.BytesIO()
-    sink = JsonlTraceSink(io.StringIO(), packet_trace=TraceWriter(capture))
-    switch.bus.add_observer(sink)
-    for i in range(3):
-        sim.call_at((i + 1) * 1000, switch.receive, make_udp_packet(1, 2), 0)
-    sim.run()
-    sink.close()
-
-    capture.seek(0)
-    records = TraceReader(capture).read_all()
-    # Every admitted packet-carrying publish was captured.
-    assert len(records) >= 3
-
-    replay_sim = Simulator()
-    replayed = []
-    replayer = TraceReplayer(replay_sim, records, replayed.append)
-    assert replayer.schedule() == len(records)
-    replay_sim.run()
-    assert len(replayed) == len(records)
-    assert replayed[0].payload_len == make_udp_packet(1, 2).payload_len
 
 
 # ----------------------------------------------------------------------

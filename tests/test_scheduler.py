@@ -5,7 +5,6 @@ import pytest
 from repro.packet.builder import make_udp_packet
 from repro.tm.queues import PacketQueue
 from repro.tm.scheduler import (
-    DeficitRoundRobinScheduler,
     FifoScheduler,
     PifoScheduler,
     StrictPriorityScheduler,
@@ -72,39 +71,6 @@ class TestStrictPriority:
         order = [0 if sched.select() == 0 else 1 for _ in range(3)
                  if sched.dequeue() is not None]
         assert 1 not in order[:2]
-
-
-class TestDrr:
-    def test_byte_fair_service(self):
-        # Queue 0 holds big packets, queue 1 small ones; DRR should give
-        # both roughly equal bytes of service.
-        queues = make_queues(2)
-        sched = DeficitRoundRobinScheduler(queues, quantum_bytes=1_500)
-        for _ in range(20):
-            push(queues[0], pkt(1_458))  # 1500B total
-        for _ in range(60):
-            push(queues[1], pkt(458))  # 500B total
-        served = {0: 0, 1: 0}
-        for _ in range(30):
-            entry = sched.dequeue()
-            assert entry is not None
-            packet, size = entry
-            assert size == packet.total_len
-            origin = 0 if size == 1_500 else 1
-            served[origin] += size
-        ratio = served[0] / served[1]
-        assert 0.5 < ratio < 2.0
-
-    def test_drains_to_empty(self):
-        queues = make_queues(2)
-        sched = DeficitRoundRobinScheduler(queues, quantum_bytes=100)
-        push(queues[0], pkt(1_436))
-        assert sched.dequeue() is not None
-        assert sched.dequeue() is None
-
-    def test_invalid_quantum(self):
-        with pytest.raises(ValueError):
-            DeficitRoundRobinScheduler(make_queues(1), quantum_bytes=0)
 
 
 class TestPifoScheduler:

@@ -4,6 +4,8 @@ Satellite guarantees under test:
 
 * submit/status/result/cancel round-trips over the service's handle
   path and over a real unix-socket server,
+* ``repro serve`` without ``--socket`` answers over its own
+  stdin/stdout and exits 0 on ``shutdown``,
 * queue saturation — submissions beyond the bound are refused
   synchronously, never silently dropped,
 * a worker process crash (``WorkerCrashed``) respawns the worker and
@@ -427,3 +429,31 @@ def test_socket_server_end_to_end(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+
+
+def test_stdio_server_end_to_end():
+    """The default mode: requests on stdin, one reply line each on stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC
+    requests = [
+        {"op": "hello"},
+        {"op": "scenarios", "tag": "paper"},
+        {"op": "shutdown"},
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "serve", "--workers", "1"],
+        input="".join(encode(request) for request in requests),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    hello, catalog, shutdown = [decode(line) for line in proc.stdout.splitlines()]
+    assert hello["ok"] and hello["protocol"] == 1 and hello["workers"] == 1
+    assert hello["scenarios"] > len(catalog["scenarios"]) > 0
+    assert catalog["ok"] and any(
+        item["name"] == "microburst/event-driven" for item in catalog["scenarios"]
+    )
+    assert all("paper" in item["tags"] for item in catalog["scenarios"])
+    assert shutdown == {"ok": True, "shutdown": True}

@@ -1,61 +1,10 @@
-"""Unit tests for physical stages, the allocator, and Pipeline."""
+"""Unit tests for Pipeline."""
 
 import pytest
 
 from repro.packet.builder import make_udp_packet
 from repro.pisa.metadata import StandardMetadata
 from repro.pisa.pipeline import Pipeline
-from repro.pisa.stage import Stage, StageAllocator
-from repro.pisa.table import ExactTable
-
-
-class TestStage:
-    def test_placement(self):
-        stage = Stage(0, memory_ports=2)
-        table = ExactTable("fwd")
-        stage.place_table(table)
-        stage.place_extern("reg", object())
-        assert "fwd" in stage.tables
-        assert "reg" in stage.externs
-
-    def test_duplicate_placement_rejected(self):
-        stage = Stage(0)
-        stage.place_table(ExactTable("fwd"))
-        with pytest.raises(ValueError):
-            stage.place_table(ExactTable("fwd"))
-        stage.place_extern("reg", object())
-        with pytest.raises(ValueError):
-            stage.place_extern("reg", object())
-
-    def test_invalid_ports(self):
-        with pytest.raises(ValueError):
-            Stage(0, memory_ports=0)
-
-
-class TestStageAllocator:
-    def test_first_fit_tables(self):
-        allocator = StageAllocator(stage_count=2, tables_per_stage=2)
-        stages = [allocator.allocate_table(ExactTable(f"t{i}")) for i in range(4)]
-        assert [stage.index for stage in stages] == [0, 0, 1, 1]
-
-    def test_overflow_raises(self):
-        allocator = StageAllocator(stage_count=1, tables_per_stage=1)
-        allocator.allocate_table(ExactTable("a"))
-        with pytest.raises(OverflowError):
-            allocator.allocate_table(ExactTable("b"))
-
-    def test_extern_allocation(self):
-        allocator = StageAllocator(stage_count=2, externs_per_stage=1)
-        first = allocator.allocate_extern("r0", object())
-        second = allocator.allocate_extern("r1", object())
-        assert first.index == 0
-        assert second.index == 1
-        with pytest.raises(OverflowError):
-            allocator.allocate_extern("r2", object())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StageAllocator(stage_count=0)
 
 
 class TestPipeline:

@@ -1,18 +1,10 @@
-"""The StateStore: cell-array conformance, portable dumps, registry."""
+"""The StateStore: cell-array conformance and pickling."""
 
-import gc
 import pickle
 
 import pytest
 
-from repro.state.store import (
-    DenseStore,
-    StateStore,
-    make_store,
-    registered_stores,
-    store_manifest,
-    total_state_cells,
-)
+from repro.state.store import StateStore, make_store
 
 
 # ----------------------------------------------------------------------
@@ -23,7 +15,6 @@ def test_initial_contents_and_geometry():
     assert len(store) == 8
     assert store.size == 8
     assert store.default == 3
-    assert store.kind == "dense"
     assert store.snapshot() == [3] * 8
     assert all(store[i] == 3 for i in range(8))
 
@@ -94,67 +85,31 @@ def test_describe_row():
     store = make_store(6, name="probe")
     store[2] = 1
     row = store.describe()
-    assert row["name"] == "probe"
-    assert row["kind"] == "dense"
-    assert row["size"] == 6
-    assert row["populated"] == 1
+    assert row == {"name": "probe", "size": 6, "default": 0, "populated": 1}
 
 
-@pytest.mark.parametrize("written_by", ["dense", "dict", "shadowed"])
-def test_to_state_round_trips(written_by):
-    # The dump is dense whichever representation wrote it, so dumps from
-    # the removed sparse / copy-on-write stores still load.
-    store = make_store(5, default=1, name="mig")
-    store[0] = 9
-    store[3] = 0
-    rebuilt = StateStore.from_state(dict(store.to_state(), kind=written_by))
-    assert isinstance(rebuilt, DenseStore)
-    assert rebuilt.snapshot() == store.snapshot()
-    assert rebuilt.name == "mig"
-    assert rebuilt.default == 1
-
-
-def test_pickle_round_trip_and_reregistration():
-    store = make_store(4, name="pkl")
+def test_pickle_round_trip():
+    # Default list-subclass pickling carries the cells and the
+    # size/default/name attributes.
+    store = make_store(4, default=1, name="pkl")
     store[1] = 7
     clone = pickle.loads(pickle.dumps(store, protocol=4))
-    assert clone.snapshot() == store.snapshot()
-    assert isinstance(clone, DenseStore)
-    assert clone.name == "pkl"
-    assert any(s is clone for s in registered_stores())
+    assert type(clone) is StateStore
+    assert clone.snapshot() == [1, 7, 1, 1]
+    assert (clone.size, clone.default, clone.name) == (4, 1, "pkl")
+    clone.fill(0)
+    assert store.snapshot() == [1, 7, 1, 1]
 
 
 # ----------------------------------------------------------------------
 # Allocation
 # ----------------------------------------------------------------------
 def test_default_backend_is_dense():
-    assert isinstance(make_store(4), DenseStore)
+    store = make_store(4)
+    assert type(store) is StateStore
+    assert isinstance(store, list)
 
 
 def test_negative_size_rejected():
     with pytest.raises(ValueError, match="size"):
         make_store(-1)
-
-
-# ----------------------------------------------------------------------
-# Process-wide registry
-# ----------------------------------------------------------------------
-def test_registry_tracks_live_stores_only():
-    store = make_store(4, name="zz-registry-probe")
-    assert any(s is store for s in registered_stores())
-    assert total_state_cells() >= 4
-    names = [row["name"] for row in store_manifest()]
-    assert "zz-registry-probe" in names
-    del store
-    gc.collect()
-    assert not any(
-        row["name"] == "zz-registry-probe" for row in store_manifest()
-    )
-
-
-def test_registry_output_is_name_sorted():
-    _a = make_store(1, name="aaa-sort")
-    _b = make_store(1, name="zzz-sort")
-    names = [s.name for s in registered_stores()]
-    assert names == sorted(names)
-    del _a, _b

@@ -7,7 +7,6 @@ from repro.packet.builder import make_udp_packet
 from repro.sim.kernel import Simulator
 from repro.sim.units import bytes_to_time_ps
 from repro.tm.scheduler import (
-    DeficitRoundRobinScheduler,
     FifoScheduler,
     PifoScheduler,
     StrictPriorityScheduler,
@@ -259,8 +258,6 @@ def _scheduler_factory(kind):
         return FifoScheduler
     if kind == "sp":
         return StrictPriorityScheduler
-    if kind == "drr":
-        return lambda queues: DeficitRoundRobinScheduler(queues, quantum_bytes=400)
     # A small PIFO, so better-ranked arrivals displace its tail.
     return lambda queues: PifoScheduler(
         queues, rank_fn=lambda pkt: pkt.priority, capacity=2
@@ -295,7 +292,7 @@ def _port_depth_from_queues(port_obj):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(["fifo", "sp", "drr", "pifo"]),
+    kind=st.sampled_from(["fifo", "sp", "pifo"]),
     queues=st.integers(1, 3),
     steps=_steps,
 )
