@@ -194,22 +194,6 @@ class EventMerger:
             self._check_scheduled = True
             self.sim.call_after(max(1, self.clock_ps), self._injection_check)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def export_pending(self) -> Dict[str, int]:
-        """Per-kind pending counts (non-empty kinds only).
-
-        Feeds :meth:`SumeEventSwitch.state_summary` and checkpoint
-        inspection: events waiting in the merger ride along in a
-        checkpoint payload and resume exactly where they queued.
-        """
-        return {
-            kind.value: len(queue)
-            for kind, queue in self._pending.items()
-            if queue
-        }
-
     def __repr__(self) -> str:
         return (
             f"EventMerger(pending={self.pending_count}, "

@@ -19,7 +19,7 @@ that observable.
 from __future__ import annotations
 
 from sys import getrefcount
-from typing import Dict, List
+from typing import List
 
 from repro.arch.base import SwitchBase
 from repro.arch.description import SUME_EVENT_SWITCH, ArchitectureDescription
@@ -201,44 +201,3 @@ class SumeEventSwitch(SwitchBase):
     def _after_tm(self, pkt: Packet, port: int) -> None:
         """Serialized out of the output queues: transmit on the wire."""
         self._transmit(pkt, port)
-
-    # ------------------------------------------------------------------
-    # Event routing: everything goes through the Event Merger
-    # ------------------------------------------------------------------
-    def _route_event(self, event: Event) -> None:
-        """The bus subscriber of checkpoints written before the switch
-        subscribed :meth:`EventMerger.offer` directly."""
-        self.merger.offer(event)
-
-    # ------------------------------------------------------------------
-    # State introspection
-    # ------------------------------------------------------------------
-    def state_summary(self) -> List[Dict[str, object]]:
-        """Store manifest plus the architecture's transient event state.
-
-        The merger's pending queues and the generator's configured
-        streams are switch state too — they travel inside checkpoints —
-        so they get manifest rows alongside the StateStores.
-        """
-        rows = super().state_summary()
-        rows.append(
-            {
-                "name": f"{self.name}.merger",
-                "kind": "merger",
-                "size": self.merger.queue_capacity,
-                "default": 0,
-                "populated": self.merger.pending_count,
-                "pending_by_kind": self.merger.export_pending(),
-            }
-        )
-        rows.append(
-            {
-                "name": f"{self.name}.generator",
-                "kind": "generator",
-                "size": len(self.generator.stream_ids),
-                "default": 0,
-                "populated": self.generator.generated_count,
-                "streams": self.generator.stream_ids,
-            }
-        )
-        return rows

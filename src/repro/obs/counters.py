@@ -4,6 +4,10 @@ The counter observer is the cheapest possible view of the event path:
 four integers per event kind, aggregated across every bus it watches.
 Attach it to a single switch's bus (``switch.bus.add_observer``) or to
 every bus an experiment creates (:func:`repro.obs.observing`).
+
+:func:`bus_totals` reads the same totals from the counters every bus
+keeps anyway, with no observer attached — how phased search trials and
+phased service jobs count their events.
 """
 
 from __future__ import annotations
@@ -51,6 +55,14 @@ class EventCounters(BusObserver):
         """All publishes seen, admitted or not."""
         return sum(self.published.values())
 
+    def totals(self) -> Dict[str, int]:
+        """``{published, handled, dropped}`` summed over every kind."""
+        return {
+            "published": self.total_published(),
+            "handled": sum(self.handled.values()),
+            "dropped": sum(self.dropped.values()),
+        }
+
     def as_dict(self) -> Dict[str, Dict[str, int]]:
         """Nested plain-dict snapshot (kind value → counter name → count)."""
         return {
@@ -83,3 +95,15 @@ class EventCounters(BusObserver):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventCounters(published={self.total_published()})"
+
+
+def bus_totals(network) -> Dict[str, int]:
+    """:meth:`EventCounters.totals` read from the buses' own counters of
+    every switch in ``network`` (each bus once), with no observer
+    attached."""
+    buses = {id(sw.bus): sw.bus for sw in network.switches.values()}.values()
+    return {
+        "published": sum(bus.published_total() for bus in buses),
+        "handled": sum(sum(bus.handled.values()) for bus in buses),
+        "dropped": sum(sum(bus.dropped.values()) for bus in buses),
+    }

@@ -27,6 +27,7 @@ from collections import OrderedDict
 from typing import Any, Dict
 
 from repro.obs import EventCounters, observing
+from repro.obs.counters import bus_totals
 from repro.scenarios.spec import ScenarioSpec
 from repro.search.objective import extract_metrics
 
@@ -37,25 +38,6 @@ SETUP_CACHE_SIZE = 4
 def params_key(params: Dict[str, Any]) -> str:
     """The canonical cache key for one trial's parameter assignment."""
     return json.dumps(params, sort_keys=True, default=repr)
-
-
-def _counter_totals(counters: EventCounters) -> Dict[str, int]:
-    return {
-        "published": counters.total_published(),
-        "handled": sum(counters.handled.values()),
-        "dropped": sum(counters.dropped.values()),
-    }
-
-
-def _bus_totals(network) -> Dict[str, int]:
-    """:func:`_counter_totals` read from the buses' own counters of
-    every switch in ``network``, with no observer attached."""
-    buses = {id(sw.bus): sw.bus for sw in network.switches.values()}.values()
-    return {
-        "published": sum(bus.published_total() for bus in buses),
-        "handled": sum(sum(bus.handled.values()) for bus in buses),
-        "dropped": sum(sum(bus.dropped.values()) for bus in buses),
-    }
 
 
 def run_trial(
@@ -92,16 +74,16 @@ def run_trial(
         # observing() reaches only buses created inside its block, and
         # the fork's were unpickled before it: count the finisher's
         # events as deltas of the fork's own bus counters instead.
-        before = _bus_totals(setup.network)
+        before = bus_totals(setup.network)
         result = spec.finish(setup)
-        after = _bus_totals(setup.network)
+        after = bus_totals(setup.network)
         totals = {name: after[name] - before[name] for name in after}
         totals["events_executed"] = sim.events_executed
     else:
         counters = EventCounters()
         with observing(counters):
             result = spec.run()
-        totals = _counter_totals(counters)
+        totals = counters.totals()
         source = "run"
     wall_s = time.perf_counter() - started
     return {

@@ -6,15 +6,22 @@ receives :class:`~repro.scenarios.spec.ScenarioSpec` objects over the
 duplex pipe and executes them:
 
 * **phased** specs run in telemetry windows — build the setup, advance
-  the simulation a window at a time, push a
-  :class:`~repro.obs.counters.EventCounters` snapshot after each, and
-  poll the pipe for a cancel between windows.  A cancelled phased job
-  is **preempted**: the whole simulation (kernel + setup + counters)
-  is checkpointed to bytes (:func:`~repro.sim.checkpoint.dumps_checkpoint`)
-  and shipped back, so ``resume`` continues exactly where the windowed
-  run stopped — same format as an on-disk PR-3 checkpoint.
-* **single-shot** specs run to completion in one call; telemetry
-  arrives once, with the result.
+  the simulation a window at a time, push a snapshot after each, and
+  poll the pipe for a cancel between windows.  The snapshot's event
+  totals are read from the switches' own bus counters
+  (:func:`~repro.obs.counters.bus_totals`), as a phased search trial
+  reads them: no observer is attached, so the job runs the same
+  unobserved event path as a plain run.  A cancelled phased job is
+  **preempted**: the whole simulation (kernel + setup, whose buses carry
+  the counts so far) is checkpointed to bytes
+  (:func:`~repro.sim.checkpoint.dumps_checkpoint`) and shipped back, so
+  ``resume`` continues exactly where the windowed run stopped, counts
+  included — same format as an on-disk checkpoint.
+* **single-shot** specs run to completion in one call under an
+  :class:`~repro.obs.counters.EventCounters` observer; telemetry
+  arrives once, with the result.  They keep the observer: without one,
+  a fabric scenario's flows would fuse, and the fused fabric path still
+  diverges from the per-hop reference, so the job's result would change.
 
 Job exceptions are *jobs failing*, not workers crashing: the worker
 catches them and replies ``("failed", job_id, traceback)``.  The
@@ -31,6 +38,7 @@ import traceback
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs import EventCounters, observing
+from repro.obs.counters import bus_totals
 from repro.scenarios.spec import ScenarioSpec, result_rows
 from repro.sim.checkpoint import dumps_checkpoint, loads_checkpoint
 
@@ -39,18 +47,17 @@ from repro.sim.checkpoint import dumps_checkpoint, loads_checkpoint
 DEFAULT_WINDOWS = 8
 
 
-def snapshot(sim, duration_ps: int, counters: EventCounters) -> Dict[str, int]:
+def snapshot(setup: Any) -> Dict[str, int]:
     """One JSON-able telemetry record for the current window boundary."""
-    duration = max(1, int(duration_ps))
+    sim = setup.network.sim
+    duration = max(1, int(setup.duration_ps))
     return {
         "now_ps": sim.now_ps,
         "duration_ps": duration,
         "progress": min(1.0, round(sim.now_ps / duration, 6)),
         "events_executed": sim.events_executed,
         "pending_events": sim.pending_events,
-        "published": counters.total_published(),
-        "handled": sum(counters.handled.values()),
-        "dropped": sum(counters.dropped.values()),
+        **bus_totals(setup.network),
     }
 
 
@@ -85,7 +92,6 @@ def _run_windows(
     job_id: str,
     spec: ScenarioSpec,
     setup: Any,
-    counters: EventCounters,
     windows: int,
 ) -> Optional[Tuple[str, ...]]:
     """Advance a phased setup window by window; returns the final reply."""
@@ -97,47 +103,32 @@ def _run_windows(
     windows = max(1, int(windows))
     for index in range(1, windows + 1):
         network.run(until_ps=start_ps + span * index // windows)
-        conn.send(("telemetry", job_id, snapshot(sim, duration_ps, counters)))
+        conn.send(("telemetry", job_id, snapshot(setup)))
         if _cancel_requested(conn, job_id):
             blob = dumps_checkpoint(
                 sim,
-                state={"spec": spec, "setup": setup, "counters": counters},
+                state={"spec": spec, "setup": setup},
                 label=f"preempt:{job_id}",
             )
-            return ("preempted", job_id, blob, snapshot(sim, duration_ps, counters))
+            return ("preempted", job_id, blob, snapshot(setup))
     result = spec.finish(setup)
-    final = snapshot(sim, duration_ps, counters)
-    return ("done", job_id, _result_payload(result, final))
+    return ("done", job_id, _result_payload(result, snapshot(setup)))
 
 
 def _run_job(conn, job_id: str, spec: ScenarioSpec, windows: int) -> Tuple:
     if spec.is_phased:
-        counters = EventCounters()
-        with observing(counters):
-            setup = spec.build()
-        return _run_windows(conn, job_id, spec, setup, counters, windows)
+        return _run_windows(conn, job_id, spec, spec.build(), windows)
     counters = EventCounters()
     with observing(counters):
         result = spec.run()
-    final = {
-        "published": counters.total_published(),
-        "handled": sum(counters.handled.values()),
-        "dropped": sum(counters.dropped.values()),
-    }
+    final = counters.totals()
     conn.send(("telemetry", job_id, final))
     return ("done", job_id, _result_payload(result, final))
 
 
 def _resume_job(conn, job_id: str, blob: bytes, windows: int) -> Tuple:
     _sim, state, _header = loads_checkpoint(blob)
-    return _run_windows(
-        conn,
-        job_id,
-        state["spec"],
-        state["setup"],
-        state["counters"],
-        windows,
-    )
+    return _run_windows(conn, job_id, state["spec"], state["setup"], windows)
 
 
 def worker_main(conn, windows: int = DEFAULT_WINDOWS) -> None:

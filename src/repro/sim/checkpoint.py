@@ -139,10 +139,8 @@ def dumps_checkpoint(
 ) -> bytes:
     """The checkpoint as bytes — same two-frame format, no file.
 
-    This is the substrate of :meth:`Simulator.fork` (snapshot a live
-    experiment and restore it into a fresh instance without touching
-    disk) and of service-side preemption, where checkpoints travel over
-    a pipe rather than through the filesystem.
+    This is the substrate of service-side preemption, where checkpoints
+    travel over a pipe rather than through the filesystem.
     """
     buffer = io.BytesIO()
     _write_checkpoint(buffer, sim, state, label)

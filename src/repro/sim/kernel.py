@@ -578,21 +578,24 @@ class Simulator:
     def fork(self, state: Any = None) -> tuple:
         """Snapshot this simulator into a fresh, independent instance.
 
-        Checkpoint-to-memory plus restore: the returned
+        A pickle round trip of the checkpoint payload: the returned
         ``(simulator, state)`` pair is a deep copy of this kernel and the
         experiment object graph handed in as ``state``, sharing no
         mutable structure with the original.  Both copies carry the same
         clock, seqno counter, and pending-event queue, so identical
         continuations replay the identical total order — and divergent
         continuations (say, a different fault plan injected into each
-        fork) cannot disturb each other.  Like pickling, forking is
-        refused while the simulator is running.
+        fork) cannot disturb each other.  The checkpoint header (store
+        manifest, checksum) is skipped: a fork never leaves the process,
+        so nothing would read it.  Like pickling, forking is refused
+        while the simulator is running.
         """
-        from repro.sim.checkpoint import dumps_checkpoint, loads_checkpoint
+        import pickle  # here, not at the top: most runs never fork
 
-        blob = dumps_checkpoint(self, state=state, label="fork")
-        sim, new_state, _header = loads_checkpoint(blob)
-        return sim, new_state
+        payload = pickle.loads(
+            pickle.dumps({"sim": self, "state": state}, pickle.HIGHEST_PROTOCOL)
+        )
+        return payload["sim"], payload["state"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         now, _, executed, pending, _, _ = self._peek()

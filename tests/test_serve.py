@@ -12,7 +12,9 @@ Satellite guarantees under test:
   retries the job once; a second crash fails it; a job *exception* is a
   failure without a retry,
 * a running phased job preempts into an in-memory checkpoint on cancel
-  and resumes from it to the same result an uninterrupted run prints.
+  and resumes from it to the same result an uninterrupted run prints,
+* a phased job's telemetry, read from the buses' own counters, equals
+  an observed in-process run of the same spec window by window.
 """
 
 import asyncio
@@ -26,6 +28,7 @@ import time
 import pytest
 
 from repro import scenarios
+from repro.obs import EventCounters, observing
 from repro.scenarios import ScenarioSpec
 from repro.serve.protocol import (
     ProtocolError,
@@ -42,6 +45,41 @@ SRC = os.path.join(REPO_ROOT, "src")
 
 #: A phased scenario small enough for tests (2 ms of simulated time).
 FAST_PHASED = {"duration_ps": 2_000_000_000}
+
+#: The telemetry fields an observed reference run can reproduce.
+TELEMETRY_KEYS = ("now_ps", "events_executed", "published", "handled", "dropped")
+
+
+def _observed_reference(windows: int) -> list:
+    """``TELEMETRY_KEYS`` of an in-process run of the phased job under an
+    :class:`EventCounters` observer, cut at the worker's window
+    boundaries: one record per window, then the final one."""
+    scenarios.load_all()
+    spec = scenarios.get("microburst/event-driven").with_params(**FAST_PHASED)
+    counters = EventCounters()
+    with observing(counters):
+        setup = spec.build()
+    sim = setup.network.sim
+
+    def record():
+        return {
+            "now_ps": sim.now_ps,
+            "events_executed": sim.events_executed,
+            **counters.totals(),
+        }
+
+    start_ps = sim.now_ps
+    span = int(setup.duration_ps) - start_ps
+    records = []
+    for index in range(1, windows + 1):
+        setup.network.run(until_ps=start_ps + span * index // windows)
+        records.append(record())
+    spec.finish(setup)
+    return records + [record()]
+
+
+def _keys(telemetry: dict) -> dict:
+    return {key: telemetry[key] for key in TELEMETRY_KEYS}
 
 
 def _register_helpers(tmp_path) -> dict:
@@ -317,9 +355,41 @@ def test_cancel_queued_and_preempt_running(tmp_path):
         await _wait_done(events, straight["job"])
         reference = await service.handle({"op": "result", "job": straight["job"]})
         assert resumed["result"]["rows"] == reference["result"]["rows"]
+        # The counts ride inside the checkpointed buses, so the resumed
+        # job ends on the straight run's telemetry too.
+        assert resumed["result"]["telemetry"] == reference["result"]["telemetry"]
         return True
 
     assert _service_run(body, workers=1, windows=4)
+
+
+def test_phased_telemetry_matches_observed_run():
+    reference = _observed_reference(windows=4)
+    assert len(reference) == 5 and reference[0]["published"] > 0
+
+    async def body(service):
+        events = asyncio.Queue()
+        job = await service.handle(
+            {
+                "op": "submit",
+                "scenario": "microburst/event-driven",
+                "params": FAST_PHASED,
+            },
+            events=events,
+        )
+        pushed = []
+        while True:
+            event = await asyncio.wait_for(events.get(), timeout=300)
+            if event.get("event") == "telemetry":
+                pushed.append(_keys(event["telemetry"]))
+            elif event.get("event") == "done":
+                assert event["state"] == "done"
+                break
+        result = await service.handle({"op": "result", "job": job["job"]})
+        final = _keys(result["result"]["telemetry"])
+        return pushed + [final]
+
+    assert _service_run(body, workers=1, windows=4) == reference
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,13 @@ experiment, and the fork-amortized chaos grid — and gates on:
 
 * every job completing in state ``done`` (no violations, no crashes),
 * telemetry well-formedness: monotone ``now_ps``, ``progress`` ending
-  at 1.0, non-negative event counts, the declared window count,
+  at 1.0, non-negative event counts, the declared window count, and
+  ``published`` / ``handled`` / ``events_executed`` never decreasing
+  across a phased job's windows,
+* the phased job's final counts being **equal** to a standalone run of
+  the same spec under an ``EventCounters`` observer — the service reads
+  them from the buses' own counters, which must count what an observer
+  would,
 * the forked grid's per-cell fingerprints being **identical** to
   standalone ``run_cell`` runs of the same ten (plan, app, seed) cells
   — the acceptance check that ``Simulator.fork`` changes cost, never
@@ -30,9 +36,12 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.serve.client import ServiceClient  # noqa: E402
 
+#: The phased submission, checked against a standalone observed run.
+PHASED = ("microburst/event-driven", {"duration_ps": 6_000_000_000})
+
 #: The three submissions (one forked chaos variant, per the CI contract).
 SUBMISSIONS = (
-    ("microburst/event-driven", {"duration_ps": 6_000_000_000}),
+    PHASED,
     ("table2/rows", {}),
     ("chaos/forked-grid", {}),
 )
@@ -63,7 +72,34 @@ def check_telemetry(name: str, windows, phased: bool) -> None:
             fail(f"{name}: progress outside [0, 1]: {progress}")
         if progress[-1] != 1.0:
             fail(f"{name}: final progress {progress[-1]} != 1.0")
+        for key in ("published", "handled", "events_executed"):
+            counts = [snapshot[key] for snapshot in windows]
+            if counts != sorted(counts):
+                fail(f"{name}: {key} decreased across windows: {counts}")
     print(f"ok: {name} telemetry well-formed ({len(windows)} window(s))")
+
+
+def check_phased_counts(final) -> None:
+    """The phased job's final counts equal an observed standalone run."""
+    from repro import scenarios
+    from repro.obs import EventCounters, observing
+
+    name, params = PHASED
+    scenarios.load_all()
+    spec = scenarios.get(name).with_params(**params)
+    counters = EventCounters()
+    with observing(counters):
+        setup = spec.build()
+    spec.finish(setup)
+    expected = {
+        "now_ps": setup.network.sim.now_ps,
+        "events_executed": setup.network.sim.events_executed,
+        **counters.totals(),
+    }
+    got = {key: final[key] for key in expected}
+    if got != expected:
+        fail(f"{name}: service counts {got} != observed standalone {expected}")
+    print(f"ok: {name} final counts match an observed standalone run")
 
 
 def main() -> int:
@@ -120,6 +156,8 @@ def main() -> int:
                 print(f"ok: {name} done")
             client.expect("shutdown")
         proc.wait(timeout=60)
+
+        check_phased_counts(results[PHASED[0]]["telemetry"])
 
         grid = results["chaos/forked-grid"].get("value")
         if not isinstance(grid, dict) or "fingerprints" not in grid:
