@@ -492,7 +492,6 @@ def run_chaos(
     seed: int = 7,
     seed_sweep: int = 0,
     out: str = "chaos_verdicts.jsonl",
-    compile_arm: bool = False,
     forked: bool = False,
     fastpath_arm: bool = False,
 ) -> int:
@@ -503,8 +502,7 @@ def run_chaos(
     apps = chaos.APP_NAMES if app == "all" else (app,)
     seeds = list(range(seed, seed + seed_sweep)) if seed_sweep > 0 else [seed]
     records = chaos.run_grid(
-        plans, apps, seeds, out_path=out, compile_arm=compile_arm,
-        forked=forked, fastpath_arm=fastpath_arm,
+        plans, apps, seeds, out_path=out, forked=forked, fastpath_arm=fastpath_arm
     )
     _print(
         f"chaos grid: {len(plans)} plan(s) x {len(apps)} app(s) x "
@@ -1085,12 +1083,6 @@ def main(argv: List[str] = None) -> int:
         help="chaos: run N consecutive seeds starting at --seed",
     )
     parser.add_argument(
-        "--compile-arm",
-        action="store_true",
-        help="chaos: add a third arm (compiled pipelines, cache off) to "
-        "each cell and gate it against the interpreted reference",
-    )
-    parser.add_argument(
         "--fastpath-arm",
         action="store_true",
         help="chaos: add a flow-fastpath arm (fused deliveries, "
@@ -1154,7 +1146,6 @@ def main(argv: List[str] = None) -> int:
                 seed=args.seed,
                 seed_sweep=args.seed_sweep,
                 out=args.out or "chaos_verdicts.jsonl",
-                compile_arm=args.compile_arm,
                 forked=args.forked,
                 fastpath_arm=args.fastpath_arm,
             )

@@ -378,7 +378,6 @@ def run_forked_grid(
     plans: Sequence[str] = ("burst", "crash", "linkflap", "stall", "storm"),
     apps: Sequence[str] = ("frr", "migration"),
     seeds: Sequence[int] = (1,),
-    compile_arm: bool = False,
     fastpath_arm: bool = False,
 ) -> Dict[str, object]:
     """The fork-amortized grid as a registered scenario runner.
@@ -389,8 +388,7 @@ def run_forked_grid(
     violation total, and the per-cell fingerprints.
     """
     records = run_forked_cells(
-        list(plans), list(apps), list(seeds), compile_arm=compile_arm,
-        fastpath_arm=fastpath_arm,
+        list(plans), list(apps), list(seeds), fastpath_arm=fastpath_arm
     )
     return {
         "summary": summary_rows(records),
@@ -413,7 +411,6 @@ def _register_scenarios() -> None:
                     "plan_name": "linkflap",
                     "app_name": app,
                     "seed": 1,
-                    "compile_arm": False,
                     "fastpath_arm": False,
                 },
                 app=app,
@@ -432,7 +429,6 @@ def _register_scenarios() -> None:
                 "plans": ["burst", "crash", "linkflap", "stall", "storm"],
                 "apps": ["frr", "migration"],
                 "seeds": [1],
-                "compile_arm": False,
                 "fastpath_arm": False,
             },
             seed=1,

@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.faultlog import FaultLog
+from repro.pisa.table import LpmTable
 from repro.sim.rng import SeededRng
 
 
@@ -66,13 +67,18 @@ def _reinstall_routes(program) -> None:
     """Reinstall a forwarding program's routes with identical values.
 
     The point is the side effect on the cache layer, not the table
-    contents: every ``routes[dst] = port`` write bumps the
-    :class:`~repro.pisa.flowcache.VersionedDict` generation, so the
-    flow cache must invalidate while forwarding behavior is unchanged —
-    the cleanest possible probe for stale-hit bugs.
+    contents: every write bumps the route table's generation (a
+    :class:`~repro.pisa.flowcache.VersionedDict` or an LPM table), so
+    the flow cache must invalidate while forwarding behavior is
+    unchanged — the cleanest possible probe for stale-hit bugs.
     """
-    for dst_ip, port in list(program.routes.items()):
-        program.routes[dst_ip] = port
+    routes = program.routes
+    if isinstance(routes, LpmTable):
+        for prefix, prefix_len, action in routes.entries():
+            routes.update_action(prefix, prefix_len, action)
+        return
+    for dst_ip, port in list(routes.items()):
+        routes[dst_ip] = port
 
 
 class FaultInjector:
@@ -201,9 +207,10 @@ class FaultInjector:
     def _churn(self) -> None:
         control = self.scenario.control
         for _name, program in self.scenario.churn_targets:
-            control.update_table(
-                partial(_reinstall_routes, program), entries=len(program.routes)
-            )
+            routes = program.routes
+            lpm = isinstance(routes, LpmTable)
+            count = routes.entry_count() if lpm else len(routes)
+            control.update_table(partial(_reinstall_routes, program), entries=count)
 
     def _arm_buffer_burst(self, index: int, spec: FaultSpec, rng: SeededRng) -> None:
         switch_name, port = self.scenario.burst

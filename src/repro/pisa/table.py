@@ -195,6 +195,10 @@ class LpmTable(Table):
     def entry_count(self) -> int:
         return sum(len(bucket) for bucket in self._by_length.values())
 
+    def entries(self) -> List[Tuple[int, int, ActionCall]]:
+        """Every ``(prefix, prefix_len, action)``, longest prefixes first."""
+        return [(p, n, a) for n, _mask, b in self._ordered for p, a in b.items()]
+
     def lookup(self, key: Tuple) -> Optional[ActionCall]:
         (value,) = key
         for _length, mask, bucket in self._ordered:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from equivalence_strategies import ARMS, build
 from repro.faults.chaos import (
     APP_NAMES,
     PLAN_NAMES,
@@ -168,6 +169,49 @@ class TestFaultInjector:
         before = dict(program.routes.items())
         _reinstall_routes(program)
         assert dict(program.routes.items()) == before
+
+    def test_churn_on_l3_routers_delivers_what_the_calm_run_does(self):
+        # L3Router keeps its routes in an LpmTable, not a dict: churn
+        # rewrites each entry through the table, so generations move and
+        # the flow cache invalidates while every delivery stays the same.
+        chain = {
+            "family": "chain",
+            "switches": 3,
+            "hosts": [["h0", 0], ["h1", 2]],
+            "latency_ps": 1_000_000,
+            "queue_bytes": 65_536,
+            "payload_len": 200,
+            "load": {
+                "kind": "paced",
+                "seed": 1,
+                "skew": 1.2,
+                "packets": 40,
+                "start_ps": 1_000_000,
+                "gap_ps": 5_000_000,
+            },
+            "faults": None,
+            "writes": [],
+            "observe": None,
+        }
+        churn = {
+            "plan": "churn",
+            "link": ["s0", "s1"],
+            "switch": "s1",
+            "burst": ["s1", 1],
+        }
+        arrivals = []
+        for faults in (None, churn):
+            network, recorders = build({**chain, "faults": faults}, **ARMS["default"])
+            tables = [sw.program.routes for sw in network.switches.values()]
+            installed = [(t.entries(), t.generation) for t in tables]
+            network.run()
+            arrivals.append({name: r.arrivals for name, r in recorders.items()})
+        assert arrivals[1] == arrivals[0]
+        assert sum(map(len, arrivals[0].values())) == 80
+        for table, (entries, generation) in zip(tables, installed):
+            assert table.entries() == entries and table.generation > generation
+        caches = [switch.flow_cache for switch in network.switches.values()]
+        assert sum(cache.stats.invalidations for cache in caches) > 0
 
     def test_degrade_keeps_conservation_exact(self):
         scenario, injector, _ = self._run("linkdegrade")
