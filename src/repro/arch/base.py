@@ -449,14 +449,13 @@ class SwitchBase:
         expose: the underlying state transition happened (the TM still
         dropped the packet), but the programming model never sees it —
         the precise gap the paper describes for baseline targets.
-        Admitted events reach :meth:`_route_event` via the bus's
-        subscription.
+        Admitted events reach whatever the architecture subscribed to
+        the bus: the SUME merger, or the logical and emulated switches'
+        ``_route_event``.  The baseline subscribes nothing, because it
+        admits only packet events, which the pipeline path publishes
+        unrouted.
         """
         self.bus.publish(event)
-
-    def _route_event(self, event: Event) -> None:
-        """How an admitted event reaches the program; subclasses override."""
-        raise NotImplementedError
 
     def _bind_handlers(self) -> None:
         """Snapshot the program's shared registers and its ``kind →

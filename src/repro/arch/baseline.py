@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.arch.base import SwitchBase
 from repro.arch.description import BASELINE_PSA, ArchitectureDescription
-from repro.arch.events import Event, EventType
+from repro.arch.events import EventType
 from repro.packet.packet import Packet
 from repro.pisa.metadata import StandardMetadata
 from repro.pisa.pipeline import Pipeline
@@ -39,7 +39,6 @@ class BaselinePsaSwitch(SwitchBase):
         **kwargs,
     ) -> None:
         super().__init__(sim, description, name=name, **kwargs)
-        self.bus.subscribe(self._route_event)
         self.ingress_pipeline = Pipeline(
             f"{name}.ingress",
             self._run_ingress,
@@ -214,15 +213,3 @@ class BaselinePsaSwitch(SwitchBase):
                 }
             )
         return rows
-
-    # ------------------------------------------------------------------
-    # Event routing: baseline PSA has no non-packet event path
-    # ------------------------------------------------------------------
-    def _route_event(self, event: Event) -> None:
-        """Bus subscriber that must never run: the description admits only
-        packet events, and those are published unrouted from the
-        pipeline dispatch path, so the bus suppresses everything that
-        would land here."""
-        raise AssertionError(
-            f"baseline PSA should never route non-packet event {event.kind}"
-        )

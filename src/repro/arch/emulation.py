@@ -53,6 +53,7 @@ class EmulatedEventSwitch(BaselinePsaSwitch):
         **kwargs,
     ) -> None:
         super().__init__(sim, description, name=name, **kwargs)
+        self.bus.subscribe(self._route_event)
         if recirc_rate_gbps <= 0:
             raise ValueError(f"recirc rate must be positive, got {recirc_rate_gbps}")
         self.recirc_rate_gbps = recirc_rate_gbps

@@ -52,6 +52,7 @@ class LogicalEventSwitch(BaselinePsaSwitch):
         **kwargs,
     ) -> None:
         super().__init__(sim, description, name=name, **kwargs)
+        self.bus.subscribe(self._route_event)
         self.event_pipelines: Dict[EventType, Pipeline] = {}
 
     # ------------------------------------------------------------------

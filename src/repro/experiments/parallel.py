@@ -8,11 +8,13 @@ process and its pipe; the message protocol on top of it is owned by the
 caller.  :func:`wait_any` multiplexes replies from several workers, and
 a worker that dies raises :class:`WorkerCrashed`, after which callers
 respawn it and re-dispatch its work up to :data:`CRASH_RETRIES` times.
+The chaos grid (:mod:`repro.faults.chaos`) uses it one-shot: a forked
+worker inherits the built scenarios, runs its share of the grid and
+replies once.
 """
 
 from __future__ import annotations
 
-import multiprocessing.connection
 import os
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -60,6 +62,10 @@ class PersistentWorker:
     """
 
     def __init__(self, main: Callable[..., None], *args: Any) -> None:
+        # Imported on first use, so importing this module for
+        # default_workers or WorkerCrashed imports no multiprocessing.
+        import multiprocessing
+
         # fork keeps worker startup cheap (no re-import of the package);
         # platforms without it (macOS 3.14+, Windows) fall back to spawn,
         # which is why ``main`` must stay module-level/picklable.
@@ -135,6 +141,8 @@ def wait_any(
     sequence, not readiness order, so callers draining replies stay
     deterministic.
     """
+    import multiprocessing.connection
+
     ready = multiprocessing.connection.wait(
         [worker.connection for worker in workers], timeout=timeout
     )

@@ -13,7 +13,9 @@ interrupts mid-flight, which disruption-time materialization hands
 back to the per-hop machinery — must fingerprint identically.
 The cache-on run carries the invariant monitors; the resulting verdict
 record is one JSON object with sorted keys, so the JSONL report is
-byte-identical across replays of the same grid and seed.
+byte-identical across replays of the same grid and seed.  The runs are
+independent, so a grid spreads them over the host's cores; the records
+and their order do not depend on how many cores ran them.
 
 Exit-code contract (``repro chaos``): nonzero iff any record carries a
 violation.
@@ -22,9 +24,11 @@ violation.
 from __future__ import annotations
 
 import json
+import threading
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.experiments.parallel import PersistentWorker, default_workers
 from repro.faults.injector import FaultInjector
 from repro.faults.monitors import (
     FlowCacheCoherenceMonitor,
@@ -39,6 +43,9 @@ from repro.sim.rng import SeededRng
 #: Grid axes in their canonical (reported) order.
 PLAN_NAMES: Tuple[str, ...] = tuple(sorted(BUILTIN_PLANS))
 APP_NAMES: Tuple[str, ...] = tuple(sorted(SCENARIOS))
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 def fork_scenario(scenario: Scenario) -> Scenario:
@@ -140,9 +147,9 @@ def _cell_record(
 ) -> Dict[str, object]:
     """Assemble one verdict record from its per-arm instance results.
 
-    Shared by the from-scratch (:func:`run_cell`) and fork-amortized
-    (:func:`run_forked_cells`) paths, so both produce byte-identical
-    records for the same cell.
+    Shared by the from-scratch (:func:`run_cell`, :func:`run_grid`) and
+    fork-amortized (:func:`run_forked_cells`) paths, so all produce
+    byte-identical records for the same cell.
     """
     violations = list(on["violations"])
     violations.extend(f"cache-off:{message}" for message in off["violations"])
@@ -178,6 +185,80 @@ def _cell_record(
     }
 
 
+def _arms(compile_arm: bool, fastpath_arm: bool) -> Dict[str, Dict[str, object]]:
+    """A cell's arms in run order, each with its :func:`build_scenario` knobs.
+
+    The names are :func:`_cell_record`'s keyword arguments.
+    """
+    arms: Dict[str, Dict[str, object]] = {
+        "on": {"flow_cache": True, "fastpath": False if fastpath_arm else None},
+        "off": {"flow_cache": False, "compile": False if compile_arm else None},
+    }
+    if compile_arm:
+        arms["compiled"] = {"flow_cache": False, "compile": True}
+    if fastpath_arm:
+        arms["fastpath"] = {"flow_cache": True, "fastpath": True}
+    return arms
+
+
+def _share_count(runs: int) -> int:
+    """How many processes share ``runs`` independent runs (1 = serial).
+
+    One per core, never more than there are runs.  Serial inside a
+    daemonic process — a service or search pool worker, which may start
+    no children and already shares the cores with the pool's other
+    workers — and wherever fork is unavailable or another thread could
+    hold a lock across it.
+    """
+    import multiprocessing  # on first use: importing chaos stays cheap
+
+    if (
+        multiprocessing.current_process().daemon
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        return 1
+    return max(1, min(default_workers(), runs))
+
+
+def _run_share(conn, run: Callable[[T], R], share: Sequence[T]) -> None:
+    """Worker side of :func:`_spread`: one reply with the share's results."""
+    try:
+        conn.send([run(task) for task in share])
+    except Exception:
+        import traceback
+
+        conn.send(("error", traceback.format_exc()))
+
+
+def _spread(tasks: Sequence[T], run: Callable[[T], R]) -> List[R]:
+    """``[run(task) for task in tasks]``, spread over the host's cores.
+
+    Share ``i`` of ``n`` is ``tasks[i::n]``.  The parent runs share 0;
+    each other share runs in a forked :class:`PersistentWorker`, which
+    inherits ``run`` and everything it closes over (built scenarios
+    included), so only the results cross a pipe.  Results come back in
+    task order whatever ``n`` is.  A worker that raises or dies raises
+    :class:`~repro.experiments.parallel.WorkerCrashed` here, and every
+    worker has exited by the time this returns or raises.
+    """
+    shares = _share_count(len(tasks))
+    if shares == 1:
+        return [run(task) for task in tasks]
+    results: List[R] = [None] * len(tasks)
+    workers: List[PersistentWorker] = []
+    try:
+        for index in range(1, shares):
+            workers.append(PersistentWorker(_run_share, run, tasks[index::shares]))
+        results[0::shares] = [run(task) for task in tasks[0::shares]]
+        for index, worker in enumerate(workers, 1):
+            results[index::shares] = worker.recv()
+    finally:
+        for worker in workers:
+            worker.close()
+    return results
+
+
 def run_cell(
     plan_name: str,
     app_name: str,
@@ -198,31 +279,11 @@ def run_cell(
     any mismatch — including one caused by a fault interrupting a fused
     window — is a ``fastpath-divergence`` violation.
     """
-    on = run_instance(
-        plan_name,
-        app_name,
-        seed,
-        flow_cache=True,
-        fastpath=False if fastpath_arm else None,
-    )
-    off = run_instance(
-        plan_name,
-        app_name,
-        seed,
-        flow_cache=False,
-        compile=False if compile_arm else None,
-    )
-    compiled = (
-        run_instance(plan_name, app_name, seed, flow_cache=False, compile=True)
-        if compile_arm
-        else None
-    )
-    fastpath = (
-        run_instance(plan_name, app_name, seed, flow_cache=True, fastpath=True)
-        if fastpath_arm
-        else None
-    )
-    return _cell_record(plan_name, app_name, seed, on, off, compiled, fastpath)
+    results = {
+        arm: run_instance(plan_name, app_name, seed, **knobs)
+        for arm, knobs in _arms(compile_arm, fastpath_arm).items()
+    }
+    return _cell_record(plan_name, app_name, seed, **results)
 
 
 def run_forked_cells(
@@ -241,50 +302,34 @@ def run_forked_cells(
     :func:`run_instance_on`), each cell's record — fingerprint included
     — is byte-identical to :func:`run_cell` for the same cell.
 
+    An (app, seed)'s (plan, arm) runs are independent, so they are
+    spread over the host's cores (:func:`_spread`) once its bases are
+    built; the records do not depend on how many cores ran them.
     Records come back in :func:`run_grid` order (plan, app, seed) so the
     two paths emit interchangeable JSONL.
     """
+    arms = _arms(compile_arm, fastpath_arm)
     by_cell: Dict[Tuple[str, str, int], Dict[str, object]] = {}
     seed_list = list(seeds)
     for app_name in apps:
         for seed in seed_list:
-            base_on = build_scenario(
-                app_name,
-                seed,
-                flow_cache=True,
-                fastpath=False if fastpath_arm else None,
-            )
-            base_off = build_scenario(
-                app_name,
-                seed,
-                flow_cache=False,
-                compile=False if compile_arm else None,
-            )
-            base_compiled = (
-                build_scenario(app_name, seed, flow_cache=False, compile=True)
-                if compile_arm
-                else None
-            )
-            base_fast = (
-                build_scenario(app_name, seed, flow_cache=True, fastpath=True)
-                if fastpath_arm
-                else None
+            bases = {
+                arm: build_scenario(app_name, seed, **knobs)
+                for arm, knobs in arms.items()
+            }
+            runs = [(plan_name, arm) for plan_name in plans for arm in arms]
+            results = iter(
+                _spread(
+                    runs,
+                    lambda run: run_instance_on(
+                        fork_scenario(bases[run[1]]), run[0], seed
+                    ),
+                )
             )
             for plan_name in plans:
-                on = run_instance_on(fork_scenario(base_on), plan_name, seed)
-                off = run_instance_on(fork_scenario(base_off), plan_name, seed)
-                compiled = (
-                    run_instance_on(fork_scenario(base_compiled), plan_name, seed)
-                    if compile_arm
-                    else None
-                )
-                fastpath = (
-                    run_instance_on(fork_scenario(base_fast), plan_name, seed)
-                    if fastpath_arm
-                    else None
-                )
+                cell = {arm: next(results) for arm in arms}
                 by_cell[(plan_name, app_name, seed)] = _cell_record(
-                    plan_name, app_name, seed, on, off, compiled, fastpath
+                    plan_name, app_name, seed, **cell
                 )
     return [
         by_cell[(plan_name, app_name, seed)]
@@ -307,15 +352,22 @@ def run_grid(
 
     ``forked`` switches to the fork-amortized path — one build per
     (app, seed, arm), one :meth:`Simulator.fork` per cell — with
-    identical records.
+    identical records.  Without it, each plan's (app, seed, arm) runs
+    are spread over the host's cores (:func:`_spread`) and the plan's
+    records are written, in canonical order, before the next plan runs.
     """
+    arms = _arms(compile_arm, fastpath_arm)
+    seed_list = list(seeds)
     records: List[Dict[str, object]] = []
     out = open(out_path, "w", encoding="utf-8") if out_path else None
     try:
         if forked:
             records.extend(
                 run_forked_cells(
-                    plans, apps, seeds, compile_arm=compile_arm,
+                    plans,
+                    apps,
+                    seed_list,
+                    compile_arm=compile_arm,
                     fastpath_arm=fastpath_arm,
                 )
             )
@@ -323,19 +375,23 @@ def run_grid(
                 for record in records:
                     out.write(json.dumps(record, sort_keys=True) + "\n")
         else:
+            cells = [(app_name, seed) for app_name in apps for seed in seed_list]
+            runs = [(app_name, seed, arm) for app_name, seed in cells for arm in arms]
             for plan_name in plans:
-                for app_name in apps:
-                    for seed in seeds:
-                        record = run_cell(
-                            plan_name,
-                            app_name,
-                            seed,
-                            compile_arm=compile_arm,
-                            fastpath_arm=fastpath_arm,
-                        )
-                        records.append(record)
-                        if out is not None:
-                            out.write(json.dumps(record, sort_keys=True) + "\n")
+                results = iter(
+                    _spread(
+                        runs,
+                        lambda run: run_instance(
+                            plan_name, run[0], run[1], **arms[run[2]]
+                        ),
+                    )
+                )
+                for app_name, seed in cells:
+                    cell = {arm: next(results) for arm in arms}
+                    record = _cell_record(plan_name, app_name, seed, **cell)
+                    records.append(record)
+                    if out is not None:
+                        out.write(json.dumps(record, sort_keys=True) + "\n")
     finally:
         if out is not None:
             out.close()
