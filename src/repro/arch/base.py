@@ -85,19 +85,27 @@ class _TmEventHook:
             # observable, so skip building the Event and its meta.
             bus.suppressed[kind] += 1
             return
-        meta = dict(user_meta) if user_meta else {}
-        if "pkt_len" not in meta:
-            meta["pkt_len"] = pkt.total_len
-        meta["port"] = port
-        meta["queue_id"] = queue_id
-        meta["qdepth_bytes"] = depth_bytes
-        meta["buffer_bytes"] = switch.tm.buffer.occupancy_bytes
-        # Support was decided above from the same description the bus's
-        # admission gate (SwitchBase._admits) consults, so admitted kinds
-        # skip the gate; an unsupported kind only gets here with
-        # observers attached and goes through the gate to be suppressed
-        # in front of them.
-        bus.publish(Event(kind, switch.sim._get_now(), pkt, meta), gated=unsupported)
+        user = user_meta or {}
+        # The record's key order: user keys, pkt_len unless the user set
+        # one, then the TM's fields.
+        meta = {
+            **user,
+            "pkt_len": user["pkt_len"] if "pkt_len" in user else pkt.total_len,
+            "port": port,
+            "queue_id": queue_id,
+            "qdepth_bytes": depth_bytes,
+            "buffer_bytes": switch.tm.buffer.occupancy_bytes,
+        }
+        event = Event(kind, switch.sim._get_now(), pkt, meta)
+        if bus._observers:
+            # An unsupported kind gets here only to be suppressed in
+            # front of the observers, by the bus's own admission gate.
+            bus.publish(event, gated=unsupported)
+            return
+        # Admitted, nobody watching: what publish would do, inline.
+        bus.fired[kind] += 1
+        for fn in bus._routes[kind]:
+            fn(event)
 
 
 class SwitchContext(ProgramContext):
@@ -144,6 +152,9 @@ class SwitchBase:
     #: cache from paying it at all.
     COMPILE_WARMUP = 16
 
+    #: Safety bound on recirculations per packet, as real targets impose.
+    MAX_RECIRCULATIONS = 16
+
     def __init__(
         self,
         sim: Simulator,
@@ -178,11 +189,14 @@ class SwitchBase:
             scheduler_factory=scheduler_factory,
             name=f"{name}.tm",
         )
-        self.tm.hooks.on_enqueue = self._tm_hook(EventType.ENQUEUE)
-        self.tm.hooks.on_dequeue = self._tm_hook(EventType.DEQUEUE)
-        self.tm.hooks.on_overflow = self._tm_hook(EventType.BUFFER_OVERFLOW)
-        self.tm.hooks.on_underflow = self._tm_hook(EventType.BUFFER_UNDERFLOW)
-        self.tm.hooks.on_transmit = self._tm_hook(EventType.PACKET_TRANSMITTED)
+        # Every architecture's TM transitions fire events; the bus's
+        # admission gate decides whether the programming model sees them.
+        hooks = self.tm.hooks
+        hooks.on_enqueue = _TmEventHook(self, EventType.ENQUEUE)
+        hooks.on_dequeue = _TmEventHook(self, EventType.DEQUEUE)
+        hooks.on_overflow = _TmEventHook(self, EventType.BUFFER_OVERFLOW)
+        hooks.on_underflow = _TmEventHook(self, EventType.BUFFER_UNDERFLOW)
+        hooks.on_transmit = _TmEventHook(self, EventType.PACKET_TRANSMITTED)
         self.tm.fastpath_disrupt = self.fastpath_disrupt
         self.program: Optional[P4Program] = None
         self._bind_handlers()
@@ -458,10 +472,11 @@ class SwitchBase:
         self.bus.publish(event)
 
     def _bind_handlers(self) -> None:
-        """Snapshot the program's shared registers and its ``kind →
-        (handler, thread tag)`` table, read by :meth:`_run_handler`, and
-        void the packet-event runners; :meth:`_dispatch_packet_event`
-        rebinds them on its next call.
+        """Snapshot the program's shared registers, bind one runner per
+        non-pipeline event kind it handles into ``_event_handlers``
+        (``kind → runner(event)``, read by :meth:`_run_handler` and the
+        SUME carrier's delivery), and void the packet-event runners;
+        :meth:`_dispatch_packet_event` rebinds them on its next call.
 
         Also empties ``_ingress_key``, the slot in which an
         architecture's receive path hands an ingress walk's flow key to
@@ -474,26 +489,35 @@ class SwitchBase:
             return
         self._shared_regs = tuple(program.shared_registers())
         self._event_handlers = {
-            kind: (fn, kind.value) for kind, fn in program._handlers.items()
+            kind: self._event_runner(kind, fn) for kind, fn in program._handlers.items()
         }
+
+    def _event_runner(self, kind: EventType, fn):
+        """The ``(event)`` runner for one non-pipeline event kind: the
+        handler with this switch's context, run with every shared
+        register's thread tag set to ``kind`` (paper §4: accesses are
+        accounted per event thread)."""
+        ctx, regs, thread = self.ctx, self._shared_regs, kind.value
+        if not regs:
+            return partial(fn, ctx)
+
+        def run(event: Event) -> None:
+            for reg in regs:
+                reg._thread = thread
+            try:
+                fn(ctx, event)
+            finally:
+                for reg in regs:
+                    reg._thread = None
+
+        return run
 
     def _run_handler(self, event: Event) -> bool:
         """The bus's dispatcher: run the handler for a non-pipeline event."""
-        bound = self._event_handlers.get(event.kind)
-        if bound is None:
+        run = self._event_handlers.get(event.kind)
+        if run is None:
             return False
-        fn, thread = bound
-        regs = self._shared_regs
-        if not regs:
-            fn(self.ctx, event)
-            return True
-        for reg in regs:
-            reg._thread = thread
-        try:
-            fn(self.ctx, event)
-        finally:
-            for reg in regs:
-                reg._thread = None
+        run(event)
         return True
 
     def _dispatch_packet_event(
@@ -624,16 +648,6 @@ class SwitchBase:
         architecture keeps no such pipeline."""
         return None
 
-    def _tm_hook(self, kind: EventType) -> "_TmEventHook":
-        """A traffic-manager hook that fires ``kind`` data-plane events.
-
-        Every architecture's TM transitions fire events; whether the
-        programming model sees them is decided by :meth:`fire_event`
-        against the architecture description (baseline PSA suppresses
-        all of them — the paper's motivating gap).
-        """
-        return _TmEventHook(self, kind)
-
     # ------------------------------------------------------------------
     # State introspection (checkpoint manifests and reports)
     # ------------------------------------------------------------------
@@ -689,8 +703,42 @@ class SwitchBase:
         self._bind_handlers()
 
     # ------------------------------------------------------------------
-    # Transmission
+    # Steering after the ingress walk, and transmission
     # ------------------------------------------------------------------
+    def _steer(self, pkt: Packet, meta: StandardMetadata) -> None:
+        """Act on the ingress walk's verdict: drop, punt to the control
+        plane, recirculate, or enqueue on the traffic manager."""
+        if meta.egress_spec is None or meta.dropped:
+            self.dropped_by_program += 1
+            return
+        if meta.to_cpu:
+            self.notify_control_plane({"pkt_id": pkt.pkt_id, "reason": 0})
+            return
+        if meta.recirculate:
+            self._recirculate(pkt)
+            return
+        pkt.egress_port = meta.egress_spec
+        pkt.queue_id = meta.queue_id
+        pkt.priority = meta.priority
+        pkt.meta["enq_meta"] = meta.enq_meta
+        pkt.meta["deq_meta"] = meta.deq_meta
+        self.tm.enqueue(pkt)
+
+    def _recirculate(self, pkt: Packet) -> None:
+        count = pkt.meta.get("recirc_count", 0)
+        if count >= self.MAX_RECIRCULATIONS:
+            self.dropped_by_program += 1
+            return
+        self.recirculations += 1
+        pkt.meta["recirc_count"] = count + 1
+        pkt.recirculated = True
+        self._to_ingress(pkt)
+
+    def _to_ingress(self, pkt: Packet) -> None:
+        """Start ``pkt``'s next ingress traversal (recirculated or
+        generated)."""
+        raise NotImplementedError
+
     def _transmit(self, pkt: Packet, port: int) -> None:
         if self._tx_callback is not None:
             self._tx_callback(pkt, port)

@@ -28,9 +28,6 @@ _EGRESS = EventType.EGRESS_PACKET
 class BaselinePsaSwitch(SwitchBase):
     """Figure 1's PSA: ingress pipeline → traffic manager → egress pipeline."""
 
-    #: Safety bound on recirculations per packet, as real targets impose.
-    MAX_RECIRCULATIONS = 16
-
     def __init__(
         self,
         sim: Simulator,
@@ -89,9 +86,7 @@ class BaselinePsaSwitch(SwitchBase):
                 f"architecture {self.description.name!r} cannot generate packets"
             )
         pkt.generated = True
-        self.sim.call_after(
-            self.ingress_pipeline.latency_ps, self._ingress_done, pkt, pkt.ingress_port
-        )
+        self._to_ingress(pkt)
 
     def _ingress_done(
         self, pkt: Packet, port: int, key: Optional[tuple] = None
@@ -125,31 +120,7 @@ class BaselinePsaSwitch(SwitchBase):
             kind = EventType.INGRESS_PACKET
         self._dispatch_packet_event(kind, pkt, meta)
 
-    def _steer(self, pkt: Packet, meta: StandardMetadata) -> None:
-        if meta.egress_spec is None or meta.dropped:
-            self.dropped_by_program += 1
-            return
-        if meta.to_cpu:
-            self.notify_control_plane({"pkt_id": pkt.pkt_id, "reason": 0})
-            return
-        if meta.recirculate:
-            self._recirculate(pkt)
-            return
-        pkt.egress_port = meta.egress_spec
-        pkt.queue_id = meta.queue_id
-        pkt.priority = meta.priority
-        pkt.meta["enq_meta"] = meta.enq_meta
-        pkt.meta["deq_meta"] = meta.deq_meta
-        self.tm.enqueue(pkt)
-
-    def _recirculate(self, pkt: Packet) -> None:
-        count = pkt.meta.get("recirc_count", 0)
-        if count >= self.MAX_RECIRCULATIONS:
-            self.dropped_by_program += 1
-            return
-        self.recirculations += 1
-        pkt.meta["recirc_count"] = count + 1
-        pkt.recirculated = True
+    def _to_ingress(self, pkt: Packet) -> None:
         self.sim.call_after(
             self.ingress_pipeline.latency_ps, self._ingress_done, pkt, pkt.ingress_port
         )

@@ -26,7 +26,7 @@ from typing import Dict
 
 from repro.arch.baseline import BaselinePsaSwitch
 from repro.arch.description import LOGICAL_EVENT_DRIVEN, ArchitectureDescription
-from repro.arch.events import Event, EventType
+from repro.arch.events import PIPELINE_PACKET_EVENTS, Event, EventType
 from repro.arch.program import P4Program
 from repro.packet.packet import Packet
 from repro.pisa.pipeline import Pipeline
@@ -72,13 +72,7 @@ class LogicalEventSwitch(BaselinePsaSwitch):
                 clock_mhz=self.description.clock_mhz,
             )
             for kind in sorted(program.handled_events(), key=lambda k: k.value)
-            if kind
-            not in (
-                EventType.INGRESS_PACKET,
-                EventType.EGRESS_PACKET,
-                EventType.RECIRCULATED_PACKET,
-                EventType.GENERATED_PACKET,
-            )
+            if kind not in PIPELINE_PACKET_EVENTS
         }
 
     # ------------------------------------------------------------------
@@ -87,9 +81,7 @@ class LogicalEventSwitch(BaselinePsaSwitch):
     def inject_generated(self, pkt: Packet) -> None:
         """Program-generated packets enter the ingress pipeline directly."""
         pkt.generated = True
-        self.sim.call_after(
-            self.ingress_pipeline.latency_ps, self._ingress_done, pkt, pkt.ingress_port
-        )
+        self._to_ingress(pkt)
 
     # ------------------------------------------------------------------
     # Event routing: synchronous, multi-ported memory (no staleness)

@@ -9,8 +9,6 @@ architectures deliver to program handlers.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, Optional
 
@@ -73,10 +71,7 @@ PIPELINE_PACKET_EVENTS: FrozenSet[EventType] = frozenset(
     }
 )
 
-_event_ids = itertools.count()
 
-
-@dataclass(slots=True)
 class Event:
     """One fired data-plane event, as delivered to a program handler.
 
@@ -87,24 +82,25 @@ class Event:
     the ingress control initialized (the paper's ``enq_meta`` /
     ``deq_meta``), merged with the architecture-provided fields such as
     queue depth; for link events it holds ``port`` and ``up``; for timer
-    events ``timer_id``.
+    events ``timer_id``.  A plain fixed-layout record, like a target's
+    standard metadata.
     """
 
-    kind: EventType
-    time_ps: int
-    pkt: Optional[Packet] = None
-    meta: Dict[str, int] = field(default_factory=dict)
-    event_id: int = field(default_factory=_event_ids.__next__)
+    __slots__ = ("kind", "time_ps", "pkt", "meta")
+
+    def __init__(
+        self, kind: EventType, time_ps: int, pkt: Optional[Packet] = None, meta=None
+    ) -> None:
+        self.kind = kind
+        self.time_ps = time_ps
+        self.pkt = pkt
+        self.meta: Dict[str, int] = {} if meta is None else meta
 
     def require_pkt(self) -> Packet:
         """The event's packet; raises if this event kind carries none."""
         if self.pkt is None:
-            raise ValueError(f"{self.kind} event #{self.event_id} carries no packet")
+            raise ValueError(f"{self.kind} event at {self.time_ps}ps carries no packet")
         return self.pkt
-
-    def age_ps(self, now_ps: int) -> int:
-        """Staleness of this event at ``now_ps`` (time since it fired)."""
-        return now_ps - self.time_ps
 
     def to_record(self) -> Dict[str, object]:
         """A JSON-serializable view (the obs trace sink's record body)."""

@@ -82,6 +82,8 @@ class EventMerger:
         self.slots_per_kind = slots_per_kind
         self.queue_capacity = queue_capacity
         self.wait_cycles = wait_cycles
+        # Both factors are fixed here, so the offer path reads the delay.
+        self._wait_ps = max(1, wait_cycles * clock_ps)
         self.injection_enabled = injection_enabled
         self.stats = MergerStats()
         self._pending: Dict[EventType, List[Event]] = {kind: [] for kind in EventType}
@@ -123,8 +125,7 @@ class EventMerger:
         self._pending_total += 1
         if self.injection_enabled and not self._check_scheduled:
             self._check_scheduled = True
-            delay = max(1, self.wait_cycles * self.clock_ps)
-            self.sim.call_after(delay, self._injection_check)
+            self.sim.call_after(self._wait_ps, self._injection_check)
 
     @property
     def pending_count(self) -> int:

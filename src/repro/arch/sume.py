@@ -35,8 +35,6 @@ from repro.sim.kernel import Simulator
 class SumeEventSwitch(SwitchBase):
     """Figure 4's SUME Event Switch on a single physical P4 pipeline."""
 
-    MAX_RECIRCULATIONS = 16
-
     def __init__(
         self,
         sim: Simulator,
@@ -123,18 +121,21 @@ class SumeEventSwitch(SwitchBase):
         """Run the handlers of the records a carrier brought through.
 
         With nobody watching, only the handler and the bus's handled
-        counter are observable, so the dispatcher runs inline; with
-        observers attached each record takes the bus's own
+        counter are observable, so the kind's bound runner runs inline;
+        with observers attached each record takes the bus's own
         :meth:`~repro.arch.bus.EventBus.dispatch`, which reports its
         staleness — merger wait plus pipeline traversal.
         """
         bus = self.bus
         handled = bus.handled
-        run = self._run_handler
+        runners = self._event_handlers
         for event in events:
             if bus._observers:
                 bus.dispatch(event)
-            elif run(event):
+                continue
+            run = runners.get(event.kind)
+            if run is not None:
+                run(event)
                 handled[event.kind] += 1
 
     def _pipeline_exit(
@@ -168,35 +169,8 @@ class SumeEventSwitch(SwitchBase):
         # for latency and resource accounting.
         return None
 
-    # ------------------------------------------------------------------
-    # Steering after the pipeline
-    # ------------------------------------------------------------------
-    def _steer(self, pkt: Packet, meta: StandardMetadata) -> None:
-        if meta.egress_spec is None:
-            self.dropped_by_program += 1
-            return
-        if meta.dropped:
-            self.dropped_by_program += 1
-            return
-        if meta.to_cpu:
-            self.notify_control_plane({"pkt_id": pkt.pkt_id, "reason": 0})
-            return
-        if meta.recirculate:
-            count = pkt.meta.get("recirc_count", 0)
-            if count >= self.MAX_RECIRCULATIONS:
-                self.dropped_by_program += 1
-                return
-            self.recirculations += 1
-            pkt.meta["recirc_count"] = count + 1
-            pkt.recirculated = True
-            self._enter_pipeline(pkt, EventType.INGRESS_PACKET)
-            return
-        pkt.egress_port = meta.egress_spec
-        pkt.queue_id = meta.queue_id
-        pkt.priority = meta.priority
-        pkt.meta["enq_meta"] = meta.enq_meta
-        pkt.meta["deq_meta"] = meta.deq_meta
-        self.tm.enqueue(pkt)
+    def _to_ingress(self, pkt: Packet) -> None:
+        self._enter_pipeline(pkt, EventType.INGRESS_PACKET)
 
     def _after_tm(self, pkt: Packet, port: int) -> None:
         """Serialized out of the output queues: transmit on the wire."""

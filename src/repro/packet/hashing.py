@@ -9,11 +9,11 @@ hash into a register index range.
 
 from __future__ import annotations
 
+import zlib
 from typing import List, Optional
 
 from repro.packet.packet import FiveTuple, Packet
 
-_CRC32_POLY = 0xEDB88320  # reflected IEEE 802.3
 _CRC16_POLY = 0x8408  # reflected CCITT
 
 
@@ -31,16 +31,13 @@ def _make_table(poly: int, width: int) -> List[int]:
     return table
 
 
-_CRC32_TABLE = _make_table(_CRC32_POLY, 32)
 _CRC16_TABLE = _make_table(_CRC16_POLY, 16)
 
 
 def crc32(data: bytes, seed: int = 0xFFFFFFFF) -> int:
-    """CRC-32 (IEEE 802.3) of ``data``."""
-    crc = seed
-    for byte in data:
-        crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    """CRC-32 (IEEE 802.3) of ``data`` from register ``seed``; zlib runs
+    the same reflected polynomial but takes the register inverted."""
+    return zlib.crc32(data, seed ^ 0xFFFFFFFF)
 
 
 def crc16(data: bytes, seed: int = 0xFFFF) -> int:

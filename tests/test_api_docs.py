@@ -65,3 +65,27 @@ def test_profile_hotpath_names_the_workload_and_the_kernel(tmp_path):
     assert "(sorted by cumulative time, top 40 functions)" in result.stdout
     assert "(sorted by self time (tottime), top 40 functions)" in result.stdout
     assert os.path.join("sim", "kernel.py") in result.stdout
+
+
+def test_profile_hotpath_lists_the_callers_of_a_pattern(tmp_path):
+    pattern = r"builtins\.len\b"
+    code = (
+        "import profile_hotpath as p; print(p.callers("
+        f"p.profile_workload('chain_paced', 1, scale=0.05), {pattern!r}, 3))"
+    )
+    env = dict(os.environ, PYTHONPATH=f"{REPO}/tools{os.pathsep}{REPO}/src")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=str(tmp_path), env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == f"(callers of functions matching {pattern!r}, top 3 by calls)"
+    called = [line for line in lines if line.endswith("{built-in method builtins.len}")]
+    assert len(called) == 1
+    # The matched function, then up to three callers, most calls first.
+    start = lines.index(called[0])
+    counts = [int(line.split()[0].replace(",", "")) for line in lines[start:start + 4]]
+    assert counts[0] > 0 and len(counts) >= 2
+    assert counts[1:] == sorted(counts[1:], reverse=True)
+    assert sum(counts[1:]) <= counts[0]

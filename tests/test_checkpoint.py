@@ -298,8 +298,8 @@ def test_truncated_or_bit_flipped_checkpoint_is_a_checkpoint_error(data):
 # ----------------------------------------------------------------------
 #: ``(CHECKPOINT_VERSION, digest of the pickled layout)``, see below.
 PINNED_LAYOUT = (
-    3,
-    "a48a0a3875689ba400647d5dab1ed22d2dcb824039ff421b390d1d3316f30eaa",
+    4,
+    "0463ee49da4f0579b6cc419cf6a8c753f43805c4fbf940b7875f1b4fe7f319b2",
 )
 
 
@@ -336,18 +336,26 @@ def layout_digest(graph) -> str:
 
 def _representative_graphs():
     """Mid-run graphs covering both switch families: the §2 microburst
-    SUME pair, and a chaos L3 chain of baseline switches with the flow
-    cache and the fastpath on."""
+    SUME pair at 1 ms, the same pair cut while its merger holds event
+    records (a carrier-less cut pickles no :class:`Event`), and a chaos
+    L3 chain of baseline switches with the flow cache and the fastpath
+    on."""
     from repro.experiments.microburst_exp import prepare_event_driven
     from repro.faults.scenarios import build_scenario
     from repro.sim.units import MILLISECONDS
 
     setup = prepare_event_driven(duration_ps=2 * MILLISECONDS)
     setup.network.run(until_ps=1 * MILLISECONDS)
+    pending = prepare_event_driven(duration_ps=2 * MILLISECONDS)
+    pending.network.run(until_ps=1 * MILLISECONDS)
+    merger = pending.network.switches["s0"].merger
+    while not merger.pending_count:
+        assert pending.network.sim.step(), "the run ended with no pending record"
     chain = build_scenario("l3chain", 1, flow_cache=True, fastpath=True)
     chain.network.run(until_ps=chain.duration_ps // 2)
     return [
         {"sim": setup.network.sim, "state": setup},
+        {"sim": pending.network.sim, "state": pending},
         {"sim": chain.network.sim, "state": chain},
     ]
 

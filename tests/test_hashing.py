@@ -1,5 +1,7 @@
 """Unit tests for the data-plane hash functions."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +20,50 @@ from repro.packet.packet import FiveTuple, Packet
 def test_crc32_known_value():
     # The classic CRC-32 check value for "123456789".
     assert crc32(b"123456789") == 0xCBF43926
+
+
+def _crc32_table():
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xEDB88320 if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+_CRC32_TABLE = _crc32_table()
+
+
+def _crc32_oracle(data: bytes, seed: int) -> int:
+    """Table-driven reflected CRC-32, byte at a time from register ``seed``."""
+    crc = seed
+    for byte in data:
+        crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
+
+
+def _salted(salt: int, multiplier: int) -> int:
+    return (0xFFFFFFFF ^ (salt * multiplier)) & 0xFFFFFFFF
+
+
+#: Every register seed the library passes: the default, the salted
+#: seeds of tuple_hash / ip_pair_hash and CountMinSketch rows (golden
+#: ratio multiplier), and the BloomFilter hashes' seeds.
+_SEEDS = sorted(
+    {0xFFFFFFFF}
+    | {_salted(salt, 0x9E3779B9) for salt in range(8)}
+    | {_salted(h, 0x85EBCA6B) for h in range(8)}
+)
+
+
+@pytest.mark.parametrize("seed", _SEEDS, ids=hex)
+def test_crc32_equals_the_table_driven_oracle(seed):
+    rng = random.Random(seed)
+    for length in range(65):
+        data = rng.randbytes(length)
+        assert crc32(data, seed) == _crc32_oracle(data, seed)
+    assert crc32(b"123456789", seed) == _crc32_oracle(b"123456789", seed)
 
 
 def test_crc16_known_value():

@@ -2,6 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from repro.arch.bus import EventBus
 from repro.arch.events import Event, EventType
@@ -213,3 +218,88 @@ def test_cli_events_trace(tmp_path, capsys):
     assert len(preview) == 2
     for line in preview:
         json.loads(line)
+
+
+# ----------------------------------------------------------------------
+# Trace equality: the TM event record and a whole-run JSONL trace
+# ----------------------------------------------------------------------
+_TM_HOOKS = {
+    EventType.ENQUEUE: "on_enqueue",
+    EventType.DEQUEUE: "on_dequeue",
+    EventType.BUFFER_OVERFLOW: "on_overflow",
+    EventType.BUFFER_UNDERFLOW: "on_underflow",
+    EventType.PACKET_TRANSMITTED: "on_transmit",
+}
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["bare", "observed"])
+@pytest.mark.parametrize("kind", list(_TM_HOOKS), ids=lambda kind: kind.value)
+def test_tm_event_record_layout(kind, observed):
+    """A TM hook's record: user keys first, then ``pkt_len`` unless the
+    user set it, then the TM's fields; identical with or without an
+    observer on the bus."""
+    from repro.arch.description import FULL_EVENT_SWITCH
+    from repro.arch.sume import SumeEventSwitch
+    from repro.packet.builder import make_udp_packet
+
+    switch = SumeEventSwitch(Simulator(), description=FULL_EVENT_SWITCH)
+    routed = []
+    switch.bus.subscribe(routed.append, kinds=[kind])
+    if observed:
+        switch.bus.add_observer(RecordingObserver())
+    pkt = make_udp_packet(1, 2, payload_len=100)
+    length = pkt.total_len
+    cases = [
+        ({"flowID": 3, "pkt_len": 500}, [("flowID", 3), ("pkt_len", 500), ("port", 2)]),
+        ({"flowID": 3}, [("flowID", 3), ("pkt_len", length), ("port", 2)]),
+        (None, [("pkt_len", length), ("port", 2)]),
+        ({"port": 9}, [("port", 2), ("pkt_len", length)]),
+    ]
+    tm_fields = [("queue_id", 1), ("qdepth_bytes", 700), ("buffer_bytes", 0)]
+    hook = getattr(switch.tm.hooks, _TM_HOOKS[kind])
+    for user_meta, head in cases:
+        hook(pkt, 2, 1, 700, user_meta)
+        record = routed[-1].to_record()
+        assert list(record.pop("meta").items()) == head + tm_fields
+        assert record == {"kind": kind.value, "t_ps": 0, "pkt": pkt.pkt_id}
+    assert len(routed) == len(cases)
+    assert switch.bus.fired[kind] == len(cases)
+    assert cases[0][0] == {"flowID": 3, "pkt_len": 500}  # user meta untouched
+
+
+#: SHA-256 of the JSONL trace of a 2 ms §2 microburst run on the SUME
+#: pair, the sink attached to both buses from t=0, in a fresh process
+#: (packet ids start at 0).
+MICROBURST_TRACE_SHA256 = (
+    "e2fa8d852f18abe633073609364319b86ff8ada1ef85042b88952e52390c5950"
+)
+
+_TRACE_SCRIPT = """
+import hashlib, io
+from repro.experiments.microburst_exp import prepare_event_driven
+from repro.obs import JsonlTraceSink
+from repro.sim.units import MILLISECONDS
+
+stream = io.StringIO()
+sink = JsonlTraceSink(stream)
+setup = prepare_event_driven(duration_ps=2 * MILLISECONDS)
+for switch in setup.network.switches.values():
+    switch.bus.add_observer(sink)
+setup.network.run(until_ps=setup.duration_ps)
+print(sink.records_written, hashlib.sha256(stream.getvalue().encode()).hexdigest())
+"""
+
+
+def test_microburst_jsonl_trace_is_pinned():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    result = subprocess.run(
+        [sys.executable, "-c", _TRACE_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    records, digest = result.stdout.split()
+    assert int(records) == 11_442
+    assert digest == MICROBURST_TRACE_SHA256

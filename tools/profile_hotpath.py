@@ -14,11 +14,17 @@ the ``steps()`` calls under :mod:`cProfile`, then ``finish()`` /
 * optionally the raw ``pstats`` dump for interactive digging
   (``python -m pstats profile.pstats``).
 
+``--callers PATTERN`` appends, for every profiled function whose name
+matches the regular expression (e.g. ``builtins.len`` or
+``method 'get' of 'dict'``), its top callers by call count: where a
+flat profile's hundreds of thousands of small calls come from.
+
 Usage::
 
     PYTHONPATH=src python tools/profile_hotpath.py
     PYTHONPATH=src python tools/profile_hotpath.py --workload chain_paced \
         --out profile_chain.txt --pstats profile_chain.pstats
+    PYTHONPATH=src python tools/profile_hotpath.py --callers 'builtins.len' --out -
     REPRO_PIPELINE_COMPILE=0 PYTHONPATH=src python tools/profile_hotpath.py
 
 Environment toggles apply as everywhere else: set
@@ -34,6 +40,7 @@ import cProfile
 import io
 import os
 import pstats
+import re
 import sys
 import tempfile
 
@@ -75,6 +82,29 @@ def report(profiler: cProfile.Profile, name: str, top: int) -> str:
     return buffer.getvalue()
 
 
+def callers(profiler: cProfile.Profile, pattern: str, top: int) -> str:
+    """For each profiled function matching ``pattern`` (a regex searched
+    in its pstats name), most-called first: its call count, then its top
+    ``top`` callers by the number of calls each made."""
+    regex = re.compile(pattern)
+    buffer = io.StringIO()
+    buffer.write(f"(callers of functions matching {pattern!r}, top {top} by calls)\n")
+    rows = pstats.Stats(profiler).stats.items()
+    # A stats row is (primitive calls, calls, tottime, cumtime, callers);
+    # each callers entry is (calls, primitive calls, tottime, cumtime).
+    for func, (_cc, calls, _tt, _ct, by_caller) in sorted(
+        rows, key=lambda row: -row[1][1]
+    ):
+        name = pstats.func_std_string(func)
+        if not regex.search(name):
+            continue
+        buffer.write(f"\n{calls:>12,}  {name}\n")
+        ranked = sorted(by_caller.items(), key=lambda item: -item[1][0])
+        for caller, (caller_calls, *_rest) in ranked[:top]:
+            buffer.write(f"{caller_calls:>12,}    {pstats.func_std_string(caller)}\n")
+    return buffer.getvalue()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -103,10 +133,19 @@ def main(argv=None) -> int:
         metavar="PATH",
         help="also dump the raw pstats file for interactive analysis",
     )
+    parser.add_argument(
+        "--callers",
+        default="",
+        metavar="PATTERN",
+        help="also list the top callers (by call count) of every function "
+        "whose pstats name matches this regular expression",
+    )
     args = parser.parse_args(argv)
 
     profiler = profile_workload(args.workload, args.seed)
     text = report(profiler, args.workload, args.top)
+    if args.callers:
+        text += "\n" + callers(profiler, args.callers, args.top)
     sys.stdout.write(text)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as handle:
