@@ -89,3 +89,24 @@ def test_profile_hotpath_lists_the_callers_of_a_pattern(tmp_path):
     assert counts[0] > 0 and len(counts) >= 2
     assert counts[1:] == sorted(counts[1:], reverse=True)
     assert sum(counts[1:]) <= counts[0]
+
+
+def test_profile_hotpath_reports_the_pending_depth(tmp_path):
+    code = (
+        "import profile_hotpath as p; pending = []; "
+        "p.profile_workload('chain_paced', 1, scale=0.05, pending=pending); "
+        "print(p.pending_report('chain_paced', pending)); "
+        "print(p.pending_report('job_storm', []))"
+    )
+    env = dict(os.environ, PYTHONPATH=f"{REPO}/tools{os.pathsep}{REPO}/src")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=str(tmp_path), env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    chain, other = [line for line in result.stdout.splitlines() if line]
+    # 3,000 sends are loaded before the first slice; the queue drains
+    # as the slices advance, so the first read is also the deepest.
+    assert chain.startswith("(pending events at 100 step starts: first 3,000, median ")
+    assert chain.endswith(", max 3,000)")
+    assert other == "(pending events: 'job_storm' has no single in-process simulator)"

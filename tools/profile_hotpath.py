@@ -19,12 +19,21 @@ matches the regular expression (e.g. ``builtins.len`` or
 ``method 'get' of 'dict'``), its top callers by call count: where a
 flat profile's hundreds of thousands of small calls come from.
 
+``--pending`` appends the kernel's ``pending_events`` read at the start
+of every timed step (first, median and max): how deep the event queue
+is while the workload runs.  Only the in-process single-simulator
+workloads (``microburst_sume``, ``fabric_zipf``, ``chain_paced``,
+``chain_churn``) have one kernel to read; for the others the report
+says so.
+
 Usage::
 
     PYTHONPATH=src python tools/profile_hotpath.py
     PYTHONPATH=src python tools/profile_hotpath.py --workload chain_paced \
         --out profile_chain.txt --pstats profile_chain.pstats
     PYTHONPATH=src python tools/profile_hotpath.py --callers 'builtins.len' --out -
+    PYTHONPATH=src python tools/profile_hotpath.py --workload chain_paced \
+        --pending --out -
     REPRO_PIPELINE_COMPILE=0 PYTHONPATH=src python tools/profile_hotpath.py
 
 Environment toggles apply as everywhere else: set
@@ -49,16 +58,34 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perf"))
 from workloads import WORKLOAD_CLASSES  # noqa: E402
 
 
-def profile_workload(name: str, seed: int, scale: float = 1.0) -> cProfile.Profile:
-    """Profile one run of a workload's timed region; returns the profiler."""
+#: Where each in-process single-simulator workload keeps its kernel.
+_SIMULATORS = {
+    "microburst_sume": lambda workload: workload.state.network.sim,
+    "fabric_zipf": lambda workload: workload.runtime.sim,
+    "chain_paced": lambda workload: workload.network.sim,
+    "chain_churn": lambda workload: workload.network.sim,
+}
+
+
+def profile_workload(
+    name: str, seed: int, scale: float = 1.0, pending: list | None = None
+) -> cProfile.Profile:
+    """Profile one run of a workload's timed region; returns the profiler.
+
+    With a ``pending`` list (single-simulator workloads only), appends
+    the kernel's ``pending_events`` at the start of every step.
+    """
     profiler = cProfile.Profile()
     with tempfile.TemporaryDirectory(prefix="profile-") as tmp:
         workload = WORKLOAD_CLASSES[name](seed, scale, tmp)
         try:
             workload.setup()
             steps = workload.steps()
+            sim = _SIMULATORS[name](workload) if pending is not None else None
             with profiler:
                 for step in steps:
+                    if sim is not None:
+                        pending.append(sim.pending_events)
                     step()
             workload.finish()
         finally:
@@ -105,6 +132,17 @@ def callers(profiler: cProfile.Profile, pattern: str, top: int) -> str:
     return buffer.getvalue()
 
 
+def pending_report(name: str, pending: list) -> str:
+    """First, median and max of the per-step ``pending_events`` reads."""
+    if not pending:
+        return f"(pending events: {name!r} has no single in-process simulator)\n"
+    ordered = sorted(pending)
+    return (
+        f"(pending events at {len(pending)} step starts: first {pending[0]:,}, "
+        f"median {ordered[len(ordered) // 2]:,}, max {ordered[-1]:,})\n"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -140,12 +178,21 @@ def main(argv=None) -> int:
         help="also list the top callers (by call count) of every function "
         "whose pstats name matches this regular expression",
     )
+    parser.add_argument(
+        "--pending",
+        action="store_true",
+        help="also report the kernel's pending_events at each step start "
+        "(first, median, max)",
+    )
     args = parser.parse_args(argv)
 
-    profiler = profile_workload(args.workload, args.seed)
+    pending = [] if args.pending and args.workload in _SIMULATORS else None
+    profiler = profile_workload(args.workload, args.seed, pending=pending)
     text = report(profiler, args.workload, args.top)
     if args.callers:
         text += "\n" + callers(profiler, args.callers, args.top)
+    if args.pending:
+        text += "\n" + pending_report(args.workload, pending or [])
     sys.stdout.write(text)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as handle:
