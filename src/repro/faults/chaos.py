@@ -17,6 +17,18 @@ byte-identical across replays of the same grid and seed.  The runs are
 independent, so a grid spreads them over the host's cores; the records
 and their order do not depend on how many cores ran them.
 
+The forked grid runs each *distinct* arm once.  An arm can differ from
+another only where an accelerator acts, so an arm whose built scenario
+has the :meth:`~repro.faults.scenarios.Scenario.accelerator_signature`
+of an earlier arm's reuses that arm's run.  Today no chaos app loads a
+program with a ``pipeline_spec``, so the compiled arm reuses the
+cache-off run; the SUME apps (``frr``, ``hula``, ``liveness``,
+``migration``) never fuse, so their fastpath arm reuses the cache-on
+run; and ``liveness`` parks its flow caches under shared registers, so
+all its arms are one run.  Only ``l3chain`` runs its fastpath arm.
+:func:`run_cell` and the unforked :func:`run_grid` share nothing: they
+are the from-scratch reference the forked grid must match.
+
 Exit-code contract (``repro chaos``): nonzero iff any record carries a
 violation.
 """
@@ -278,12 +290,36 @@ def run_cell(
     (the per-hop reference) and another arm runs with the fastpath on;
     any mismatch — including one caused by a fault interrupting a fused
     window — is a ``fastpath-divergence`` violation.
+
+    Every arm is built and run from scratch, even where two arms'
+    accelerator signatures match: this is the unshared reference that
+    :func:`run_forked_cells` records are checked against.
     """
     results = {
         arm: run_instance(plan_name, app_name, seed, **knobs)
         for arm, knobs in _arms(compile_arm, fastpath_arm).items()
     }
     return _cell_record(plan_name, app_name, seed, **results)
+
+
+def _distinct_bases(
+    app_name: str, seed: int, arms: Dict[str, Dict[str, object]]
+) -> Tuple[Dict[str, Scenario], Dict[str, str]]:
+    """Build every arm's base; keep one per accelerator signature.
+
+    Returns the bases to run, keyed by the first arm with each
+    :meth:`~repro.faults.scenarios.Scenario.accelerator_signature`, and
+    for every arm the arm whose run it reuses (itself if it runs).
+    """
+    bases: Dict[str, Scenario] = {}
+    first: Dict[tuple, str] = {}
+    runs_as: Dict[str, str] = {}
+    for arm, knobs in arms.items():
+        base = build_scenario(app_name, seed, **knobs)
+        runs_as[arm] = first.setdefault(base.accelerator_signature(), arm)
+        if runs_as[arm] == arm:
+            bases[arm] = base
+    return bases, runs_as
 
 
 def run_forked_cells(
@@ -302,9 +338,14 @@ def run_forked_cells(
     :func:`run_instance_on`), each cell's record — fingerprint included
     — is byte-identical to :func:`run_cell` for the same cell.
 
-    An (app, seed)'s (plan, arm) runs are independent, so they are
-    spread over the host's cores (:func:`_spread`) once its bases are
-    built; the records do not depend on how many cores ran them.
+    An arm whose base has the accelerator signature of an earlier arm's
+    base is not run: its result is that arm's, so each distinct run
+    happens once per (plan, app, seed) and the record is assembled
+    exactly as from separate runs.
+
+    An (app, seed)'s distinct (plan, arm) runs are independent, so they
+    are spread over the host's cores (:func:`_spread`) once its bases
+    are built; the records do not depend on how many cores ran them.
     Records come back in :func:`run_grid` order (plan, app, seed) so the
     two paths emit interchangeable JSONL.
     """
@@ -313,21 +354,17 @@ def run_forked_cells(
     seed_list = list(seeds)
     for app_name in apps:
         for seed in seed_list:
-            bases = {
-                arm: build_scenario(app_name, seed, **knobs)
-                for arm, knobs in arms.items()
-            }
-            runs = [(plan_name, arm) for plan_name in plans for arm in arms]
-            results = iter(
-                _spread(
-                    runs,
-                    lambda run: run_instance_on(
-                        fork_scenario(bases[run[1]]), run[0], seed
-                    ),
-                )
+            bases, runs_as = _distinct_bases(app_name, seed, arms)
+            runs = [(plan_name, arm) for plan_name in plans for arm in bases]
+            results = _spread(
+                runs,
+                lambda run: run_instance_on(
+                    fork_scenario(bases[run[1]]), run[0], seed
+                ),
             )
+            by_run = dict(zip(runs, results))
             for plan_name in plans:
-                cell = {arm: next(results) for arm in arms}
+                cell = {arm: by_run[(plan_name, runs_as[arm])] for arm in arms}
                 by_cell[(plan_name, app_name, seed)] = _cell_record(
                     plan_name, app_name, seed, **cell
                 )
@@ -354,7 +391,9 @@ def run_grid(
     (app, seed, arm), one :meth:`Simulator.fork` per cell — with
     identical records.  Without it, each plan's (app, seed, arm) runs
     are spread over the host's cores (:func:`_spread`) and the plan's
-    records are written, in canonical order, before the next plan runs.
+    records are written, in canonical order, before the next plan runs;
+    every arm runs, shared signature or not, so the unforked grid is the
+    from-scratch reference for the forked one.
     """
     arms = _arms(compile_arm, fastpath_arm)
     seed_list = list(seeds)

@@ -32,6 +32,7 @@ from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.network import Network
 from repro.net.topology import build_leaf_spine, build_linear
+from repro.pisa.fastpath import can_fuse
 from repro.sim.units import MICROSECONDS, MILLISECONDS
 from repro.workloads.base import FlowSpec
 from repro.workloads.cbr import ConstantBitRate
@@ -140,6 +141,29 @@ class Scenario:
             totals["fallbacks"] += stats.fallbacks_total
             totals["invalidations"] += stats.invalidations
         return totals
+
+    def accelerator_signature(self) -> Tuple[Tuple[str, bool, bool, bool], ...]:
+        """Which packet-path accelerators can act, switch by switch.
+
+        One ``(name, cache, fuse, compiled)`` row per switch in name
+        order: whether a flow cache is attached (a parked one never
+        acts), whether the flow fastpath can fuse there
+        (:func:`~repro.pisa.fastpath.can_fuse`), and whether compiled
+        walks can happen — compilation is on and the program offers a
+        ``pipeline_spec``, the first check
+        :func:`~repro.pisa.compile.make_walk` makes.  Two builds of one
+        app and seed that differ only in their accelerator knobs and
+        share a signature run identically, so the chaos grid runs them
+        once (:func:`~repro.faults.chaos.run_forked_cells`).
+        """
+        signature = []
+        for name, switch in sorted(self.network.switches.items()):
+            cache = switch.flow_cache is not None
+            has_spec = getattr(switch.program, "pipeline_spec", None) is not None
+            signature.append(
+                (name, cache, can_fuse(switch), switch.pipeline_compile and has_spec)
+            )
+        return tuple(signature)
 
     # ------------------------------------------------------------------
     # Behavior fingerprint

@@ -81,6 +81,7 @@ __all__ = [
     "FLOW_FASTPATH_ENV",
     "FlowFastpath",
     "FastpathStats",
+    "can_fuse",
 ]
 
 #: Environment toggle: ``0``/``false``/``off`` disables the fastpath
@@ -134,6 +135,15 @@ def _classes() -> tuple:
 
         _CLASSES = (BaselinePsaSwitch, Link, Host)
     return _CLASSES
+
+
+def can_fuse(switch) -> bool:
+    """Whether a fused path may ever cross ``switch``: its fastpath is on
+    and it is a baseline PSA switch, the only architecture
+    :meth:`FlowFastpath._build` walks (any other is declined as
+    ``"architecture"``).  A static fact of the build, blind to programs,
+    caches and traffic."""
+    return switch.flow_fastpath is not None and type(switch) is _classes()[0]
 
 
 def _unquiet(sw, fp, port_obj, buffer, links, hosts, now: int) -> Optional[str]:

@@ -6,7 +6,9 @@ plan) produces a verdict record **byte-identical** to the from-scratch
 :func:`run_cell` path — fingerprints included — and forks of the same
 base never contaminate each other.  Spreading a grid's runs over the
 host's cores changes neither the records nor their order, a worker's
-failure surfaces in the caller, and no worker outlives the grid.
+failure surfaces in the caller, and no worker outlives the grid.  An
+arm whose accelerators act nowhere reuses an earlier arm's run, and
+the records stay byte-identical to running every arm.
 """
 
 import json
@@ -17,7 +19,11 @@ import pytest
 
 from repro.experiments.parallel import PersistentWorker, WorkerCrashed
 from repro.faults import chaos
+from repro.apps.l3fwd import L3Router
 from repro.faults.chaos import (
+    APP_NAMES,
+    _arms,
+    _distinct_bases,
     fork_scenario,
     run_cell,
     run_forked_cells,
@@ -138,7 +144,8 @@ def test_a_failing_worker_surfaces_and_leaves_no_child(
     )
     expected = "exitcode=3" if exit_instead else "injected worker failure"
     with pytest.raises(WorkerCrashed, match=expected):
-        run_forked_cells(["linkflap"], ["frr"], [1], fastpath_arm=True)
+        # Four distinct runs: frr's fastpath arm shares the cache-on run.
+        run_forked_cells(_PLANS, ["frr"], [1], fastpath_arm=True)
     assert len(started) == workers - 1
     assert multiprocessing.active_children() == []
 
@@ -163,3 +170,78 @@ def test_forked_grid_in_a_pool_worker_runs_serially(monkeypatch):
         in_worker = worker.recv()
     assert in_worker["fingerprints"] == inline["fingerprints"]
     assert in_worker["violations"] == inline["violations"] == 0
+
+
+# ----------------------------------------------------------------------
+# Arms whose accelerators act nowhere share one run
+# ----------------------------------------------------------------------
+#: The arm each arm's run is taken from, per app, with every arm on.
+_RUNS_AS = {
+    "frr": {"on": "on", "off": "off", "compiled": "off", "fastpath": "on"},
+    "hula": {"on": "on", "off": "off", "compiled": "off", "fastpath": "on"},
+    "l3chain": {"on": "on", "off": "off", "compiled": "off", "fastpath": "fastpath"},
+    "liveness": {"on": "on", "off": "on", "compiled": "on", "fastpath": "on"},
+    "migration": {"on": "on", "off": "off", "compiled": "off", "fastpath": "on"},
+}
+
+
+def test_shared_arms_match_every_arm_run(monkeypatch):
+    arms = _arms(compile_arm=True, fastpath_arm=True)
+    assert {
+        app: _distinct_bases(app, 1, arms)[1] for app in APP_NAMES
+    } == _RUNS_AS
+
+    real = chaos.run_instance_on
+    signatures = []
+
+    def run(scenario, plan_name, seed):
+        # No fault kind loads a program or toggles an accelerator, so a
+        # run cannot leave the signature its sharing was decided on.
+        before = scenario.accelerator_signature()
+        result = real(scenario, plan_name, seed)
+        signatures.append((before, scenario.accelerator_signature()))
+        return result
+
+    monkeypatch.setattr(chaos, "default_workers", lambda: 1)
+    monkeypatch.setattr(chaos, "run_instance_on", run)
+    forked = run_forked_cells(
+        _PLANS, list(APP_NAMES), [1], compile_arm=True, fastpath_arm=True
+    )
+    distinct = sum(len(set(runs_as.values())) for runs_as in _RUNS_AS.values())
+    assert len(signatures) == len(_PLANS) * distinct == 20
+    reference = [
+        run_cell(plan, app, 1, compile_arm=True, fastpath_arm=True)
+        for plan in _PLANS
+        for app in APP_NAMES
+    ]
+    assert [_canon(r) for r in forked] == [_canon(r) for r in reference]
+    # The from-scratch reference runs all four arms of every cell.
+    assert len(signatures) == 20 + len(forked) * 4
+    assert all(before == after for before, after in signatures)
+
+
+def _signature(app, **knobs):
+    return build_scenario(app, 1, **knobs).accelerator_signature()
+
+
+def test_signature_separates_arms_where_an_accelerator_acts():
+    # The fastpath fuses on l3chain's baseline PSA switches.
+    assert _signature("l3chain", flow_cache=True, fastpath=True) != _signature(
+        "l3chain", flow_cache=True, fastpath=False
+    )
+    # An attached flow cache acts; a parked one (liveness) does not.
+    assert _signature("frr", flow_cache=True) != _signature("frr", flow_cache=False)
+    assert _signature("liveness", flow_cache=True) == _signature(
+        "liveness", flow_cache=False
+    )
+    # L3Router offers a pipeline_spec, so compilation can act on it.
+    routed = {}
+    for compile in (True, False):
+        scenario = build_scenario("l3chain", 1, flow_cache=False, compile=compile)
+        assert scenario.accelerator_signature() == _signature(
+            "l3chain", flow_cache=False, compile=not compile
+        )
+        for switch in scenario.network.switches.values():
+            switch.load_program(L3Router())
+        routed[compile] = scenario.accelerator_signature()
+    assert routed[True] != routed[False]
