@@ -11,7 +11,7 @@ program's handlers against this description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, FrozenSet, Iterable, List
 
 from repro.arch.events import EventType
@@ -55,6 +55,17 @@ class ArchitectureDescription:
                 f"architecture {self.name!r} does not support events: {names}"
             )
 
+    def __reduce__(self):
+        """Pickle the event sets as sorted tuples.  A frozenset of
+        :class:`EventType` members pickles in hash order, which
+        ``PYTHONHASHSEED`` changes, and a checkpoint's bytes with it."""
+        params = [getattr(self, field.name) for field in fields(self)[3:]]
+        native, emulated = (
+            tuple(sorted(events, key=lambda k: k.value))
+            for events in (self.native_events, self.emulated_events)
+        )
+        return (_description, (self.name, native, emulated, *params))
+
     def support_row(self) -> Dict[str, str]:
         """One row of the Table 1 support matrix (for the bench report)."""
         row: Dict[str, str] = {"architecture": self.name}
@@ -66,6 +77,11 @@ class ArchitectureDescription:
             else:
                 row[kind.value] = "—"
         return row
+
+
+def _description(name, native, emulated, *params) -> ArchitectureDescription:
+    """Unpickle an :class:`ArchitectureDescription` (its ``__reduce__``)."""
+    return ArchitectureDescription(name, frozenset(native), frozenset(emulated), *params)
 
 
 #: Figure 1's baseline PSA: ingress + egress packet events only.

@@ -305,11 +305,11 @@ def _flow_cache_rows(caches) -> List[str]:
     caches = attached
     header = (
         f"{'switch':<16}{'hits':>10}{'misses':>10}{'uncacheable':>13}"
-        f"{'invalidated':>13}{'evicted':>9}{'hit rate':>10}"
+        f"{'invalidated':>13}{'revalidated':>13}{'evicted':>9}{'hit rate':>10}"
     )
     rows = [header]
     totals = {"hits": 0, "misses": 0, "uncacheable": 0, "invalidations": 0,
-              "evictions": 0}
+              "revalidated": 0, "evictions": 0}
     for cache in caches:
         stats = cache.stats
         for key in totals:
@@ -317,14 +317,14 @@ def _flow_cache_rows(caches) -> List[str]:
         rows.append(
             f"{cache.name or '<anon>':<16}{stats.hits:>10}{stats.misses:>10}"
             f"{stats.uncacheable:>13}{stats.invalidations:>13}"
-            f"{stats.evictions:>9}{stats.hit_rate:>10.1%}"
+            f"{stats.revalidated:>13}{stats.evictions:>9}{stats.hit_rate:>10.1%}"
         )
     lookups = totals["hits"] + totals["misses"] + totals["uncacheable"]
     rate = totals["hits"] / lookups if lookups else 0.0
     rows.append(
         f"{'total':<16}{totals['hits']:>10}{totals['misses']:>10}"
         f"{totals['uncacheable']:>13}{totals['invalidations']:>13}"
-        f"{totals['evictions']:>9}{rate:>10.1%}"
+        f"{totals['revalidated']:>13}{totals['evictions']:>9}{rate:>10.1%}"
     )
     return rows + note
 

@@ -14,9 +14,10 @@ expose:
 * :class:`FlowCacheCoherenceMonitor` — aggregates flow-cache counters
   and runs the eager :meth:`~repro.pisa.flowcache.FlowCache.verify_entries`
   sweep.  Under control-plane churn a cache that served hits must also
-  show invalidations (every churn bumps route generations), and after a
-  full sweep a second sweep must find nothing — stale entries can be
-  *resident* (lazily evicted) but never *served*.
+  show invalidations or revalidations (every churn bumps route
+  generations, and each stale entry is evicted or revalidated), and
+  after a full sweep a second sweep must find nothing — stale entries
+  can be *resident* (lazily evicted) but never *served*.
 """
 
 from __future__ import annotations
@@ -110,6 +111,7 @@ class FlowCacheCoherenceMonitor:
             "uncacheable": 0,
             "invalidations": 0,
             "evictions": 0,
+            "revalidated": 0,
         }
         for cache in self.caches:
             stats = cache.stats
@@ -123,9 +125,12 @@ class FlowCacheCoherenceMonitor:
 
         Runs the final sweep, asserts it converges (a second sweep finds
         nothing), and — when the plan included control-plane churn —
-        that a cache which served hits also invalidated: churn bumps
-        every route generation, so zero invalidations alongside hits
-        would mean a recorded decision outlived a table mutation.
+        that a cache which served hits also re-examined entries: churn
+        bumps every route generation, so every stale entry is either
+        evicted (``invalidations``) or kept by
+        :meth:`~repro.pisa.flowcache.FlowCache.revalidate`
+        (``revalidated``), and neither alongside hits would mean a
+        recorded decision outlived a table mutation unexamined.
         """
         if not self.caches:
             return []
@@ -139,9 +144,11 @@ class FlowCacheCoherenceMonitor:
             )
         if churned:
             totals = self.totals()
-            if totals["hits"] > 0 and totals["invalidations"] == 0:
+            examined = totals["invalidations"] + totals["revalidated"]
+            if totals["hits"] > 0 and examined == 0:
                 violations.append(
-                    f"flowcache: {totals['hits']} hits but zero invalidations "
-                    "under control-plane churn (stale entries survived)"
+                    f"flowcache: {totals['hits']} hits but no entry evicted or "
+                    "revalidated under control-plane churn (stale entries "
+                    "survived)"
                 )
         return violations

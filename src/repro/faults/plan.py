@@ -31,7 +31,7 @@ Fault kinds (all deterministic given the injector's seed):
     reinstalling every forwarding program's routes *with identical
     values* through :meth:`~repro.control.plane.ControlPlane.update_table`
     — zero behavioral delta, but every route generation bumps, so the
-    flow cache must invalidate and never stale-hit.
+    flow cache must evict or revalidate every entry and never stale-hit.
 ``buffer_burst``
     Pause one egress port for the window so queues build, forcing
     enqueue and (with small buffers) overflow events, then release.

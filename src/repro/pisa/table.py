@@ -36,8 +36,13 @@ class Table:
     Any entry mutation (:meth:`insert` / :meth:`remove` in subclasses)
     or :meth:`set_default` bumps :attr:`generation` — the version the
     flow-decision cache (:mod:`repro.pisa.flowcache`) and compiled walks
-    record, so a table change evicts every dependent cached flow before
-    the next packet can see a stale decision.
+    record, so no dependent cached flow can serve the next packet a
+    stale decision.  The flow cache keeps a cached flow whose logged
+    :meth:`lookup` calls still select the same action
+    (:meth:`~repro.pisa.flowcache.FlowCache.revalidate`) and evicts the
+    rest; a walk that reads :meth:`entry_count` (or ``entries()``) is
+    always evicted.  Handlers therefore read a table through
+    :meth:`lookup` / :meth:`apply`, looked up at call time.
 
     Swapping an entry's *action* in place must go through
     :meth:`update_action` (subclasses) so it bumps the generation too:

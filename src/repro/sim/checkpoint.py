@@ -66,7 +66,7 @@ CHECKPOINT_MAGIC = "repro-checkpoint"
 
 #: The pickled layout this build writes and reads; bump it on any layout
 #: change (``tests/test_checkpoint.py`` pins the layout to it).
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: Pickle protocol used for both frames (supported since Python 3.4).
 _PICKLE_PROTOCOL = 4

@@ -244,6 +244,70 @@ def test_route_change_between_windows_invalidates():
     assert _fastpath_totals(net_on)["invalidations"] >= 1
 
 
+def _write_s1_next_hop(fastpath, dscps):
+    """A chain carrying 16 packets, with one s1 next-hop write per entry
+    of ``dscps`` (its DSCP remark), 40 µs, 80 µs and 104 µs in; the
+    network runs up to, but not into, the last write.  Returns
+    ``(network, received, last_write)``."""
+    network, received = _build_chain(fastpath)
+    _send_n(network, 16)
+    program = network.switches["s1"].program
+    writes = list(zip((40_000_500, 80_000_500, 104_000_500), dscps))
+    for at, dscp in writes[:-1]:
+        network.run(until_ps=at)
+        program.add_next_hop(1, 1, dscp)
+    network.run(until_ps=writes[-1][0])
+    return network, received, lambda: program.add_next_hop(1, 1, writes[-1][1])
+
+
+@pytest.mark.parametrize("dscp", [0, 13], ids=["reinstall", "remark"])
+def test_a_write_keeps_the_fused_path_only_if_its_lookups_agree(dscp):
+    # The first write evicts (nothing was logged yet) and turns the
+    # cache's lookup log on; the second only revalidates.  The third
+    # re-installs the next hop every path through s1 reads, or remarks it.
+    network, received, write = _write_s1_next_hop(True, (0, 0, dscp))
+    cache = network.switches["s1"].flow_cache
+    fastpath = network.switches["s0"].flow_fastpath
+    (path,) = _built_paths(fastpath)
+    (entry,) = cache._entries.values()
+    fused, generation = fastpath.stats.fused, fastpath.stats.fallbacks["generation"]
+    assert cache.stats.revalidated == 1 and cache.stats.invalidations == 1
+    write()
+    network.run()
+    kept = dscp == 0
+    assert (_built_paths(fastpath) == [path]) == kept
+    assert (cache._entries.get(path.hops[1].ingress_key) is entry) == kept
+    assert fastpath.stats.fallbacks["generation"] == generation + (not kept)
+    assert fastpath.stats.fused > fused
+    assert cache.stats.revalidated == 1 + kept
+    assert cache.stats.invalidations == 1 + (not kept)
+
+    net_off, recv_off, write_off = _write_s1_next_hop(False, (0, 0, dscp))
+    write_off()
+    net_off.run()
+    assert _network_state(network, received) == _network_state(net_off, recv_off)
+
+
+def test_a_write_every_hundred_packets_invalidates_only_on_the_first():
+    # chain_churn in small: eight flows, and from packet 100 on one
+    # idempotent next-hop write per 100 packets, round robin over the
+    # switches.  Only the entries recorded before a switch's first
+    # write, which keep no lookup log, are ever invalidated.
+    network, received = _build_chain(True)
+    count, spacing = 4_000, 8_000_000
+    _send_n(network, count, spacing_ps=spacing, flows=8)
+    programs = [network.switches[name].program for name in sorted(network.switches)]
+    for j in range(1, count // 100):
+        at = 1_000 + j * 100 * spacing + spacing // 2
+        network.sim.call_at(at, programs[j % 3].add_next_hop, 1, 1)
+    network.run()
+    assert len(received) == count
+    for switch in network.switches.values():
+        assert switch.flow_cache.stats.invalidations == 8
+    totals = _fastpath_totals(network)
+    assert totals["fused"] / (totals["fused"] + totals["fallbacks"]) >= 0.99
+
+
 def test_program_reload_clears_paths():
     network, received = _build_chain(True)
     _send_n(network, 6)
@@ -648,13 +712,23 @@ _K4_ZIPF_DECISIONS = {
     1: {
         "fastpath": dict(fused=15, materialized=0, invalidations=0),
         "flowcache": dict(
-            hits=2544, misses=832, uncacheable=0, invalidations=0, evictions=0
+            hits=2544,
+            misses=832,
+            uncacheable=0,
+            invalidations=0,
+            evictions=0,
+            revalidated=0,
         ),
     },
     3: {
         "fastpath": dict(fused=13, materialized=0, invalidations=0),
         "flowcache": dict(
-            hits=2572, misses=798, uncacheable=0, invalidations=0, evictions=0
+            hits=2572,
+            misses=798,
+            uncacheable=0,
+            invalidations=0,
+            evictions=0,
+            revalidated=0,
         ),
     },
 }

@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 from repro.apps.common import ForwardingProgram
-from repro.apps.l3fwd import L3Router
+from repro.apps.l3fwd import DENY, L3Router
 from repro.arch.events import EventType
 from repro.arch.program import handler
 from repro.experiments.factories import make_baseline_switch, make_sume_switch
@@ -384,6 +384,129 @@ def test_update_action_missing_entry_raises():
     ternary = TernaryTable("t")
     with pytest.raises(KeyError):
         ternary.update_action((1,), (0xFF,), Action("a", _noop).bind())
+
+
+# ----------------------------------------------------------------------
+# Revalidation: a write keeps the entries whose lookups still agree
+# ----------------------------------------------------------------------
+H2_IP = 0x0A00_0003
+
+
+class _L3ListingRoutes(L3Router):
+    """An L3Router whose walk also lists its routes: a table read the
+    lookup log cannot replay."""
+
+    @handler(EventType.INGRESS_PACKET)
+    def ingress(self, ctx, pkt, meta):
+        self.routes.entries()
+        super().ingress(ctx, pkt, meta)
+
+
+def _l3_switch(program, flow_cache=True):
+    """One L3Router switch (fastpath off), h0 on port 0 and h1 on port
+    1, with a VersionedDict beside its tables; returns ``(network,
+    send, received)``: ``send()`` runs one h0 → h1 packet through and
+    ``received`` lists the host each packet reached."""
+    network = build_linear(
+        make_baseline_switch(flow_cache=flow_cache, fastpath=False), switch_count=1
+    )
+    program.install_host_routes({H0_IP: 0, H1_IP: 1})
+    program.aux = VersionedDict()
+    network.switches["s0"].load_program(program)
+    received = []
+    for name in ("h0", "h1"):
+        network.hosts[name].add_sink(lambda pkt, name=name: received.append(name))
+
+    def send():
+        network.sim.call_at(
+            network.sim.now_ps + 1_000,
+            network.hosts["h0"].send,
+            make_udp_packet(H0_IP, H1_IP, payload_len=200),
+        )
+        network.run()
+
+    return network, send, received
+
+
+def _after_write(write, program_cls=L3Router, flow_cache=True):
+    """Record h0 → h1, make the cache's first write (which evicts and
+    turns lookup logging on), re-record, apply ``write`` and send once
+    more; returns ``(cache, logged entry, received)``."""
+    program = program_cls()
+    network, send, received = _l3_switch(program, flow_cache)
+    cache = network.switches["s0"].flow_cache
+    send()
+    program.add_next_hop(1, 1)
+    send()
+    entry = next(iter(cache._entries.values())) if flow_cache else None
+    write(program)
+    send()
+    return cache, entry, received
+
+
+_WRITES = {
+    "reinstall": (lambda p: p.add_next_hop(1, 1), True),
+    "other-next-hop": (lambda p: p.add_next_hop(7, 1), True),
+    "other-route": (lambda p: p.add_route(H2_IP, 32, 7), True),
+    "deny-other": (lambda p: p.deny_flow(dst=H2_IP, dst_mask=0xFFFF_FFFF), True),
+    "default-on-a-hit": (lambda p: p.nexthops.set_default(DENY.bind()), True),
+    "repoint": (lambda p: p.add_next_hop(1, 0), False),
+    "remark": (lambda p: p.add_next_hop(1, 1, dscp=5), False),
+    "deny-this": (lambda p: p.deny_flow(dst=H1_IP, dst_mask=0xFFFF_FFFF), False),
+    "default-on-a-miss": (lambda p: p.acl.set_default(DENY.bind()), False),
+    "versioned-dict": (lambda p: p.aux.__setitem__(0, 0), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITES))
+def test_a_write_keeps_exactly_the_entries_whose_lookups_agree(name):
+    write, kept = _WRITES[name]
+    cache, entry, received = _after_write(write)
+    _cache, _entry, reference = _after_write(write, flow_cache=False)
+    assert received == reference
+    stats = cache.stats
+    # The first write met an entry recorded before any log was kept.
+    assert (stats.invalidations, stats.revalidated) == ((1, 1) if kept else (2, 0))
+    assert (next(iter(cache._entries.values())) is entry) == kept
+    assert len(cache) == 1
+
+
+def test_a_repointed_next_hop_sends_the_next_packet_out_of_the_new_port():
+    cache, _entry, received = _after_write(lambda p: p.add_next_hop(1, 0))
+    assert received == ["h1", "h1", "h0"]
+    assert cache.stats.revalidated == 0
+
+
+def test_a_walk_that_lists_a_table_is_never_revalidated():
+    cache, entry, received = _after_write(
+        lambda p: p.add_next_hop(1, 1), program_cls=_L3ListingRoutes
+    )
+    assert received == ["h1"] * 3
+    assert entry.reads is None
+    assert (cache.stats.invalidations, cache.stats.revalidated) == (2, 0)
+
+
+def test_a_cache_that_never_met_a_stale_entry_keeps_no_log():
+    network, send, _received = _l3_switch(L3Router())
+    cache = network.switches["s0"].flow_cache
+    for _ in range(3):
+        send()
+    (entry,) = cache._entries.values()
+    assert entry.reads is None and cache._read_shims is None
+    assert cache.stats.hits == 2
+
+
+def test_verify_entries_keeps_what_revalidates():
+    program = L3Router()
+    network, send, _received = _l3_switch(program)
+    cache = network.switches["s0"].flow_cache
+    send()
+    program.add_next_hop(1, 1)
+    assert cache.verify_entries() == 1  # recorded without a log
+    send()
+    program.add_next_hop(1, 1)
+    assert cache.verify_entries() == 0 and len(cache) == 1
+    assert cache.stats.revalidated == 1
 
 
 # ----------------------------------------------------------------------
