@@ -18,6 +18,13 @@ have done — bus fired/suppressed/handled counters, pipeline throughput,
 TM/queue/buffer/port statistics, link conservation ledgers — so the
 final state is byte-identical to the per-hop reference.
 
+Like a P4 program compiled once for its target, each path is compiled
+once: its fuse check (``guard``) and its delivery (``deliver``) are
+straight-line code emitted hop by hop from one statement template per
+step, the code cached per path shape, the path's objects bound as
+argument defaults; a materialization's partial replays are cut from the
+same template.
+
 Correctness is guarded at three levels:
 
 * **Path-level generation vector** — the fused entry stores every
@@ -70,6 +77,9 @@ cache's lifecycle rules: a new switch, a checkpoint restore and
 
 from __future__ import annotations
 
+import re
+from textwrap import indent
+from types import FunctionType
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.events import EventType
@@ -120,11 +130,11 @@ _DEQ = EventType.DEQUEUE
 _BUF_UND = EventType.BUFFER_UNDERFLOW
 _PKT_TX = EventType.PACKET_TRANSMITTED
 
-#: Replay granularity for one hop's bookkeeping (materialization): how
-#: far through the hop the packet had virtually progressed.
-_STAGE_DEQUEUED = 0  # through TM admission + dequeue (serialization began)
-_STAGE_SWITCH = 1  # plus serialization end + the egress pipeline
-_STAGE_FULL = 2  # plus the link ledger (arrived at the next node)
+#: How far through a hop a materialized packet had virtually progressed,
+#: as the :data:`_REPLAY` tags its replay emits.
+_STAGE_DEQUEUED = ("dequeued",)  # through TM admission + dequeue
+_STAGE_SWITCH = ("dequeued", "switch")  # plus serialization end + egress pipe
+_STAGE_FULL = ("dequeued", "switch", "full")  # plus the link ledger
 
 
 def _classes() -> tuple:
@@ -147,28 +157,203 @@ def can_fuse(switch) -> bool:
     return switch.flow_fastpath is not None and type(switch) is _classes()[0]
 
 
-def _unquiet(sw, fp, port_obj, buffer, links, hosts, now: int) -> Optional[str]:
-    """Why ``sw`` cannot take a fused hop out of ``port_obj`` at ``now``,
-    or None when it is quiet: not stalled, no armed timers, no fused
-    window still leaving (``fp``), the port idle and enabled, the shared
-    ``buffer`` empty, and the radius-1 neighborhood (incident ``links``,
-    adjacent ``hosts``) idle.  The fuse check runs it at every hop;
-    :meth:`FlowFastpath._entry_unquiet` at hop 0 before a path walk."""
-    if sw.stalled:
-        return "stalled"
-    if sw._timers:
-        return "timers"
-    if fp._quiet_until_ps > now or port_obj.busy or not port_obj.enabled:
-        return "busy"
-    if buffer.occupancy_bytes:
-        return "queued"
-    for link in links:
-        if link.in_flight:
-            return "neighborhood"
-    for host in hosts:
-        if host._tx_busy or host._tx_queue:
-            return "neighborhood"
-    return None
+# The path compiler.  Each template is one hop's statements: ``{h}``
+# prefixes a :class:`_Hop` field (``h<i>_<field>``, a parameter of a
+# compiled path, or ``hop.<field>`` in a one-hop replay), and a line
+# tagged ``  #<tag>`` is emitted only when the hop or stage has the tag.
+
+#: The staleness checks, in order: a verdict drops the path.  When a
+#: dep generation moved, entries that revalidate refresh ``{h}gens``.
+_STALE = """\
+if {h}switch.flow_cache is not {h}cache: return True, "cache"
+if {h}entries.get({h}ingress_key) is not {h}ingress_entry: return True, "entry"
+if {h}entries.get({h}egress_key) is not {h}egress_entry: return True, "entry"  #egress
+if {moved}:  #gens
+    genvec = {h}cache._generation_vector()  #gens
+    for entry in ({h}ingress_entry, {h}egress_entry):  #gens
+        if entry and entry.genvec != genvec and not {h}cache.revalidate(entry): return True, "generation"  #gens
+    {h}gens[:] = genvec  #gens
+if {h}link.epoch != {h}link_epoch or not {h}link.up: return True, "link"
+if len({h}port_links) != {h}link_count: return True, "topology"
+if {h}bus._observers or {h}bus.observer_epoch != {h}observer_epoch: return True, "observer"
+if {h}switch.flow_fastpath is not {h}fp: return True, "disabled"
+if {h}port_obj.rate_gbps != {h}rate_gbps: return True, "rate"
+"""
+
+#: The quiescence checks, in order: not stalled, no armed timers, no
+#: fused window still leaving, the port idle and enabled, the shared
+#: buffer empty, and the radius-1 neighborhood idle: its links and
+#: hosts unrolled in a guard (``{nbhd}``), looped over in the gate.
+_QUIET = """\
+if {h}switch.stalled: return {verdict}"stalled"
+if {h}switch._timers: return {verdict}"timers"
+if {h}fp._quiet_until_ps > now or {h}port_obj.busy or not {h}port_obj.enabled: return {verdict}"busy"
+if {h}buffer.occupancy_bytes: return {verdict}"queued"
+if {nbhd}: return {verdict}"neighborhood"  #unrolled
+for link in links:  #loops
+    if link.in_flight: return "neighborhood"  #loops
+for host in hosts:  #loops
+    if host._tx_busy or host._tx_queue: return "neighborhood"  #loops
+"""
+
+#: One hop's bookkeeping and blind writes, tagged by the per-hop
+#: machinery's timeline so a materialization can cut the replay mid-hop:
+#: untagged lines land at TM admission, ``switch`` and (a hop with an
+#: egress entry) ``egress`` lines at serialization end, ``full`` at wire
+#: exit.  Each entry replays through :meth:`_Entry.apply`; a fused hop
+#: keeps no standard-metadata object, so the steering fields come
+#: straight from the ingress entry.  Each hop overwrites the packet's
+#: ``last`` fields and nothing reads them in between, so a delivery
+#: writes them at its last hop only.
+_REPLAY = """\
+{h}switch.rx_packets += 1
+pkt.ingress_port = {h}rx_port  #last
+{h}fired[_INGRESS] += 1
+{h}cache_stats.hits += 1
+{h}ingress_entry.apply(pkt)
+{h}handled[_INGRESS] += 1
+{h}ingress_pipeline.packets_processed += 1
+{h}ingress_pipeline.walks_elided += 1
+pkt.egress_port = {h}ingress_entry.egress_spec  #last
+pkt.queue_id = {h}ingress_entry.queue_id  #last
+pkt.priority = {h}ingress_entry.priority  #last
+pkt.meta["enq_meta"] = dict({h}ingress_entry.enq_meta) if {h}ingress_entry.enq_meta else {{}}  #last
+pkt.meta["deq_meta"] = dict({h}ingress_entry.deq_meta) if {h}ingress_entry.deq_meta else {{}}  #last
+{h}tm.total_enqueued += 1
+{h}tm.total_dequeued += 1
+{h}buffer.admitted_packets += 1
+if {h}length > {h}buffer.max_occupancy_bytes: {h}buffer.max_occupancy_bytes = {h}length
+{h}qstats.enqueued_packets += 1
+{h}qstats.enqueued_bytes += {h}length
+if {h}length > {h}qstats.max_depth_bytes: {h}qstats.max_depth_bytes = {h}length
+if {h}qstats.max_depth_packets < 1: {h}qstats.max_depth_packets = 1
+{h}qstats.dequeued_packets += 1
+{h}qstats.dequeued_bytes += {h}length
+{h}suppressed[_ENQ] += 1
+{h}suppressed[_DEQ] += 1
+{h}suppressed[_BUF_UND] += 1
+{h}port_obj.busy_time_ps += {h}tx_time_ps
+pkt.ts_enqueued_ps = pkt.ts_dequeued_ps = t0 + {h}d_enq  #last
+{h}suppressed[_PKT_TX] += 1  #switch
+{h}port_obj.tx_packets += 1  #switch
+{h}port_obj.tx_bytes += {h}length  #switch
+{h}fired[_EGRESS] += 1  #switch
+{h}egress_pipeline.packets_processed += 1  #switch
+{h}cache_stats.hits += 1  #egress
+{h}egress_entry.apply(pkt)  #egress
+{h}egress_pipeline.walks_elided += 1  #egress
+{h}handled[_EGRESS] += 1  #egress
+{h}link.tx_packets += 1  #full
+{h}link.delivered_packets += 1  #full
+"""
+
+#: The :class:`_Hop` fields a compiled guard and delivery read, per hop.
+_GUARD_FIELDS, _DELIVER_FIELDS = (
+    tuple(sorted(set(re.findall(r"\{h\}(\w+)", text)) - {"gens"}))
+    for text in (_STALE + _QUIET, _REPLAY)
+)
+
+
+def _emit(template: str, tags, **subs) -> str:
+    """``template``'s lines untagged or tagged with one of ``tags``,
+    filled in from ``subs``."""
+    out = ""
+    for line in template.splitlines():
+        code, _, tag = line.partition("  #")
+        if not tag or tag in tags:
+            out += code.format(**subs) + "\n"
+    return out
+
+
+_COMPILED: Dict[tuple, object] = {}  # code by shape, shared by its paths
+
+
+def _compiled(key: tuple, label: str, source):
+    """The one function ``source()`` defines, compiled once per ``key``
+    with the file name ``<fastpath LABEL>`` so profiles name it, and its
+    source kept on it as ``__repro_source__``."""
+    fn = _COMPILED.get(key)
+    if fn is None:
+        text = source()
+        namespace = dict(globals())
+        exec(compile(text, f"<fastpath {label}>", "exec"), namespace)  # noqa: S102
+        fn = _COMPILED[key] = namespace[text[len("def ") : text.index("(")]]
+        fn.__repro_source__ = text
+    return fn
+
+
+#: Why a switch cannot take a fused hop out of ``port_obj`` at ``now``,
+#: or None when it is quiet.  The gate runs it at hop 0 before a path
+#: walk (:meth:`FlowFastpath._entry_unquiet`); a compiled guard inlines
+#: the same template at every hop, its neighborhood unrolled.
+_unquiet = _compiled(("quiet",), "quiet", lambda: (
+    "def _unquiet(switch, fp, port_obj, buffer, links, hosts, now):\n"
+    + indent(_emit(_QUIET, ("loops",), h="", verdict="") + "return None", "    ")
+))
+
+
+def _path_source(kind: str, shape: tuple) -> str:
+    """Source of a ``kind`` function ("guard" or "deliver") for paths of
+    ``shape``: per hop, whether it has an egress entry, its dep count
+    and its neighborhood sizes.  Each object the body reads is a
+    parameter :func:`_bind` gives a default."""
+    params, body = [], ""
+    for i, (egress, deps, links, hosts) in enumerate(shape):
+        h = f"h{i}_"
+        tags = ("egress",) * egress + ("gens",) * bool(deps) + ("unrolled",)
+        if kind == "deliver":
+            params += [h + field for field in _DELIVER_FIELDS]
+            last = ("last",) * (i == len(shape) - 1)
+            body += _emit(_REPLAY, tags + last + _STAGE_FULL, h=h)
+            continue
+        names = ("dep", deps), ("nlink", links), ("nhost", hosts)
+        dep, link, host = ([f"{h}{x}{j}" for j in range(n)] for x, n in names)
+        params += [h + field for field in _GUARD_FIELDS] + dep + [h + "gens"]
+        params += link + host
+        moved = [f"{d}.generation != {h}gens[{j}]" for j, d in enumerate(dep)]
+        nbhd = [f"{x}.in_flight" for x in link]
+        nbhd += [f"{x}._tx_busy or {x}._tx_queue" for x in host]
+        subs = dict(moved=" or ".join(moved), nbhd=" or ".join(nbhd))
+        body += _emit(_STALE + _QUIET, tags, h=h, verdict="False, ", **subs)
+    if kind == "deliver":
+        params += ["host", "host_port"]
+        body += "host.receive(pkt, host_port)\n"
+    args = "pkt, t0" if kind == "deliver" else "now"
+    return f"def {kind}({args}, {', '.join(params)}):\n" + indent(body, "    ")
+
+
+def _bind(kind: str, path: "_PathEntry"):
+    """``path``'s ``kind`` function ("guard" or "deliver"): its shape's
+    compiled code with the path's own objects as argument defaults (no
+    per-path ``exec``, no closure cells, no reference cycle)."""
+    shape, values = [], []
+    for hop in path.hops:
+        near = hop.incident_links, hop.neighbor_hosts
+        shape.append((hop.egress_entry is not None, len(hop.dep_gens), *map(len, near)))
+        if kind == "deliver":
+            values += [getattr(hop, field) for field in _DELIVER_FIELDS]
+            continue
+        values += [getattr(hop, field) for field in _GUARD_FIELDS]
+        values += [dep for dep, _gen in hop.dep_gens]
+        values += [[gen for _dep, gen in hop.dep_gens], *near[0], *near[1]]
+    if kind == "deliver":
+        values += [path.host, path.host_port]
+    shape = tuple(shape)
+    label = f"{kind}, {len(shape)} hops"
+    code = _compiled((kind, shape), label, lambda: _path_source(kind, shape))
+    fn = FunctionType(code.__code__, code.__globals__, kind, tuple(values))
+    fn.__repro_source__ = code.__repro_source__
+    return fn
+
+
+def _hop_replay(hop: "_Hop", stage: tuple):
+    """The compiled one-hop replay of ``hop`` up to ``stage``: the
+    delivery's template, cut where a materialization needs it."""
+    egress = hop.egress_entry is not None and "switch" in stage
+    tags = stage + ("last",) + ("egress",) * egress
+    return _compiled(("replay",) + tags, f"replay to {stage[-1]}", lambda: (
+        "def replay(hop, pkt, t0):\n" + indent(_emit(_REPLAY, tags, h="hop."), "    ")
+    ))
 
 
 class FastpathStats:
@@ -237,9 +422,9 @@ class _Hop:
     """One switch traversal inside a fused path.
 
     Besides the decision itself, the hop prebinds every object the
-    per-packet validate/deliver steps touch (stat dicts, pipelines,
-    buffer, queue stats) so the fused path never re-walks attribute
-    chains — the per-hop cost is the counter bumps, nothing else.
+    per-packet guard/deliver steps touch (stat dicts, pipelines, buffer,
+    queue stats); a compiled path takes them as argument defaults, so
+    the per-hop cost is the checks and counter bumps, nothing else.
     Built from one row of :meth:`FlowFastpath._build`'s walk, once the
     walk has reached a host (nothing it reads can change mid-walk).
     """
@@ -351,9 +536,11 @@ class _Flight:
 
 
 class _PathEntry:
-    """One fused multi-hop delivery: hops, timing, and the terminal host."""
+    """One fused multi-hop delivery: hops, timing, the terminal host, and
+    the compiled ``guard(now)`` (None, or a ``(stale, reason)`` verdict)
+    and ``deliver(pkt, t0)`` (every hop's bookkeeping, then the host)."""
 
-    __slots__ = ("hops", "host", "host_port", "d_end")
+    __slots__ = ("hops", "host", "host_port", "d_end", "guard", "deliver")
 
     def __init__(
         self, hops: Tuple[_Hop, ...], host: Host, host_port: int, d_end: int
@@ -362,6 +549,16 @@ class _PathEntry:
         self.host = host
         self.host_port = host_port
         self.d_end = d_end
+        self.guard = _bind("guard", self)
+        self.deliver = None  # bound when the path first fuses
+
+    # Pickled mid-flight without its functions; loading binds them again.
+    def __getstate__(self):
+        return None, {n: getattr(self, n) for n in ("hops", "host", "host_port", "d_end")}
+
+    def __setstate__(self, state) -> None:
+        self.__init__(**state[1])
+        self.deliver = _bind("deliver", self)
 
 
 class FlowFastpath(_FlowMemo):
@@ -461,7 +658,7 @@ class FlowFastpath(_FlowMemo):
             if path is None:
                 return key
         now = self.sim.now_ps
-        verdict = self._validate(path, now)
+        verdict = path.guard(now)
         if verdict is not None:
             stale, reason = verdict
             self.stats.fallback(reason)
@@ -469,6 +666,8 @@ class FlowFastpath(_FlowMemo):
                 del self._paths[key]
                 self.stats.invalidations += 1
             return key
+        if path.deliver is None:
+            path.deliver = _bind("deliver", path)
         flight = _Flight()
         flight.path = path
         flight.pkt = pkt
@@ -553,63 +752,6 @@ class FlowFastpath(_FlowMemo):
         return memo[2]
 
     # ------------------------------------------------------------------
-    # Fuse-time validation
-    # ------------------------------------------------------------------
-    def _validate(self, path: _PathEntry, now: int):
-        """None when the path may fuse right now; otherwise a
-        ``(stale, reason)`` pair — ``stale`` drops the entry."""
-        for hop in path.hops:
-            sw = hop.switch
-            if sw.flow_cache is not hop.cache:
-                return (True, "cache")
-            entries = hop.entries
-            if entries.get(hop.ingress_key) is not hop.ingress_entry:
-                return (True, "entry")
-            if (
-                hop.egress_key is not None
-                and entries.get(hop.egress_key) is not hop.egress_entry
-            ):
-                return (True, "entry")
-            # ``dep_gens``: the generations the entries were last checked at.
-            for dep, gen in hop.dep_gens:
-                if dep.generation != gen:
-                    cache = hop.cache
-                    genvec = cache._generation_vector()
-                    for entry in filter(None, (hop.ingress_entry, hop.egress_entry)):
-                        if entry.genvec != genvec and not cache.revalidate(entry):
-                            return (True, "generation")
-                    hop.dep_gens = tuple(zip(cache._deps, genvec))
-                    break
-            link = hop.link
-            if link.epoch != hop.link_epoch or not link.up:
-                return (True, "link")
-            if len(hop.port_links) != hop.link_count:
-                # The network gained a link since the build: the bound
-                # neighborhood may miss it.
-                return (True, "topology")
-            bus = hop.bus
-            if bus._observers or bus.observer_epoch != hop.observer_epoch:
-                return (True, "observer")
-            fp = hop.fp
-            if sw.flow_fastpath is not fp:
-                return (True, "disabled")
-            port_obj = hop.port_obj
-            if port_obj.rate_gbps != hop.rate_gbps:
-                return (True, "rate")
-            reason = _unquiet(
-                sw,
-                fp,
-                port_obj,
-                hop.buffer,
-                hop.incident_links,
-                hop.neighbor_hosts,
-                now,
-            )
-            if reason is not None:
-                return (False, reason)
-        return None
-
-    # ------------------------------------------------------------------
     # Fused delivery: one event, every hop's bookkeeping, in hop order
     # ------------------------------------------------------------------
     def _finish(self, flight: _Flight) -> None:
@@ -625,89 +767,7 @@ class FlowFastpath(_FlowMemo):
                 hop.fp._active.remove(flight)
             except ValueError:
                 pass
-        self._deliver(flight.path, flight.pkt, flight.t0)
-
-    def _deliver(self, path: _PathEntry, pkt, t0: int) -> None:
-        """Replay every hop's bookkeeping and blind writes, in hop order."""
-        for hop in path.hops:
-            self._replay_hop(hop, pkt, t0, _STAGE_FULL)
-        path.host.receive(pkt, path.host_port)
-
-    def _replay_hop(self, hop: _Hop, pkt, t0: int, stage: int) -> None:
-        """One hop's bookkeeping and blind writes, up to ``stage``.
-
-        Each entry replays through :meth:`_Entry.apply`; the fused hop
-        keeps no standard-metadata object, so the steering fields come
-        straight from the ingress entry.  The writes are grouped by the
-        per-hop machinery's own timeline so a materialization can
-        truncate the replay mid-hop: everything through
-        :data:`_STAGE_DEQUEUED` lands at TM admission time, the
-        :data:`_STAGE_SWITCH` tail at serialization end, and the
-        :data:`_STAGE_FULL` link ledger at wire exit."""
-        pkt_meta = pkt.meta
-        sw = hop.switch
-        sw.rx_packets += 1
-        pkt.ingress_port = hop.rx_port
-        fired = hop.fired
-        handled = hop.handled
-        suppressed = hop.suppressed
-        cache_stats = hop.cache_stats
-        fired[_INGRESS] += 1
-        entry = hop.ingress_entry
-        cache_stats.hits += 1
-        entry.apply(pkt)
-        handled[_INGRESS] += 1
-        pipeline = hop.ingress_pipeline
-        pipeline.packets_processed += 1
-        pipeline.walks_elided += 1
-        pkt.egress_port = entry.egress_spec
-        pkt.queue_id = entry.queue_id
-        pkt.priority = entry.priority
-        pkt_meta["enq_meta"] = dict(entry.enq_meta) if entry.enq_meta else {}
-        pkt_meta["deq_meta"] = dict(entry.deq_meta) if entry.deq_meta else {}
-        length = hop.length
-        tm = hop.tm
-        tm.total_enqueued += 1
-        tm.total_dequeued += 1
-        buf = hop.buffer
-        buf.admitted_packets += 1
-        if length > buf.max_occupancy_bytes:
-            buf.max_occupancy_bytes = length
-        qstats = hop.qstats
-        qstats.enqueued_packets += 1
-        qstats.enqueued_bytes += length
-        if length > qstats.max_depth_bytes:
-            qstats.max_depth_bytes = length
-        if qstats.max_depth_packets < 1:
-            qstats.max_depth_packets = 1
-        qstats.dequeued_packets += 1
-        qstats.dequeued_bytes += length
-        suppressed[_ENQ] += 1
-        suppressed[_DEQ] += 1
-        suppressed[_BUF_UND] += 1
-        port_obj = hop.port_obj
-        # The serializer charges busy time at dequeue (TM _kick).
-        port_obj.busy_time_ps += hop.tx_time_ps
-        pkt.ts_enqueued_ps = pkt.ts_dequeued_ps = t0 + hop.d_enq
-        if stage == _STAGE_DEQUEUED:
-            return
-        suppressed[_PKT_TX] += 1
-        port_obj.tx_packets += 1
-        port_obj.tx_bytes += length
-        fired[_EGRESS] += 1
-        pipeline = hop.egress_pipeline
-        pipeline.packets_processed += 1
-        entry = hop.egress_entry
-        if entry is not None:
-            cache_stats.hits += 1
-            entry.apply(pkt)
-            pipeline.walks_elided += 1
-            handled[_EGRESS] += 1
-        if stage == _STAGE_SWITCH:
-            return
-        link = hop.link
-        link.tx_packets += 1
-        link.delivered_packets += 1
+        flight.path.deliver(flight.pkt, flight.t0)
 
     # ------------------------------------------------------------------
     # Disruption-time materialization
@@ -755,12 +815,12 @@ class FlowFastpath(_FlowMemo):
             index += 1
         if index == count:
             # Due this very picosecond: deliver in full.
-            self._deliver(path, pkt, t0)
+            path.deliver(pkt, t0)
             return
         self.stats.materialized += 1
         hop = hops[index]
         for done_hop in hops[:index]:
-            self._replay_hop(done_hop, pkt, t0, _STAGE_FULL)
+            _hop_replay(done_hop, _STAGE_FULL)(done_hop, pkt, t0)
         sim = self.sim
         if rel < hop.d_enq:
             # In the ingress pipeline: re-enter ahead of the TM.  The
@@ -776,7 +836,7 @@ class FlowFastpath(_FlowMemo):
             # Mid-serialization: the TM already dequeued; rebuild its
             # in-progress transmit and let _finish_tx take over (egress
             # pipeline, then the ordinary link entry).
-            self._replay_hop(hop, pkt, t0, _STAGE_DEQUEUED)
+            _hop_replay(hop, _STAGE_DEQUEUED)(hop, pkt, t0)
             port_obj = hop.port_obj
             port_obj.busy = True
             sim.call_at(
@@ -790,12 +850,12 @@ class FlowFastpath(_FlowMemo):
         if rel < hop.d_leave:
             # In the egress pipeline: the switch traversal is complete;
             # re-enter at the link boundary.
-            self._replay_hop(hop, pkt, t0, _STAGE_SWITCH)
+            _hop_replay(hop, _STAGE_SWITCH)(hop, pkt, t0)
             sim.call_at(t0 + hop.d_leave, hop.switch._transmit, pkt, hop.egress_spec)
             return
         # On the wire: the link's own delivery re-checks status at the
         # far end, losing the packet if the line went down under it.
-        self._replay_hop(hop, pkt, t0, _STAGE_SWITCH)
+        _hop_replay(hop, _STAGE_SWITCH)(hop, pkt, t0)
         link = hop.link
         link.tx_packets += 1
         link.in_flight += 1

@@ -56,6 +56,8 @@ def test_profile_hotpath_names_the_workload_and_the_kernel(tmp_path):
         "p.profile_workload('chain_paced', 1, scale=0.05), 'chain_paced', 40))"
     )
     env = dict(os.environ, PYTHONPATH=f"{REPO}/tools{os.pathsep}{REPO}/src")
+    # On every CI leg: the fused delivery needs the cache and the fastpath.
+    env.update(REPRO_FLOW_CACHE="1", REPRO_FLOW_FASTPATH="1")
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, cwd=str(tmp_path), env=env, timeout=120,
@@ -65,6 +67,9 @@ def test_profile_hotpath_names_the_workload_and_the_kernel(tmp_path):
     assert "(sorted by cumulative time, top 40 functions)" in result.stdout
     assert "(sorted by self time (tottime), top 40 functions)" in result.stdout
     assert os.path.join("sim", "kernel.py") in result.stdout
+    # The fused path's compiled delivery is named, not "<string>:1".
+    self_time = result.stdout.split("(sorted by self time (tottime)")[1]
+    assert "<fastpath deliver, 3 hops>:1(deliver)" in self_time
 
 
 def test_profile_hotpath_lists_the_callers_of_a_pattern(tmp_path):

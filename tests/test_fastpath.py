@@ -15,6 +15,7 @@ import os
 import pickle
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.faults.injector import Degradation
 from repro.net.host import Host
 from repro.net.topology import build_linear
 from repro.packet.builder import make_udp_packet
+from repro.pisa import fastpath as fastpath_module
 from repro.pisa.fastpath import (
     FLOW_FASTPATH_ENV,
     FlowFastpath,
@@ -89,7 +91,7 @@ def _switch_state(sw):
         tuple(sorted((k.name, v) for k, v in sw.bus.fired.items())),
         tuple(sorted((k.name, v) for k, v in sw.bus.handled.items())),
         tuple(sorted((k.name, v) for k, v in sw.bus.suppressed.items())),
-        repr(sw.flow_cache.stats),
+        sw.flow_cache.stats.as_dict(),
         sw.tm.total_enqueued,
         sw.tm.total_dequeued,
         sw.tm.drops_overflow,
@@ -98,11 +100,14 @@ def _switch_state(sw):
         sw.tm.buffer.max_occupancy_bytes,
         tuple(
             (p.tx_packets, p.tx_bytes, p.busy_time_ps, p.busy, p.enabled)
+            + tuple(q.stats for q in p.queues)
             for p in sw.tm.ports
         ),
         tuple(tuple(sorted(row.items())) for row in sw.state_summary()),
         sw.ingress_pipeline.packets_processed,
         sw.egress_pipeline.packets_processed,
+        sw.ingress_pipeline.walks_elided,
+        sw.egress_pipeline.walks_elided,
     )
 
 
@@ -414,6 +419,83 @@ def test_boundary_port_stays_unfusable():
 
 
 # ----------------------------------------------------------------------
+# The fuse check: one reason per check, the first failing check answers
+# ----------------------------------------------------------------------
+class _Tap:
+    def on_publish(self, bus, event, admitted):
+        pass
+
+    def on_dispatch(self, bus, event, latency_ps, handled):
+        pass
+
+
+def _join_h2(network, sw):
+    h2 = network.add_host(Host(network.sim, "h2", H2_IP))
+    network.connect(sw, 2, h2, 0)
+
+
+#: One way to fail each fuse check at switch ``sw``, in the order the
+#: guard runs them per hop: the staleness checks (they drop the path),
+#: then the quiescence checks (they keep it).
+_BREAKS = {
+    "cache": lambda net, sw: setattr(sw, "flow_cache", FlowCache(net.sim)),
+    "entry": lambda net, sw: sw.flow_cache._entries.clear(),
+    "generation": lambda net, sw: sw.program.add_next_hop(1, 1, 13),
+    "link": lambda net, sw: net._switch_port_links[(sw.name, 1)].set_up(False),
+    "topology": _join_h2,
+    "observer": lambda net, sw: sw.bus.add_observer(_Tap()),
+    "disabled": lambda net, sw: setattr(sw, "flow_fastpath", None),
+    "rate": lambda net, sw: sw.tm.set_port_rate(1, 5.0),
+    "stalled": lambda net, sw: sw.stall(),
+    "timers": lambda net, sw: sw._timers.update({0: None}),
+    "busy": lambda net, sw: sw.tm.set_port_enabled(1, False),
+    "queued": lambda net, sw: setattr(sw.tm.buffer, "occupancy_bytes", 64),
+    "neighborhood": lambda net, sw: setattr(
+        net._switch_port_links[(sw.name, 0)], "in_flight", 1
+    ),
+}
+_STALE_REASONS = (
+    "cache", "entry", "generation", "link", "topology", "observer", "disabled", "rate"
+)
+
+
+@pytest.mark.parametrize(
+    "breaks, verdict",
+    [
+        pytest.param([("s1", reason)], (reason in _STALE_REASONS, reason), id=reason)
+        for reason in _BREAKS
+    ]
+    + [
+        # Two checks fail: the earlier one in the guard's order answers,
+        # on one hop and across hops.
+        pytest.param(
+            [("s1", "stalled"), ("s1", "observer")], (True, "observer"), id="same-hop"
+        ),
+        pytest.param(
+            [("s2", "cache"), ("s0", "queued")], (False, "queued"), id="hop-order"
+        ),
+    ],
+)
+def test_each_fuse_check_declines_with_its_reason(breaks, verdict):
+    network, _received = _build_chain(True, port_count=3)
+    _send_n(network, 4)
+    network.run()
+    fastpath = network.switches["s0"].flow_fastpath
+    (path,) = _built_paths(fastpath)
+    assert path.guard(network.sim.now_ps) is None
+    for name, reason in breaks:
+        _BREAKS[reason](network, network.switches[name])
+    assert path.guard(network.sim.now_ps) == verdict
+    stale, reason = verdict
+    fallbacks = dict(fastpath.stats.fallbacks)
+    pkt = make_udp_packet(H0_IP, H1_IP, payload_len=200)
+    assert fastpath.handle(pkt, 0) is not None
+    fallbacks[reason] = fallbacks.get(reason, 0) + 1
+    assert fastpath.stats.fallbacks == fallbacks
+    assert _built_paths(fastpath) == ([] if stale else [path])
+
+
+# ----------------------------------------------------------------------
 # Disruption-time materialization: faults mid-fused-window
 # ----------------------------------------------------------------------
 # Offsets (ps) from the victim packet's send time, chosen to land the
@@ -529,6 +611,34 @@ def test_fused_flights_leave_no_garbage(run):
     assert _fastpath_totals(network)["fused"] > 0
     assert flights == []
     assert freed == 0
+
+
+def test_compiled_paths_hold_no_reference_cycles(monkeypatch):
+    # A path binds its objects as the argument defaults of code compiled
+    # once per shape: neither a first compile nor a bound path leaves a
+    # cycle, so a dropped path (and its generated functions) dies by
+    # refcount.
+    monkeypatch.setattr(fastpath_module, "_COMPILED", {})
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        network = _fused_chain()
+        fastpath = network.switches["s0"].flow_fastpath
+        (path,) = _built_paths(fastpath)
+        deliver = weakref.ref(path.deliver)
+        del path
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert garbage == []
+    assert fastpath_module._COMPILED  # the shape was compiled in the run
+    assert deliver().__code__.co_filename == "<fastpath deliver, 3 hops>"
+    fastpath.clear()
+    assert deliver() is None
 
 
 # ----------------------------------------------------------------------
